@@ -21,7 +21,7 @@ void BM_Gemm(benchmark::State& state) {
     Tensor c = ops::matmul(a, b);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // flops
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
@@ -35,9 +35,49 @@ void BM_GemmTransposed(benchmark::State& state) {
     Tensor c = ops::matmul(a, b, /*trans_a=*/true, /*trans_b=*/false);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // flops
 }
 BENCHMARK(BM_GemmTransposed)->Arg(128);
+
+// The products a TGCN/GConvGRU cell runs per timestep, at the node counts
+// of the benchmark datasets: X[N,F]·W[F,H] forward (NN), dY[N,H]·W[F,H]ᵀ
+// for the input gradient (NT) and X[N,F]ᵀ·dY[N,H] for the weight gradient
+// (TN). items_per_second is GFLOP/s × 1e9.
+enum GemmCase : int64_t { kNN, kNT, kTN };
+
+void BM_GemmCell(benchmark::State& state) {
+  const int64_t n = state.range(0), f = state.range(1), h = state.range(2);
+  const auto kind = static_cast<GemmCase>(state.range(3));
+  Rng rng(5);
+  NoGradGuard ng;
+  Tensor a, b;
+  bool ta = false, tb = false;
+  switch (kind) {
+    case kNN:
+      a = Tensor::randn({n, f}, rng);
+      b = Tensor::randn({f, h}, rng);
+      break;
+    case kNT:
+      a = Tensor::randn({n, h}, rng);
+      b = Tensor::randn({f, h}, rng);
+      tb = true;
+      break;
+    case kTN:
+      a = Tensor::randn({n, f}, rng);
+      b = Tensor::randn({n, h}, rng);
+      ta = true;
+      break;
+  }
+  for (auto _ : state) {
+    Tensor c = ops::matmul(a, b, ta, tb);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n * f * h);  // flops
+  state.SetLabel(kind == kNN ? "NN" : kind == kNT ? "NT" : "TN");
+}
+BENCHMARK(BM_GemmCell)
+    ->ArgNames({"N", "F", "H", "case"})
+    ->ArgsProduct({{1068, 3880}, {8, 16, 64}, {8, 32}, {kNN, kNT, kTN}});
 
 void BM_GruGateChain(benchmark::State& state) {
   // The elementwise chain a TGCN gate performs per timestep.

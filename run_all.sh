@@ -13,7 +13,8 @@
 #                           front-end (concurrent clients over loopback),
 #                           and the shard/pipeline training path
 #                           (test_scaling: background view preparation +
-#                           shard-parallel aggregation parity)
+#                           shard-parallel aggregation parity), and the
+#                           row-block-parallel GEMM (test_gemm)
 #   ./run_all.sh lint       clang-tidy over src/ + a clang syntax-only pass
 #                           of EVERY .cpp under src/ and tools/ with
 #                           -Wthread-safety -Werror (the annotations in
@@ -205,9 +206,9 @@ if [ "$1" = "tsan" ]; then
     -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-    test_fusion || exit 1
+    test_fusion test_gemm || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-           test_fusion; do
+           test_fusion test_gemm; do
     echo "===== $t (tsan) ====="
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1

@@ -36,15 +36,24 @@ struct HeldLock {
   int bt_depth = 0;
 };
 
+/// Set when this thread's ThreadState is destroyed. Trivially destructible,
+/// so it stays readable after the thread_local destructors have run.
+thread_local bool t_state_gone = false;
+
 struct ThreadState {
   std::vector<HeldLock> held;
   int blocking_ok_depth = 0;
   bool in_hook = false;  ///< reentrancy guard (hazard hooks inside lock hooks)
+  ~ThreadState() { t_state_gone = true; }
 };
 
-ThreadState& tls() {
+/// This thread's state, or nullptr once it is destroyed: at process exit the
+/// main thread's thread_locals go before the static destructors, and some of
+/// those (the ThreadPool singleton joining its workers) still lock Mutexes.
+ThreadState* tls() {
+  if (t_state_gone) return nullptr;
   static thread_local ThreadState t;
-  return t;
+  return &t;
 }
 
 uint64_t this_thread_id() {
@@ -251,8 +260,9 @@ EnvArm g_env_arm;
 // ---- hooks ----------------------------------------------------------------
 
 void on_lock_attempt(const void* m, const char* site) {
-  ThreadState& t = tls();
-  if (t.in_hook) return;
+  ThreadState* ts = tls();
+  if (!ts || ts->in_hook) return;
+  ThreadState& t = *ts;
   t.in_hook = true;
   if (!t.held.empty()) {
     void* bt[kMaxFrames];
@@ -292,8 +302,9 @@ void on_lock_attempt(const void* m, const char* site) {
 }
 
 void on_locked(const void* m, const char* site, bool blocking) {
-  ThreadState& t = tls();
-  if (t.in_hook) return;
+  ThreadState* ts = tls();
+  if (!ts || ts->in_hook) return;
+  ThreadState& t = *ts;
   t.in_hook = true;
   HeldLock h;
   h.m = m;
@@ -309,8 +320,9 @@ void on_locked(const void* m, const char* site, bool blocking) {
 }
 
 void on_unlocked(const void* m) {
-  ThreadState& t = tls();
-  if (t.in_hook) return;
+  ThreadState* ts = tls();
+  if (!ts || ts->in_hook) return;
+  ThreadState& t = *ts;
   // Innermost-first: lock scopes nest, so the match is almost always the
   // back. A miss (lock taken before arming) is silently fine.
   for (auto it = t.held.rbegin(); it != t.held.rend(); ++it) {
@@ -328,8 +340,9 @@ void on_mutex_destroyed(const void* m) {
 }
 
 void on_cv_wait(const void* waited, const char* what) {
-  ThreadState& t = tls();
-  if (t.in_hook || t.blocking_ok_depth > 0) return;
+  ThreadState* ts = tls();
+  if (!ts || ts->in_hook || ts->blocking_ok_depth > 0) return;
+  ThreadState& t = *ts;
   if (t.held.size() < 2) return;  // only the waited lock (or nothing) held
   t.in_hook = true;
   void* bt[kMaxFrames];
@@ -341,8 +354,10 @@ void on_cv_wait(const void* waited, const char* what) {
 }
 
 void on_blocking_call(const char* what) {
-  ThreadState& t = tls();
-  if (t.in_hook || t.blocking_ok_depth > 0 || t.held.empty()) return;
+  ThreadState* ts = tls();
+  if (!ts || ts->in_hook || ts->blocking_ok_depth > 0 || ts->held.empty())
+    return;
+  ThreadState& t = *ts;
   t.in_hook = true;
   void* bt[kMaxFrames];
   const int depth = capture_stack(bt);
@@ -353,10 +368,12 @@ void on_blocking_call(const char* what) {
 }
 
 BlockingOkScope::BlockingOkScope(const char* /*reason*/) {
-  ++tls().blocking_ok_depth;
+  if (ThreadState* t = tls()) ++t->blocking_ok_depth;
 }
 
-BlockingOkScope::~BlockingOkScope() { --tls().blocking_ok_depth; }
+BlockingOkScope::~BlockingOkScope() {
+  if (ThreadState* t = tls()) --t->blocking_ok_depth;
+}
 
 // ---- reporting ------------------------------------------------------------
 

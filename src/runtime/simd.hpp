@@ -1,24 +1,28 @@
 // Portable SIMD layer for the specialized kernel engine — the CPU analogue
 // of the CUDA vector width the paper's generated kernels get for free from
 // warp lanes. One instruction-set backend is selected at compile time
-// (AVX2 on x86-64, NEON on arm64, a width-1 scalar fallback elsewhere);
+// (AVX2+FMA on x86-64, NEON on arm64, a width-1 scalar fallback elsewhere);
 // the runtime escape hatch STGRAPH_SIMD=off routes every launch through
 // the scalar-specialized engine instead, so SIMD codegen can be excluded
 // when debugging numerical issues without rebuilding.
 //
 // Parity contract: `madd` is REQUIRED to be an unfused multiply-then-add
-// (never an FMA) so that every lane performs exactly the IEEE operation
-// sequence of the scalar reference kernel — the fuzz suite asserts bitwise
-// identity between the two paths, which a fused madd would break.
+// (never an FMA) so that every lane of the aggregation engine performs
+// exactly the IEEE operation sequence of its scalar reference kernel — the
+// fuzz suite asserts bitwise identity between the two paths, which a fused
+// madd would break. `fma` is the opposite by design: one correctly rounded
+// a*b+acc on every backend (scalar std::fmaf included), so a chain of them
+// has the same bits at every width. Only the GEMM kernel uses it.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
-#elif defined(__ARM_NEON)
+#elif defined(__ARM_NEON) && defined(__ARM_FEATURE_FMA)
 #include <arm_neon.h>
 #endif
 
@@ -43,6 +47,8 @@ struct ScalarOps {
   static vf mul(vf a, vf b) { return a * b; }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b with a single rounding (see header comment).
+  static vf fma(vf a, vf b, vf acc) { return std::fmaf(a, b, acc); }
   static vf max(vf a, vf b) { return a > b ? a : b; }
   /// Lane mask with a > b (ordered: false on NaN, like scalar `>`).
   static vu cmp_gt(vf a, vf b) { return a > b ? 0xFFFFFFFFu : 0u; }
@@ -61,7 +67,7 @@ struct ScalarOps {
   }
 };
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 /// 8-lane f32 backend (AVX2). Masks are carried as __m256i full-lane masks.
 struct AvxOps {
@@ -86,6 +92,8 @@ struct AvxOps {
   static vf mul(vf a, vf b) { return _mm256_mul_ps(a, b); }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b with a single rounding (see header comment).
+  static vf fma(vf a, vf b, vf acc) { return _mm256_fmadd_ps(a, b, acc); }
   static vf max(vf a, vf b) { return _mm256_max_ps(a, b); }
   static vu cmp_gt(vf a, vf b) {
     return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GT_OQ));
@@ -106,7 +114,7 @@ struct AvxOps {
 using NativeOps = AvxOps;
 inline constexpr const char* kArchName = "avx2";
 
-#elif defined(__ARM_NEON)
+#elif defined(__ARM_NEON) && defined(__ARM_FEATURE_FMA)
 
 /// 4-lane f32 backend (NEON).
 struct NeonOps {
@@ -125,6 +133,8 @@ struct NeonOps {
   static vf mul(vf a, vf b) { return vmulq_f32(a, b); }
   /// acc + a*b, deliberately unfused (see header comment) — NOT vfmaq.
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b with a single rounding (see header comment).
+  static vf fma(vf a, vf b, vf acc) { return vfmaq_f32(acc, a, b); }
   static vf max(vf a, vf b) { return vmaxq_f32(a, b); }
   static vu cmp_gt(vf a, vf b) { return vcgtq_f32(a, b); }
   static vu cmp_eq_u(vu a, vu b) { return vceqq_u32(a, b); }

@@ -616,7 +616,14 @@ bool Server::ensure_step_locked(core::TemporalExecutor& exec) {
   exec.begin_forward_step(time_);
   const float* weights =
       cfg_.edge_weights.empty() ? nullptr : cfg_.edge_weights.data();
-  auto [out, h_next] = model_.step(exec, features_, hidden_, weights);
+  std::pair<Tensor, Tensor> stepped;
+  {
+    STG_BLOCKING_OK(
+        "model step under exec_mu_: its kernels fork-join on pool lanes, and "
+        "lane jobs are compute loops that never take a server lock");
+    stepped = model_.step(exec, features_, hidden_, weights);
+  }
+  auto& [out, h_next] = stepped;
   STG_FAILPOINT("serve.step.poison",
                 out.data()[0] = std::numeric_limits<float>::quiet_NaN());
   if (cfg_.check_outputs) {

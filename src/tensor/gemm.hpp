@@ -1,9 +1,10 @@
-// Raw GEMM, no autograd. Lives in its own translation unit so it keeps the
-// compiler's default FP contraction (the inner `c += a*b` becomes an FMA,
-// which dominates matmul throughput) while tensor/ops.cpp compiles with
-// -ffp-contract=off for bit-parity with the fusing compiler's interpreter.
-// GEMM results are identical on the fused and unfused paths either way —
-// both call this one kernel — so contraction here cannot break parity.
+// Raw GEMM, no autograd: a register-blocked kernel over runtime/simd.hpp.
+// Every C element is one fused-multiply-add chain, k ascending from +0,
+// written with explicit fma (simd `fma`, scalar std::fmaf), so its bits do
+// not depend on the vector width, the lane count, STGRAPH_SIMD or the
+// compiler's FP contraction — this TU builds with -ffp-contract=off like
+// every other numeric TU. The fused and unfused training paths both call
+// this one kernel, so GEMM cannot break their bit-parity either.
 #pragma once
 
 #include "tensor/tensor.hpp"

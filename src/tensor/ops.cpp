@@ -1,8 +1,7 @@
 // NOTE: this translation unit is built with -ffp-contract=off (see
 // src/CMakeLists.txt): the fusing compiler's interpreter replays these
 // formulas and the parity contract requires neither path to gain an FMA
-// the other lacks. The FMA-hungry GEMM kernel lives in tensor/gemm.cpp
-// with default contraction.
+// the other lacks. The GEMM kernel in tensor/gemm.cpp uses explicit fma.
 #include "tensor/ops.hpp"
 
 #include <cmath>
@@ -294,7 +293,7 @@ Tensor element(const Tensor& x, int64_t index) {
   return out;
 }
 
-using detail::gemm;  // tensor/gemm.cpp — its own TU, default FP contraction
+using detail::gemm;  // tensor/gemm.cpp — explicit fma chains
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   Tensor out = gemm(a, b, trans_a, trans_b);

@@ -220,7 +220,11 @@ TEST(Analyze, CvWaitHoldingSecondLockIsAHazard) {
   std::thread waiter([&] {
     MutexLock lo(outer);  // the extra lock a cv-wait must not sit on
     MutexLock li(inner);
-    while (!go.load()) cv.wait_for(li, std::chrono::milliseconds(5));
+    // Wait at least once: the waker may set `go` before this thread gets
+    // here, and a skipped wait would record no hazard.
+    do {
+      cv.wait_for(li, std::chrono::milliseconds(5));
+    } while (!go.load());
   });
   std::thread waker([&] {
     go.store(true);

@@ -42,6 +42,11 @@ struct OpCase {
   std::function<Tensor(const Tensor&)> fn;  // builds a non-scalar output
 };
 
+// GoogleTest prints the parameter into each discovered ctest name. Without
+// this it dumps the raw bytes, including the name pointer, so the names would
+// change with every build and every address-space layout.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradient : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(UnaryGradient, MatchesFiniteDifference) {

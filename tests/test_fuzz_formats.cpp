@@ -14,6 +14,8 @@
 // nondeterminism, and it only changes how far each stream is driven.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -223,8 +225,14 @@ TEST(FuzzFormats, StgnDecoderReassemblesAtEverySplitPoint) {
 
 // ---- STGW write-ahead log -------------------------------------------------
 
-const char* kFuzzWal = "/tmp/stgraph_fuzz.stgw";
-const char* kFuzzWalMut = "/tmp/stgraph_fuzz_mut.stgw";
+// Per-process paths: ctest runs every case of this binary as its own
+// process, concurrently under -j.
+const std::string kFuzzWalFile =
+    "/tmp/stgraph_fuzz_" + std::to_string(::getpid()) + ".stgw";
+const char* kFuzzWal = kFuzzWalFile.c_str();
+const std::string kFuzzWalMutFile =
+    "/tmp/stgraph_fuzz_mut_" + std::to_string(::getpid()) + ".stgw";
+const char* kFuzzWalMut = kFuzzWalMutFile.c_str();
 
 std::vector<uint8_t> valid_wal_bytes() {
   std::remove(kFuzzWal);
@@ -289,8 +297,12 @@ TEST(FuzzFormats, StgwReaderSurvivesMutatedLogs) {
 
 // ---- STGT training-state container ----------------------------------------
 
-const char* kFuzzTrain = "/tmp/stgraph_fuzz.stgt";
-const char* kFuzzTrainMut = "/tmp/stgraph_fuzz_mut.stgt";
+const std::string kFuzzTrainFile =
+    "/tmp/stgraph_fuzz_" + std::to_string(::getpid()) + ".stgt";
+const char* kFuzzTrain = kFuzzTrainFile.c_str();
+const std::string kFuzzTrainMutFile =
+    "/tmp/stgraph_fuzz_mut_" + std::to_string(::getpid()) + ".stgt";
+const char* kFuzzTrainMut = kFuzzTrainMutFile.c_str();
 
 std::vector<uint8_t> valid_train_state_bytes() {
   io::TrainState st;

@@ -5,9 +5,12 @@
 // dispatch failure handling, and the stats/histogram/queue building blocks.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "datasets/synthetic.hpp"
@@ -25,7 +28,11 @@ namespace {
 
 constexpr int64_t kFeat = 6;
 constexpr int64_t kHidden = 8;
-const char* kCkpt = "/tmp/stgraph_test_serve.stgt";
+// Per-process paths: ctest runs every case of this binary as its own
+// process, concurrently under -j.
+const std::string kCkptFile =
+    "/tmp/stgraph_test_serve_" + std::to_string(::getpid()) + ".stgt";
+const char* kCkpt = kCkptFile.c_str();
 
 DtdgEvents tiny_events() {
   DtdgEvents ev;

@@ -46,8 +46,14 @@ namespace {
 constexpr int64_t kFeat = 5;
 constexpr int64_t kHidden = 8;
 constexpr uint32_t kNodes = 12;
-const char* kWal = "/tmp/stgraph_test_chaos.stgw";
-const char* kCkpt = "/tmp/stgraph_test_chaos.stgt";
+// Per-process paths: ctest runs every case of this binary as its own
+// process, concurrently under -j.
+const std::string kWalFile =
+    "/tmp/stgraph_test_chaos_" + std::to_string(::getpid()) + ".stgw";
+const char* kWal = kWalFile.c_str();
+const std::string kCkptFile =
+    "/tmp/stgraph_test_chaos_" + std::to_string(::getpid()) + ".stgt";
+const char* kCkpt = kCkptFile.c_str();
 
 uint64_t chaos_seed() {
   const char* env = std::getenv("STGRAPH_CHAOS_SEED");

@@ -7,11 +7,14 @@
 // start/traffic/stop cycle.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <dirent.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -31,7 +34,11 @@ namespace {
 
 constexpr int64_t kFeat = 6;
 constexpr int64_t kHidden = 8;
-const char* kCkpt = "/tmp/stgraph_test_serve_net.stgt";
+// Per-process paths: ctest runs every case of this binary as its own
+// process, concurrently under -j.
+const std::string kCkptFile =
+    "/tmp/stgraph_test_serve_net_" + std::to_string(::getpid()) + ".stgt";
+const char* kCkpt = kCkptFile.c_str();
 
 DtdgEvents tiny_events() {
   DtdgEvents ev;

@@ -5,6 +5,8 @@
 // bit-identical to the server that wrote the log.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -26,8 +28,14 @@ namespace {
 
 constexpr int64_t kFeat = 5;
 constexpr int64_t kHidden = 7;
-const char* kWal = "/tmp/stgraph_test_serve.stgw";
-const char* kCkpt = "/tmp/stgraph_test_serve_wal.stgt";
+// Per-process paths: ctest runs every case of this binary as its own
+// process, concurrently under -j.
+const std::string kWalFile =
+    "/tmp/stgraph_test_serve_" + std::to_string(::getpid()) + ".stgw";
+const char* kWal = kWalFile.c_str();
+const std::string kCkptFile =
+    "/tmp/stgraph_test_serve_wal_" + std::to_string(::getpid()) + ".stgt";
+const char* kCkpt = kCkptFile.c_str();
 
 class ServeWalTest : public ::testing::Test {
  protected:
