@@ -304,6 +304,11 @@ int run_json_ablation(const std::string& path) {
        "against the pre-engine binary itself the engine measures ~3x "
        "(see docs/internals.md, kernel engine section)\"\n"
     << "}\n";
+  f.close();
+  if (!f) {
+    std::cerr << "cannot write " << path << "\n";
+    return 1;
+  }
   std::cout << "micro_kernels ablation (" << simd::active_arch()
             << ", 1 thread, n=" << n << " m=" << m << " F=" << F << "):\n"
             << "  scalar reference " << scalar_s * 1e3 << " ms\n"
@@ -489,6 +494,11 @@ int run_fusion_ablation(const std::string& path) {
     << "  \"models\": [\n"
     << model_json(tgcn) << ",\n"
     << model_json(gru) << "\n  ]\n}\n";
+  f.close();
+  if (!f) {
+    std::cerr << "cannot write " << path << "\n";
+    return 1;
+  }
   std::cout << "fusion ablation:\n"
             << "  epilogue fused " << epi_fused_s * 1e3 << " ms vs unfused "
             << epi_unfused_s * 1e3 << " ms ("

@@ -1,21 +1,22 @@
-// Multi-core scaling sweep (PR 8): end-to-end GPMA training epoch time
-// across a (threads x shards x pipeline) grid on the Fig. 9 DTDG
-// datasets, emitted as BENCH_scaling.json.
+// Multi-core scaling sweep: end-to-end GPMA training epoch time across a
+// (threads x pipeline) grid on the Fig. 9 DTDG datasets, emitted as
+// BENCH_scaling.json.
 //
 // The ThreadPool freezes its lane count at first use, so every grid point
 // runs in a fresh subprocess: the parent re-execs this binary with
-// --child and the STGRAPH_NUM_THREADS / STGRAPH_SHARDS / STGRAPH_PIPELINE
-// environment of that point, and aggregates the one-line JSON results.
+// --child and the STGRAPH_NUM_THREADS / STGRAPH_PIPELINE environment of
+// that point, and aggregates the one-line JSON results.
 //
 // The sweep doubles as a parity audit: the final-epoch loss is compared
-// bit-for-bit (hexfloat) across every configuration of a dataset — a
-// shard count or schedule that changes a single ulp fails the bench.
+// bit-for-bit (hexfloat) across every configuration of a dataset — a lane
+// count or schedule that changes a single ulp fails the bench.
 //
 //   --max-threads=N   cap the thread sweep (default: min(8, cores))
 //   --hidden=N        model width (default 32; compute-heavy on purpose so
 //                     the sweep exposes kernel + pipeline scaling)
 //   --features=N      signal feature size (default 16)
-//   --json-out=PATH   default BENCH_scaling.json; empty to skip
+//   --json-out=PATH   default BENCH_scaling.json; empty to skip. An
+//                     unwritable path fails the run.
 //   --datasets=K      sweep only the first K Fig. 9 datasets (default all)
 // plus the common options (--scale-dynamic=, --epochs=, --warmup=,
 // --seq-len=).
@@ -32,7 +33,6 @@
 
 #include "common.hpp"
 #include "gpma/gpma_graph.hpp"
-#include "graph/shard.hpp"
 #include "nn/models.hpp"
 #include "runtime/parallel.hpp"
 #include "util/rng.hpp"
@@ -83,7 +83,7 @@ std::string hex_double(double v) {
 
 // ---------------------------------------------------------------------------
 // Child: run one grid point and print a single machine-readable line.
-// Threads / shards / pipeline arrive via the environment set by the parent.
+// Threads / pipeline arrive via the environment set by the parent.
 // ---------------------------------------------------------------------------
 
 int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
@@ -115,7 +115,7 @@ int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
   cfg.task = core::Task::kLinkPrediction;
 
   Rng rng(kModelSeed);
-  GpmaGraph graph(events);  // shards + pipeline resolved from the env
+  GpmaGraph graph(events);  // pipeline resolved from the env
   nn::TGCNEncoder model(signal.feature_size(), sa.hidden, rng);
   core::STGraphTrainer trainer(graph, model, signal, cfg);
 
@@ -137,24 +137,8 @@ int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
   }
   const double inv = 1.0 / std::max(1u, opts.epochs);
 
-  // Halo traffic a distributed deployment would pay for this partition.
-  uint64_t cut_edges = 0;
-  if (graph.num_shards() > 1) {
-    const SnapshotView v = graph.get_graph(0);
-    std::vector<uint32_t> ind(v.num_nodes), outd(v.num_nodes);
-    for (uint32_t i = 0; i < v.num_nodes; ++i) {
-      ind[i] = v.in_degrees[i];
-      outd[i] = v.out_degrees[i];
-    }
-    const ShardPlan plan = build_shard_plan(
-        v.num_nodes, ind.data(), outd.data(), v.in_view.node_ids,
-        v.out_view.node_ids, graph.num_shards());
-    cut_edges = count_cut_edges(v.out_view, plan);
-  }
-
   std::cout << "SCALING {\"dataset\": \"" << sa.dataset
             << "\", \"threads\": " << device::lane_count()
-            << ", \"shards\": " << graph.num_shards()
             << ", \"pipeline\": " << (graph.pipeline_enabled() ? 1 : 0)
             << ", \"epoch_s\": " << sum.seconds * inv
             << ", \"loss_hex\": \"" << hex_double(sum.loss)
@@ -166,8 +150,7 @@ int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
             << ", \"backward_s\": " << sum.backward_seconds * inv
             << ", \"stall_s\": " << sum.stall_seconds * inv
             << ", \"pf_hits\": " << sum.prefetch_hits
-            << ", \"pf_misses\": " << sum.prefetch_misses
-            << ", \"cut_edges\": " << cut_edges << "}\n";
+            << ", \"pf_misses\": " << sum.prefetch_misses << "}\n";
   return 0;
 }
 
@@ -187,7 +170,6 @@ std::string self_exe(const char* argv0) {
 
 struct Point {
   uint32_t threads = 1;
-  uint32_t shards = 1;
   bool pipeline = false;
   std::string raw;  // child JSON line (without the SCALING prefix)
 
@@ -210,7 +192,6 @@ bool run_point(const std::string& exe, const std::string& dataset,
                const ScalingArgs& sa, const BenchOptions& opts, Point& p) {
   std::ostringstream cmd;
   cmd << "STGRAPH_NUM_THREADS=" << p.threads
-      << " STGRAPH_SHARDS=" << p.shards
       << " STGRAPH_PIPELINE=" << (p.pipeline ? "on" : "off") << " '" << exe
       << "' --child --dataset='" << dataset << "'"
       << " --scale-dynamic=" << opts.scale_dynamic
@@ -228,7 +209,8 @@ bool run_point(const std::string& exe, const std::string& dataset,
   const int rc = ::pclose(pipe);
   if (rc != 0 || out.empty()) {
     std::cerr << "grid point failed (threads=" << p.threads
-              << " shards=" << p.shards << "): rc=" << rc << "\n";
+              << " pipeline=" << (p.pipeline ? "on" : "off") << "): rc=" << rc
+              << "\n";
     return false;
   }
   while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
@@ -253,14 +235,13 @@ int main(int argc, char** argv) {
     max_threads = std::min(8u, std::max(4u, std::thread::hardware_concurrency()));
   }
 
-  // Thread ladder 1,2,4,...; per thread count one unsharded and one
-  // sharded point (2 shards per lane, the auto policy's ratio).
+  // Thread ladder 1,2,4,...; per thread count one point with the prefetch
+  // pipeline off and one with it on. The first point (1 thread, pipeline
+  // off) is the serial reference.
   std::vector<Point> grid;
-  grid.push_back({1, 1, false});  // serial reference: pre-PR schedule
-  grid.push_back({1, 1, true});   // pipeline-only win
-  for (uint32_t n = 2; n <= max_threads; n *= 2) {
-    grid.push_back({n, 1, true});
-    grid.push_back({n, 2 * n, true});
+  for (uint32_t n = 1; n <= max_threads; n *= 2) {
+    grid.push_back({n, false, {}});
+    grid.push_back({n, true, {}});
   }
 
   datasets::DynamicLoadOptions dyo;
@@ -271,9 +252,9 @@ int main(int argc, char** argv) {
     if (sa.datasets > 0 && names.size() >= sa.datasets) break;
   }
 
-  CsvWriter csv({"dataset", "threads", "shards", "pipeline", "epoch_s",
-                 "speedup", "update_s", "gnn_s", "stall_s", "pf_hits",
-                 "pf_misses", "cut_edges", "parity"});
+  CsvWriter csv({"dataset", "threads", "pipeline", "epoch_s", "speedup",
+                 "update_s", "gnn_s", "stall_s", "pf_hits", "pf_misses",
+                 "parity"});
   std::ostringstream rows_json;
   bool first_row = true;
   bool parity_ok = true;
@@ -288,7 +269,7 @@ int main(int argc, char** argv) {
       if (!run_point(exe, name, sa, opts, point)) return 1;
       const double epoch_s = point.num("epoch_s");
       const std::string loss = point.str("loss_hex");
-      if (!point.pipeline && point.threads == 1 && point.shards == 1) {
+      if (!point.pipeline && point.threads == 1) {
         base_epoch_s = epoch_s;
         base_loss = loss;
       }
@@ -296,15 +277,14 @@ int main(int argc, char** argv) {
       parity_ok = parity_ok && parity;
       const double speedup = epoch_s > 0.0 ? base_epoch_s / epoch_s : 0.0;
       // The serial reference scores exactly 1x by construction; only the
-      // sharded/pipelined points count toward the --assert-speedup floor.
-      if (point.pipeline || point.threads > 1 || point.shards > 1)
+      // multi-lane/pipelined points count toward the --assert-speedup floor.
+      if (point.pipeline || point.threads > 1)
         best_speedup = std::max(best_speedup, speedup);
       if (point.threads == 4 && speedup > best_speedup_4t) {
         best_speedup_4t = speedup;
         best_dataset_4t = name;
       }
       csv.add_row({name, std::to_string(point.threads),
-                   std::to_string(static_cast<uint32_t>(point.num("shards"))),
                    point.pipeline ? "on" : "off", CsvWriter::fmt(epoch_s, 4),
                    CsvWriter::fmt(speedup, 2),
                    CsvWriter::fmt(point.num("update_s"), 4),
@@ -313,13 +293,10 @@ int main(int argc, char** argv) {
                    std::to_string(static_cast<uint64_t>(point.num("pf_hits"))),
                    std::to_string(
                        static_cast<uint64_t>(point.num("pf_misses"))),
-                   std::to_string(
-                       static_cast<uint64_t>(point.num("cut_edges"))),
                    parity ? "ok" : "DIVERGED"});
       rows_json << (first_row ? "" : ",") << "\n    {"
                 << point.raw.substr(1, point.raw.rfind('}') - 1)
                 << ", \"requested_threads\": " << point.threads
-                << ", \"requested_shards\": " << point.shards
                 << ", \"speedup\": " << speedup
                 << ", \"parity\": " << (parity ? "true" : "false") << "}";
       first_row = false;
@@ -327,23 +304,28 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\n";
-  emit("scaling_threads_shards", csv, opts);
+  emit("scaling_threads", csv, opts);
 
   if (!sa.json_out.empty()) {
     std::ofstream f(sa.json_out);
-    f << "{\n  \"bench\": \"scaling_threads_shards\",\n  \"rows\": ["
+    f << "{\n  \"bench\": \"scaling_threads\",\n  \"rows\": ["
       << rows_json.str() << "\n  ],\n  \"parity_ok\": "
       << (parity_ok ? "true" : "false")
       << ",\n  \"best_speedup\": " << best_speedup
       << ",\n  \"best_speedup_at_4_threads\": " << best_speedup_4t
       << ",\n  \"best_dataset_at_4_threads\": \"" << best_dataset_4t
       << "\"\n}\n";
+    f.close();
+    if (!f) {
+      std::cerr << "cannot write " << sa.json_out << "\n";
+      return 1;
+    }
     std::cout << "(wrote " << sa.json_out << ", best 4-thread speedup "
               << CsvWriter::fmt(best_speedup_4t, 2) << "x on "
               << best_dataset_4t << ")\n";
   }
   if (!parity_ok) {
-    std::cerr << "PARITY FAILURE: a sharded/pipelined configuration "
+    std::cerr << "PARITY FAILURE: a multi-lane/pipelined configuration "
                  "diverged from the serial reference\n";
     return 1;
   }

@@ -581,29 +581,6 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
   const unsigned lanes = device::lane_count();
   const uint32_t* order = lanes == 1 ? nullptr : a.view.node_ids;
 
-  // Sharded schedule (graph/shard.hpp): one lane per shard, shards
-  // round-robined across lanes (they are weight-balanced, and the auto
-  // policy makes ~2 per lane, so striding absorbs residual skew). Rows
-  // within a shard run serially in the shard's slice of the degree order;
-  // every output row is written by exactly one lane and its reduction
-  // follows the same CSR index order as every other schedule, so results
-  // are bit-identical to the unsharded paths at any shard count
-  // (test_scaling fuzzes this). Feature tiles stay fused per row here —
-  // with rows already lane-partitioned, splitting F would only rescan each
-  // edge list once per tile.
-  if (a.view.num_shards > 1 && lanes > 1 && a.view.shard_order != nullptr &&
-      a.view.shard_bounds != nullptr) {
-    device::parallel_for_strided(
-        a.view.num_shards,
-        [&](std::size_t s) {
-          const uint32_t hi = a.view.shard_bounds[s + 1];
-          for (uint32_t i = a.view.shard_bounds[s]; i < hi; ++i)
-            fn(L, a.view.shard_order[i], 0, F);
-        },
-        /*grain=*/1);
-    return;
-  }
-
   // Feature-adaptive work shaping. Tile on wide features as before, but
   // also when the vertex count alone cannot keep the lanes busy (small
   // graphs used to run one item per vertex and leave most lanes idle).

@@ -13,7 +13,6 @@
 #include "runtime/sort.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "verify/invariants.hpp"
 #include "verify/validate.hpp"
 
@@ -22,14 +21,7 @@ namespace {
 
 // Dirty fraction of the slot array beyond which patching the views in
 // place loses to the (parallel) full rebuild.
-double rebuild_threshold_from_env() {
-  const char* s = std::getenv("STGRAPH_VIEW_REBUILD_THRESHOLD");
-  if (!s || !*s) return 0.25;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || v < 0.0) return 0.25;
-  return std::min(v, 1.0);
-}
+constexpr double kRebuildThreshold = 0.25;
 
 bool pipeline_enabled_from_env() {
   const char* s = std::getenv("STGRAPH_PIPELINE");
@@ -37,10 +29,6 @@ bool pipeline_enabled_from_env() {
   return !(std::string_view(s) == "off" || std::string_view(s) == "0" ||
            std::string_view(s) == "false");
 }
-
-// Full rebuilds at which the one-shot "incremental path never fires"
-// warning triggers (enough refreshes to rule out warmup effects).
-constexpr uint64_t kFullRebuildWarnAt = 64;
 
 void copy_buf(DeviceBuffer<uint32_t>& dst, const DeviceBuffer<uint32_t>& src) {
   dst.resize(src.size());
@@ -174,8 +162,7 @@ GpmaGraph::GpmaGraph(const DtdgEvents& events)
       r_row_offset_scratch_(0, MemCategory::kGraph),
       r_col_scratch_(0, MemCategory::kGraph),
       r_eids_scratch_(0, MemCategory::kGraph),
-      order_scratch_(0, MemCategory::kPma),
-      rebuild_threshold_(rebuild_threshold_from_env()) {
+      order_scratch_(0, MemCategory::kPma) {
   // Base snapshot: one batch insert of all base edges.
   std::vector<uint64_t> base_keys;
   base_keys.reserve(events.base_edges.size());
@@ -209,7 +196,6 @@ GpmaGraph::GpmaGraph(const DtdgEvents& events)
                         static_cast<uint32_t>(del.size()));
     deltas_.push_back(std::move(dd));
   }
-  num_shards_cfg_ = resolve_shard_count(num_nodes_);
   pipeline_enabled_ = pipeline_enabled_from_env();
   refresh_views();
 }
@@ -360,23 +346,6 @@ void GpmaGraph::refresh_views() {
   pma_.clear_dirty();
   views_force_full_ = false;
   views_fresh_ = true;
-  rebuild_shard_plan();
-
-  // The PR-3 incremental machinery is pure overhead if every refresh takes
-  // the rebuild path (the per-graph churn blows past the threshold). Say so
-  // once, with the knob to turn.
-  if (!warned_full_rebuilds_ && incremental_views_enabled_ &&
-      incremental_view_updates_ == 0 &&
-      full_view_rebuilds_ >= kFullRebuildWarnAt) {
-    warned_full_rebuilds_ = true;
-    STG_LOG_WARN << "gpma: all " << full_view_rebuilds_
-                 << " view refreshes took the full-rebuild path; per-step "
-                    "churn exceeds the incremental threshold ("
-                 << rebuild_threshold_
-                 << ") — raise it via set_rebuild_threshold() / "
-                    "STGRAPH_VIEW_REBUILD_THRESHOLD or expect no benefit "
-                    "from incremental views on this graph";
-  }
 
   // STGRAPH_VALIDATE: audit the freshly patched (or rebuilt) views against
   // the PMA before any kernel consumes them, so a bad incremental patch
@@ -544,30 +513,9 @@ void GpmaGraph::set_coef_cache_enabled(bool enabled) {
   pub_[1].valid = false;
 }
 
-void GpmaGraph::set_rebuild_threshold(double threshold) {
-  sync();
-  rebuild_threshold_ = std::clamp(threshold, 0.0, 1.0);
-  warned_full_rebuilds_ = false;
-}
-
 void GpmaGraph::set_pipeline_enabled(bool enabled) {
   sync();
   pipeline_enabled_ = enabled;
-}
-
-void GpmaGraph::set_num_shards(uint32_t shards) {
-  sync();
-  num_shards_cfg_ = shards == 0 ? resolve_shard_count(num_nodes_)
-                                : std::min(shards, std::max(num_nodes_, 1u));
-  if (views_fresh_) rebuild_shard_plan();
-  pub_[0].valid = false;
-  pub_[1].valid = false;
-}
-
-void GpmaGraph::rebuild_shard_plan() {
-  live_shards_ =
-      build_shard_plan(num_nodes_, in_deg_.data(), out_deg_.data(),
-                       fwd_order_.data(), bwd_order_.data(), num_shards_cfg_);
 }
 
 void GpmaGraph::repair_order(DeviceBuffer<uint32_t>& order, const uint32_t* deg,
@@ -646,7 +594,7 @@ bool GpmaGraph::incremental_update() {
     return pending_add_.empty() && pending_del_.empty();
   }
   if (static_cast<double>(dirty_slots) >
-      rebuild_threshold_ * static_cast<double>(cap))
+      kRebuildThreshold * static_cast<double>(cap))
     return false;
 
   // ---- per-window label ranks -------------------------------------------
@@ -1157,7 +1105,6 @@ void GpmaGraph::publish(PublishedView& pub) {
   copy_buf(pub.r_col, r_col_);
   copy_buf(pub.r_eids, r_eids_);
   copy_buf(pub.gcn_coef, gcn_coef_);
-  pub.shards = live_shards_.clone();
   pub.num_edges = static_cast<uint32_t>(pma_.size());
   pub.timestamp = curr_time_;
   pub.live_epoch = live_epoch_;
@@ -1238,8 +1185,7 @@ SnapshotView assemble_view(
     const DeviceBuffer<uint32_t>& rro, const DeviceBuffer<uint32_t>& rcol,
     const DeviceBuffer<uint32_t>& reids, const DeviceBuffer<uint32_t>& fwd,
     const DeviceBuffer<uint32_t>& bwd, const DeviceBuffer<uint32_t>& ind,
-    const DeviceBuffer<uint32_t>& outd, const DeviceBuffer<float>& coef,
-    const ShardPlan& shards) {
+    const DeviceBuffer<uint32_t>& outd, const DeviceBuffer<float>& coef) {
   SnapshotView v;
   v.num_nodes = num_nodes;
   v.num_edges = num_edges;
@@ -1262,8 +1208,6 @@ SnapshotView assemble_view(
   v.in_degrees = ind.data();
   v.out_degrees = outd.data();
   v.gcn_coef = coef.empty() ? nullptr : coef.data();
-  shards.annotate(v.in_view, /*forward=*/true);
-  shards.annotate(v.out_view, /*forward=*/false);
   return v;
 }
 
@@ -1273,14 +1217,14 @@ SnapshotView GpmaGraph::make_view() const {
   return assemble_view(num_nodes_, static_cast<uint32_t>(pma_.size()),
                        row_offset_, col_, eids_, r_row_offset_, r_col_,
                        r_eids_, fwd_order_, bwd_order_, in_deg_, out_deg_,
-                       gcn_coef_, live_shards_);
+                       gcn_coef_);
 }
 
 SnapshotView GpmaGraph::make_view(const PublishedView& pub) const {
   return assemble_view(num_nodes_, pub.num_edges, pub.row_offset, pub.col,
                        pub.eids, pub.r_row_offset, pub.r_col, pub.r_eids,
                        pub.fwd_order, pub.bwd_order, pub.in_deg, pub.out_deg,
-                       pub.gcn_coef, pub.shards);
+                       pub.gcn_coef);
 }
 
 SnapshotView GpmaGraph::get_backward_graph(uint32_t t) { return get_graph(t); }
@@ -1306,8 +1250,7 @@ std::size_t GpmaGraph::device_bytes() const {
                       gcn_coef_.bytes() + gcn_coef_scratch_.bytes() +
                       r_row_offset_scratch_.bytes() + r_col_scratch_.bytes() +
                       r_eids_scratch_.bytes() + order_scratch_.bytes() +
-                      live_shards_.device_bytes() + pub_[0].device_bytes() +
-                      pub_[1].device_bytes();
+                      pub_[0].device_bytes() + pub_[1].device_bytes();
   for (const DeviceDelta& d : deltas_)
     total += d.additions.bytes() + d.deletions.bytes();
   if (cache_pma_) {

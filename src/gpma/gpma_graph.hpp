@@ -14,7 +14,7 @@
 //
 // View maintenance is delta-bounded: the PMA reports which leaf segments a
 // batch touched (Pma::dirty_leaves()), and when the touched fraction is
-// below STGRAPH_VIEW_REBUILD_THRESHOLD the snapshot arrays are patched in
+// below a quarter of the slot array the snapshot arrays are patched in
 // place — edge labels are recomputed only inside the dirty windows and
 // shifted by a constant elsewhere, row offsets are repaired with one
 // forward sweep, the degree orders are repaired by merging the few
@@ -41,10 +41,10 @@
 // at t is a pure function of t). With the pipeline off, get_graph points
 // views directly at the live arrays exactly as before — zero copies.
 //
-// Vertex sharding (STGRAPH_SHARDS, default auto): each refresh also builds
-// a ShardPlan (range partition + per-shard processing orders) and stamps it
-// into the kernel-facing views, so the kernel engine runs edge aggregation
-// shard-parallel with bit-identical outputs (see graph/shard.hpp).
+// Edge aggregation over these views has one schedule: the kernel engine
+// walks the degree orders (fwd/bwd node_ids) with strided lanes, each row
+// reduced by one lane in CSR order, so outputs are bit-identical at any
+// lane count.
 #pragma once
 
 #include <cstdlib>
@@ -56,7 +56,6 @@
 
 #include "gpma/pma.hpp"
 #include "graph/dtdg.hpp"
-#include "graph/shard.hpp"
 #include "graph/stgraph_base.hpp"
 #include "runtime/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -125,21 +124,11 @@ class GpmaGraph final : public STGraphBase {
   /// Disable the per-snapshot GCN-norm edge-coefficient cache (ablation
   /// bench / parity tests); kernels then recompute the factor per edge.
   void set_coef_cache_enabled(bool enabled);
-  /// Per-graph override of the incremental-view decision threshold (dirty
-  /// slot fraction beyond which a refresh takes the full rebuild). The
-  /// STGRAPH_VIEW_REBUILD_THRESHOLD env sets the process default; graphs
-  /// with known churn profiles can tune their own cutoff.
-  void set_rebuild_threshold(double threshold);
-  double rebuild_threshold() const { return rebuild_threshold_; }
   /// Toggle the bounded-staleness pipeline (STGRAPH_PIPELINE sets the
   /// default). Off degrades to the serial schedule: get_graph does the
   /// replay + refresh inline and views point at the live arrays.
   void set_pipeline_enabled(bool enabled);
   bool pipeline_enabled() const { return pipeline_enabled_; }
-  /// Override the shard count (0 = re-resolve via STGRAPH_SHARDS/auto,
-  /// 1 = sharding off). Takes effect on the current views immediately.
-  void set_num_shards(uint32_t shards);
-  uint32_t num_shards() const { return live_shards_.num_shards; }
   uint64_t delta_replays() const { return delta_replays_; }
   uint64_t incremental_view_updates() const {
     return incremental_view_updates_;
@@ -167,7 +156,6 @@ class GpmaGraph final : public STGraphBase {
     DeviceBuffer<uint32_t> fwd_order, bwd_order;
     DeviceBuffer<uint32_t> r_row_offset, r_col, r_eids;
     DeviceBuffer<float> gcn_coef;
-    ShardPlan shards;
     uint32_t num_edges = 0;
     uint32_t timestamp = 0;
     /// live_epoch_ at publish time. A snapshot may only be served while
@@ -183,7 +171,7 @@ class GpmaGraph final : public STGraphBase {
       return col.bytes() + eids.bytes() + row_offset.bytes() +
              in_deg.bytes() + out_deg.bytes() + fwd_order.bytes() +
              bwd_order.bytes() + r_row_offset.bytes() + r_col.bytes() +
-             r_eids.bytes() + gcn_coef.bytes() + shards.device_bytes();
+             r_eids.bytes() + gcn_coef.bytes();
     }
   };
 
@@ -210,8 +198,6 @@ class GpmaGraph final : public STGraphBase {
                     std::vector<uint32_t>& affected);
   void save_cache();
   void restore_cache();
-  /// Rebuild the live shard plan from the (fresh) degree orders.
-  void rebuild_shard_plan();
   /// Assemble the kernel-facing view of the current position from the
   /// derived arrays (pointer packing only; requires fresh views).
   SnapshotView make_view() const;
@@ -221,7 +207,7 @@ class GpmaGraph final : public STGraphBase {
   /// buffer. Runs on the caller's thread (prefetch miss / serial fill) or
   /// on the worker under ScopedInline.
   void prepare(uint32_t target);
-  /// Copy the live view arrays + shard plan into `pub` and stamp it.
+  /// Copy the live view arrays into `pub` and stamp it.
   void publish(PublishedView& pub);
   /// Wait until the worker is idle (observers and mutators call this
   /// before touching live state). Keeps any worker error stored for the
@@ -276,7 +262,6 @@ class GpmaGraph final : public STGraphBase {
   std::vector<uint64_t> pending_add_, pending_del_;
   bool views_force_full_ = false;      // e.g. after a cache restore
   bool incremental_views_enabled_ = true;
-  double rebuild_threshold_ = 0.25;    // dirty fraction beyond which we rebuild
 
   // Algorithm-2 cache: deep PMA copy + degrees at cache_time_.
   bool cache_enabled_ = true;
@@ -293,13 +278,6 @@ class GpmaGraph final : public STGraphBase {
   uint64_t full_view_rebuilds_ = 0;
   uint64_t prefetch_hits_ = 0;
   uint64_t prefetch_misses_ = 0;
-  bool warned_full_rebuilds_ = false;
-
-  // ---- sharding ----------------------------------------------------------
-  // Plan over the live degree orders, rebuilt with them; published copies
-  // clone it so their views stay self-contained.
-  ShardPlan live_shards_;
-  uint32_t num_shards_cfg_ = 0;  // resolved in the constructor
 
   // ---- bounded-staleness pipeline ---------------------------------------
   // Protocol: pf_state_ is the single-slot job queue. Main thread moves

@@ -72,18 +72,6 @@ struct CsrView {
   const uint32_t* node_ids = nullptr;
   /// True when col_indices may contain kSpace sentinels (gapped PMA view).
   bool has_gaps = false;
-  // ---- optional vertex sharding (see graph/shard.hpp) -------------------
-  /// When num_shards > 1, `shard_order` concatenates the per-shard
-  /// processing orders (each shard's rows in descending row-degree order)
-  /// and `shard_bounds` (num_shards + 1 entries) delimits shard s as
-  /// shard_order[shard_bounds[s] .. shard_bounds[s+1]). Rows are disjoint
-  /// across shards, so the kernel engine may process shards on different
-  /// lanes while keeping every per-row reduction serial — output rows are
-  /// written by exactly one lane and stay bit-identical to the unsharded
-  /// schedule. num_shards <= 1 means unsharded (fields may be null).
-  const uint32_t* shard_order = nullptr;
-  const uint32_t* shard_bounds = nullptr;
-  uint32_t num_shards = 1;
 };
 
 CsrView view_of(const Csr& csr);

@@ -162,33 +162,6 @@ Tensor permute_rows(const Tensor& x, const VertexOrder& order) {
   return out;
 }
 
-std::vector<uint32_t> balanced_ranges(const std::vector<uint64_t>& weights,
-                                      uint32_t parts) {
-  STG_CHECK(parts > 0, "balanced_ranges: parts must be positive");
-  const uint32_t n = static_cast<uint32_t>(weights.size());
-  std::vector<uint32_t> bounds(parts + 1, n);
-  bounds[0] = 0;
-  uint64_t total = 0;
-  for (uint64_t w : weights) total += w;
-  if (total == 0) {
-    // Degenerate all-zero weights: fall back to an even count split.
-    for (uint32_t p = 1; p < parts; ++p)
-      bounds[p] = static_cast<uint32_t>(
-          (static_cast<uint64_t>(n) * p + parts / 2) / parts);
-    return bounds;
-  }
-  // One sweep over the prefix weights; cut p closes when the prefix first
-  // reaches p/parts of the total (ties resolved toward the earlier vertex,
-  // keeping the split independent of `parts` evaluation order).
-  uint64_t prefix = 0;
-  uint32_t p = 1;
-  for (uint32_t v = 0; v < n && p < parts; ++v) {
-    prefix += weights[v];
-    while (p < parts && prefix * parts >= total * p) bounds[p++] = v + 1;
-  }
-  return bounds;
-}
-
 double mean_edge_span(uint32_t num_nodes, const EdgeList& edges) {
   STG_CHECK(num_nodes > 0, "empty graph");
   if (edges.empty()) return 0.0;

@@ -51,14 +51,4 @@ Tensor permute_rows(const Tensor& x, const VertexOrder& order);
 /// orderings minimize (proportional to expected gather distance).
 double mean_edge_span(uint32_t num_nodes, const EdgeList& edges);
 
-/// Split [0, weights.size()) into `parts` contiguous ranges of near-equal
-/// total weight (the range-partitioner primitive behind vertex sharding,
-/// graph/shard.hpp). Returns parts+1 monotone bounds with bounds[0] = 0 and
-/// bounds[parts] = weights.size(); range p is [bounds[p], bounds[p+1]) and
-/// may be empty when parts exceeds the number of positive-weight items.
-/// Cut points are the smallest prefixes reaching p/parts of the total
-/// weight, so the result is deterministic for a given weight vector.
-std::vector<uint32_t> balanced_ranges(const std::vector<uint64_t>& weights,
-                                      uint32_t parts);
-
 }  // namespace stgraph

@@ -13,26 +13,6 @@ unsigned lane_count() {
   return detail::effective_lanes(ThreadPool::instance());
 }
 
-void parallel_for_ranges(std::size_t n,
-                         const std::function<void(std::size_t, std::size_t)>& fn,
-                         std::size_t grain) {
-  parallel_for_ranges(
-      n, [&fn](std::size_t b, std::size_t e) { fn(b, e); }, grain);
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  parallel_for(
-      n, [&fn](std::size_t i) { fn(i); }, grain);
-}
-
-void parallel_for_strided(std::size_t n,
-                          const std::function<void(std::size_t)>& fn,
-                          std::size_t grain) {
-  parallel_for_strided(
-      n, [&fn](std::size_t i) { fn(i); }, grain);
-}
-
 double parallel_reduce_sum(std::size_t n,
                            const std::function<double(std::size_t)>& fn,
                            std::size_t grain) {

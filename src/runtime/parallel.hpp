@@ -3,13 +3,10 @@
 // `KernelStats` counts launches the way the original system counts kernel
 // invocations (used by the fusion ablation bench: fewer launches == fused).
 //
-// Two flavors exist for each primitive:
-//   * templated overloads (preferred, used by run_kernel and the view
-//     builders): the callable is kept on the caller's stack and reaches the
-//     workers through ThreadPool::run_on_lanes_raw, so a launch allocates
-//     nothing and constructs no std::function;
-//   * std::function overloads (kept for call sites that already hold a
-//     type-erased callable).
+// Every launch primitive is a template over the callable: it stays on the
+// caller's stack and reaches the workers through
+// ThreadPool::run_on_lanes_raw, so a launch allocates nothing and
+// constructs no std::function.
 #pragma once
 
 #include <algorithm>
@@ -42,8 +39,8 @@ inline void count_launch(std::size_t n) {
 /// pool.lanes() would silently drop every chunk but the first. Nested
 /// launches therefore see exactly 1 effective lane: they run serially,
 /// inline, over their FULL index range. This is the enforced contract for
-/// nesting (shard workers launching per-shard kernels rely on it); see
-/// test_runtime NestedParallel* for the regression tests.
+/// nesting (a kernel launched from inside another launch's body relies on
+/// it); see test_runtime NestedParallel* for the regression tests.
 inline unsigned effective_lanes(const ThreadPool& pool) {
   return ThreadPool::on_pool_lane() ? 1u : pool.lanes();
 }
@@ -161,17 +158,6 @@ void parallel_for_2d_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
       },
       &ctx);
 }
-
-/// Type-erased overloads (declared after the templates so a lambda call
-/// site picks the non-allocating template via overload resolution).
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1024);
-void parallel_for_ranges(std::size_t n,
-                         const std::function<void(std::size_t, std::size_t)>& fn,
-                         std::size_t grain = 1024);
-void parallel_for_strided(std::size_t n,
-                          const std::function<void(std::size_t)>& fn,
-                          std::size_t grain = 512);
 
 /// Parallel sum-reduction of fn(i) over [0, n).
 double parallel_reduce_sum(std::size_t n,

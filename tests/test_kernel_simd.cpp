@@ -5,8 +5,9 @@
 // every coefficient product, aggregation kind, direction, view shape
 // (gapped/ungapped, eids present/absent, coef cache present/absent) and odd
 // feature sizes that exercise the sub-vector tails and both tiling paths.
-// ctest reruns the binary under STGRAPH_SIMD=off and STGRAPH_NUM_THREADS=1,
-// so the scalar engine and the serial schedule are held to the same oracle.
+// ctest reruns the binary under STGRAPH_SIMD=off, STGRAPH_NUM_THREADS=1 and
+// STGRAPH_NUM_THREADS=8, so the scalar engine, the serial schedule and a
+// multi-lane strided schedule are held to the same oracle on any host.
 //
 // Also pins the per-snapshot GCN-norm cache contract: the eid-indexed array
 // served by the graph classes must equal the inline per-edge computation

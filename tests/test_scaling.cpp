@@ -1,21 +1,20 @@
-// Shard / pipeline parity suite (PR 8). The hard contract: sharded,
-// pipelined multi-core training is an execution-schedule change only —
-// losses and gradients must be bit-identical to the single-shard serial
-// schedule for any shard count and with the prefetch pipeline on or off.
-// ctest re-runs this whole binary under STGRAPH_NUM_THREADS=1 and under
+// Multi-core / pipeline parity suite. The hard contract: pipelined
+// multi-core training is an execution-schedule change only — losses and
+// gradients must be bit-identical with the prefetch pipeline on or off and
+// at any lane count. ctest re-runs this whole binary under
+// STGRAPH_NUM_THREADS=1, under STGRAPH_NUM_THREADS=8 (a multi-lane pool on
+// any host, so kernels walk the degree-sorted order) and under
 // STGRAPH_PIPELINE=off (see tests/CMakeLists.txt), so the parity claims
 // are checked across every schedule the runtime can pick.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "datasets/synthetic.hpp"
 #include "gpma/gpma_graph.hpp"
-#include "graph/reorder.hpp"
-#include "graph/shard.hpp"
 #include "nn/models.hpp"
 #include "util/rng.hpp"
 
@@ -23,145 +22,6 @@ namespace stgraph {
 namespace {
 
 using namespace datasets;
-
-// ---------------------------------------------------------------------------
-// Partitioner unit tests
-// ---------------------------------------------------------------------------
-
-TEST(BalancedRanges, CoversEverythingMonotonically) {
-  Rng rng(11);
-  for (int trial = 0; trial < 20; ++trial) {
-    const uint32_t n = 1 + static_cast<uint32_t>(rng.next_below(500));
-    const uint32_t parts = 1 + static_cast<uint32_t>(rng.next_below(9));
-    std::vector<uint64_t> w(n);
-    for (auto& x : w) x = rng.next_below(100);
-    const auto bounds = balanced_ranges(w, parts);
-    ASSERT_EQ(bounds.size(), parts + 1u);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), n);
-    for (uint32_t p = 0; p < parts; ++p) EXPECT_LE(bounds[p], bounds[p + 1]);
-  }
-}
-
-TEST(BalancedRanges, BalancesUniformWeights) {
-  std::vector<uint64_t> w(1000, 5);
-  const auto bounds = balanced_ranges(w, 4);
-  for (uint32_t p = 0; p < 4; ++p)
-    EXPECT_EQ(bounds[p + 1] - bounds[p], 250u) << "part " << p;
-}
-
-TEST(BalancedRanges, ZeroTotalWeightSplitsByCount) {
-  std::vector<uint64_t> w(10, 0);
-  const auto bounds = balanced_ranges(w, 3);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), 10u);
-  for (uint32_t p = 0; p < 3; ++p)
-    EXPECT_GE(bounds[p + 1] - bounds[p], 3u);
-}
-
-TEST(BalancedRanges, HeavyVertexGetsItsOwnNeighborhood) {
-  // One vertex holding ~all the weight: no part may receive more than its
-  // range plus that single indivisible vertex.
-  std::vector<uint64_t> w(100, 1);
-  w[37] = 10000;
-  const auto bounds = balanced_ranges(w, 4);
-  EXPECT_EQ(bounds.back(), 100u);
-  // The cut right of vertex 37 closes its part immediately.
-  for (uint32_t p = 0; p < 4; ++p) {
-    if (37 >= bounds[p] && 37 < bounds[p + 1]) {
-      EXPECT_EQ(bounds[p + 1], 38u);
-    }
-  }
-}
-
-TEST(ShardPlan, InvariantsHoldOnRandomGraphs) {
-  Rng rng(23);
-  for (int trial = 0; trial < 10; ++trial) {
-    const uint32_t n = 20 + static_cast<uint32_t>(rng.next_below(300));
-    const uint32_t S = 2 + static_cast<uint32_t>(rng.next_below(6));
-    std::vector<uint32_t> ind(n), outd(n);
-    for (uint32_t v = 0; v < n; ++v) {
-      ind[v] = static_cast<uint32_t>(rng.next_below(8));
-      outd[v] = static_cast<uint32_t>(rng.next_below(8));
-    }
-    // Degree orders: (deg desc, id asc) — the canonical strict order.
-    std::vector<uint32_t> fwd(n), bwd(n);
-    std::iota(fwd.begin(), fwd.end(), 0u);
-    std::iota(bwd.begin(), bwd.end(), 0u);
-    std::sort(fwd.begin(), fwd.end(), [&](uint32_t a, uint32_t b) {
-      return ind[a] != ind[b] ? ind[a] > ind[b] : a < b;
-    });
-    std::sort(bwd.begin(), bwd.end(), [&](uint32_t a, uint32_t b) {
-      return outd[a] != outd[b] ? outd[a] > outd[b] : a < b;
-    });
-
-    const ShardPlan plan = build_shard_plan(n, ind.data(), outd.data(),
-                                            fwd.data(), bwd.data(), S);
-    ASSERT_TRUE(plan.active());
-    ASSERT_EQ(plan.vertex_bounds.size(), S + 1u);
-    EXPECT_EQ(plan.vertex_bounds.front(), 0u);
-    EXPECT_EQ(plan.vertex_bounds.back(), n);
-
-    // Each direction's order is a permutation, every vertex lands in its
-    // own shard's slice, and within a shard the slice preserves global
-    // (degree-descending) relative order.
-    for (int dir = 0; dir < 2; ++dir) {
-      const DeviceBuffer<uint32_t>& order = dir == 0 ? plan.in_order
-                                                     : plan.out_order;
-      const std::vector<uint32_t>& global = dir == 0 ? fwd : bwd;
-      std::vector<uint32_t> rank(n);
-      for (uint32_t i = 0; i < n; ++i) rank[global[i]] = i;
-      std::vector<uint8_t> seen(n, 0);
-      for (uint32_t s = 0; s < S; ++s) {
-        uint32_t prev_rank = 0;
-        bool first = true;
-        for (uint32_t i = plan.vertex_bounds[s]; i < plan.vertex_bounds[s + 1];
-             ++i) {
-          const uint32_t v = order[i];
-          ASSERT_LT(v, n);
-          ASSERT_FALSE(seen[v]) << "vertex " << v << " listed twice";
-          seen[v] = 1;
-          EXPECT_EQ(plan.shard_of(v), s) << "vertex " << v;
-          if (!first) EXPECT_GT(rank[v], prev_rank) << "order not stable";
-          prev_rank = rank[v];
-          first = false;
-        }
-      }
-      for (uint32_t v = 0; v < n; ++v) ASSERT_TRUE(seen[v]);
-    }
-  }
-}
-
-TEST(ShardPlan, SingleShardIsInactive) {
-  std::vector<uint32_t> deg(10, 1), order(10);
-  std::iota(order.begin(), order.end(), 0u);
-  const ShardPlan plan = build_shard_plan(10, deg.data(), deg.data(),
-                                          order.data(), order.data(), 1);
-  EXPECT_FALSE(plan.active());
-  EXPECT_EQ(plan.num_shards, 1u);
-}
-
-TEST(ShardPlan, CutEdgesCountedAgainstReference) {
-  // Two shards of 2 vertices; edges 0->1 (internal), 0->2, 1->3 (cut),
-  // 2->3 (internal).
-  DtdgEvents ev;
-  ev.num_nodes = 4;
-  ev.base_edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
-  GpmaGraph g(ev);
-  g.set_num_shards(2);
-  const SnapshotView v = g.get_graph(0);
-  ASSERT_EQ(v.out_view.num_shards, 2u);
-  std::vector<uint32_t> ind(4), outd(4);
-  for (uint32_t i = 0; i < 4; ++i) {
-    ind[i] = v.in_degrees[i];
-    outd[i] = v.out_degrees[i];
-  }
-  const ShardPlan plan =
-      build_shard_plan(4, ind.data(), outd.data(), v.in_view.node_ids,
-                       v.out_view.node_ids, 2);
-  EXPECT_EQ(count_cut_edges(v.out_view, plan), 2u);
-}
 
 // ---------------------------------------------------------------------------
 // End-to-end parity fuzz
@@ -186,10 +46,9 @@ struct TrainOutcome {
 };
 
 TrainOutcome train_gpma(const DtdgEvents& ev, const TemporalSignal& signal,
-                        const core::TrainConfig& cfg, uint32_t shards,
-                        bool pipeline, uint64_t model_seed) {
+                        const core::TrainConfig& cfg, bool pipeline,
+                        uint64_t model_seed) {
   GpmaGraph g(ev);
-  g.set_num_shards(shards);
   g.set_pipeline_enabled(pipeline);
   Rng rng(model_seed);
   nn::TGCNEncoder model(signal.feature_size(), 8, rng);
@@ -234,7 +93,7 @@ void expect_bit_identical(const TrainOutcome& a, const TrainOutcome& b,
   }
 }
 
-TEST(ScalingParity, ShardCountNeverChangesTrainingFuzz) {
+TEST(ScalingParity, PipelineNeverChangesTrainingFuzz) {
   Rng meta(2025);
   for (int trial = 0; trial < 3; ++trial) {
     const uint32_t nodes = 60 + static_cast<uint32_t>(meta.next_below(80));
@@ -252,14 +111,10 @@ TEST(ScalingParity, ShardCountNeverChangesTrainingFuzz) {
     cfg.lr = 5e-3f;
     cfg.task = core::Task::kLinkPrediction;
 
-    const TrainOutcome ref =
-        train_gpma(ev, signal, cfg, /*shards=*/1, /*pipeline=*/true, 21);
-    for (uint32_t S : {2u, 3u, 7u}) {
-      const TrainOutcome got = train_gpma(ev, signal, cfg, S, true, 21);
-      expect_bit_identical(ref, got,
-                           "trial " + std::to_string(trial) + " S=" +
-                               std::to_string(S));
-    }
+    const TrainOutcome on = train_gpma(ev, signal, cfg, /*pipeline=*/true, 21);
+    const TrainOutcome off =
+        train_gpma(ev, signal, cfg, /*pipeline=*/false, 21);
+    expect_bit_identical(on, off, "trial " + std::to_string(trial));
   }
 }
 
@@ -275,34 +130,9 @@ TEST(ScalingParity, PipelineOffMatchesPipelineOnBitForBit) {
   cfg.lr = 5e-3f;
   cfg.task = core::Task::kLinkPrediction;
 
-  const TrainOutcome on = train_gpma(ev, signal, cfg, 4, /*pipeline=*/true, 33);
-  const TrainOutcome off =
-      train_gpma(ev, signal, cfg, 4, /*pipeline=*/false, 33);
+  const TrainOutcome on = train_gpma(ev, signal, cfg, /*pipeline=*/true, 33);
+  const TrainOutcome off = train_gpma(ev, signal, cfg, /*pipeline=*/false, 33);
   expect_bit_identical(on, off, "pipeline on/off");
-}
-
-TEST(ScalingParity, AutoShardCountMatchesExplicitOne) {
-  // Default construction resolves STGRAPH_SHARDS / auto; whatever it picks
-  // must agree with the explicit single-shard reference.
-  DtdgEvents ev = window_edge_stream(90, random_stream(90, 2500, 5), 6.0);
-  DynamicLoadOptions o;
-  o.feature_size = 4;
-  o.link_samples_per_step = 24;
-  TemporalSignal signal = make_dynamic_signal(ev, o);
-  core::TrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.sequence_length = 4;
-  cfg.lr = 5e-3f;
-  cfg.task = core::Task::kLinkPrediction;
-
-  const TrainOutcome ref = train_gpma(ev, signal, cfg, 1, true, 9);
-
-  GpmaGraph g(ev);  // auto shard count, pipeline per env
-  Rng rng(9);
-  nn::TGCNEncoder model(signal.feature_size(), 8, rng);
-  core::STGraphTrainer trainer(g, model, signal, cfg);
-  const double loss = trainer.train_epoch().loss;
-  EXPECT_EQ(ref.epoch_losses[0], loss);
 }
 
 TEST(ScalingPipeline, PrefetchHitsDuringTraining) {
@@ -353,25 +183,6 @@ TEST(ScalingPipeline, SerialScheduleReportsNoPrefetch) {
   EXPECT_EQ(stats.prefetch_hits, 0u);
   EXPECT_EQ(stats.prefetch_misses, 0u);
   EXPECT_EQ(stats.stall_seconds, 0.0);
-}
-
-TEST(ScalingShards, ViewsCarryShardAnnotations) {
-  DtdgEvents ev = window_edge_stream(120, random_stream(120, 2500, 7), 6.0);
-  GpmaGraph g(ev);
-  g.set_num_shards(4);
-  EXPECT_EQ(g.num_shards(), 4u);
-  const SnapshotView v = g.get_graph(0);
-  ASSERT_EQ(v.out_view.num_shards, 4u);
-  ASSERT_EQ(v.in_view.num_shards, 4u);
-  ASSERT_NE(v.out_view.shard_order, nullptr);
-  ASSERT_NE(v.in_view.shard_bounds, nullptr);
-  EXPECT_EQ(v.in_view.shard_bounds[0], 0u);
-  EXPECT_EQ(v.in_view.shard_bounds[4], v.num_nodes);
-  // Sharding off again strips the annotations.
-  g.set_num_shards(1);
-  const SnapshotView v1 = g.get_graph(0);
-  EXPECT_EQ(v1.out_view.num_shards, 1u);
-  EXPECT_EQ(v1.out_view.shard_order, nullptr);
 }
 
 }  // namespace

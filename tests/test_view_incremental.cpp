@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -215,17 +214,6 @@ TEST(ViewIncremental, AppendedDeltasServeFreshViewsThroughTheCache) {
     expect_matches_reference(inc, a);
     if (HasFailure()) FAIL() << "views diverged at timestamp " << t;
   }
-}
-
-TEST(ViewIncremental, ThresholdZeroDisablesTheIncrementalPath) {
-  setenv("STGRAPH_VIEW_REBUILD_THRESHOLD", "0", 1);
-  DtdgEvents ev = window_edge_stream(40, random_stream(40, 800, 3), 0.05);
-  GpmaGraph g(ev);  // threshold is read at construction
-  unsetenv("STGRAPH_VIEW_REBUILD_THRESHOLD");
-  const uint32_t T = ev.num_timestamps();
-  for (uint32_t t = 0; t < T; ++t) expect_matches_reference(g, g.get_graph(t));
-  EXPECT_EQ(g.incremental_view_updates(), 0u);
-  EXPECT_GT(g.full_view_rebuilds(), 0u);
 }
 
 }  // namespace
