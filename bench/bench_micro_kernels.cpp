@@ -3,7 +3,9 @@
 //   * fused gather-aggregate-update kernel vs unfused op-at-a-time
 //     (edge-parallel gather → scale → scatter),
 //   * degree-sorted node_ids processing order vs natural order,
-//   * vertex-per-item vs feature-tile scheduling across feature sizes.
+//   * vertex-per-item vs feature-tile scheduling across feature sizes,
+//   * the fused elementwise interpreter on the TGCN cell regions
+//     (BM_FusedRegion, elements/s).
 //
 // With --json-out=PATH the google-benchmark suite is skipped and a
 // single-threaded kernel-engine ablation (interpreted scalar reference vs
@@ -206,6 +208,76 @@ void BM_KernelLaunchCount(benchmark::State& state) {
   state.counters["launches_per_agg"] = static_cast<double>(launches);
 }
 BENCHMARK(BM_KernelLaunchCount);
+
+// The TGCN cell's fused regions, traced exactly as compiler/fusion.cpp
+// traces them: both gates' σ(xW + b), the candidate's tanh(xW + b) and the
+// GRU-style state blend.
+const compiler::fusion::FusedOp& tgcn_region(int64_t id) {
+  namespace fu = compiler::fusion;
+  using compiler::EwExpr;
+  using compiler::EwTracer;
+  static const fu::FusedOp bias_sigmoid("bias_sigmoid", [](EwTracer& t) {
+    EwExpr x = t.in();
+    EwExpr b = t.in_bias();
+    return t.sigmoid(t.add_bias(x, b));
+  });
+  static const fu::FusedOp bias_tanh("bias_tanh", [](EwTracer& t) {
+    EwExpr x = t.in();
+    EwExpr b = t.in_bias();
+    return t.tanh(t.add_bias(x, b));
+  });
+  static const fu::FusedOp gate_combine("gate_combine", [](EwTracer& t) {
+    EwExpr z = t.in();
+    EwExpr h = t.in();
+    EwExpr c = t.in();
+    return t.add(t.mul(z, h), t.mul(t.one_minus(z), c));
+  });
+  const fu::FusedOp* ops[] = {&bias_sigmoid, &bias_tanh, &gate_combine};
+  return *ops[id];
+}
+
+// One fused region's interpreter pass (no autograd, no allocation) at a
+// cell shape. Args: region (0 bias_sigmoid, 1 bias_tanh, 2 gate_combine),
+// rows, cols, direction (0 forward with the saved values the backward
+// reads, 1 the derived backward program). Inputs ~ N(0, 2). Run with
+// STGRAPH_NUM_THREADS=1 for per-core rates.
+void BM_FusedRegion(benchmark::State& state) {
+  using compiler::EwInputKind;
+  using compiler::EwProgram;
+  const compiler::fusion::FusedOp& op = tgcn_region(state.range(0));
+  const int64_t rows = state.range(1), cols = state.range(2);
+  const bool backward = state.range(3) != 0;
+  // The executed forward: outputs extended by the saved values, as
+  // FusedOp::operator() runs it.
+  EwProgram p = op.forward_program();
+  for (int sid : op.backward_program().saved) p.outputs.push_back(sid);
+  if (backward) p = op.backward_program().prog;
+
+  Rng rng(0xF00D);
+  std::vector<std::vector<float>> in(p.inputs.size());
+  std::vector<const float*> ins;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i].resize(static_cast<std::size_t>(
+        p.inputs[i] == EwInputKind::kMat ? rows * cols : cols));
+    for (float& v : in[i]) v = 2.0f * rng.normal();
+    ins.push_back(in[i].data());
+  }
+  std::vector<std::vector<float>> out(
+      p.outputs.size(), std::vector<float>(static_cast<std::size_t>(rows * cols)));
+  std::vector<float*> outs;
+  for (auto& o : out) outs.push_back(o.data());
+  for (auto _ : state) {
+    compiler::fusion::run_ew_program(p, ins.data(), rows, cols, outs.data());
+    benchmark::DoNotOptimize(outs[0]);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+  state.SetLabel(op.name() + (backward ? " bwd" : " fwd"));
+}
+BENCHMARK(BM_FusedRegion)
+    ->ArgNames({"region", "rows", "cols", "bwd"})
+    ->ArgsProduct({{0, 1, 2}, {1068}, {32}, {0, 1}})
+    ->ArgsProduct({{0, 1, 2}, {3880}, {8}, {0, 1}});
 
 // ---- --json-out ablation ---------------------------------------------------
 

@@ -64,9 +64,11 @@
 #                           schedule (JSON under build/)
 #   ./run_all.sh fusion-smoke
 #                           fusing tape compiler smoke test: the fusion
-#                           bit-parity suite (test_fusion, plus the serial
-#                           variant, plus the whole training suite rerun
-#                           with STGRAPH_FUSION=off), then the fused-vs-
+#                           bit-parity suite (test_fusion, plus its serial,
+#                           SIMD-off and oversubscribed variants, the
+#                           ewmath accuracy suite, plus the whole training
+#                           suite rerun with STGRAPH_FUSION=off), then the
+#                           fused-vs-
 #                           unfused ablation (epilogue micro + end-to-end
 #                           TGCN/GConvGRU epochs, bitwise loss equality and
 #                           zero steady-state compiles asserted, JSON
@@ -115,13 +117,14 @@ fi
 
 if [ "$1" = "fusion-smoke" ]; then
   cmake -B build -S . || exit 1
-  cmake --build build -j "$(nproc)" --target test_fusion test_training \
-    bench_micro_kernels || exit 1
+  cmake --build build -j "$(nproc)" --target test_fusion test_ewmath \
+    test_training bench_micro_kernels || exit 1
   ctest --test-dir build --output-on-failure \
-    -R '^(FusionParity|FusionCache|FusionStats|TrainingParity|EwPasses|EwAutodiff)\.' \
+    -R '^(FusionParity|FusionSimd|FusionEmpty|FusionGradcheck|FusionCache|FusionStats|TrainingParity|EwPasses|EwAutodiff|EwMath)\.' \
     || exit 1
   ctest --test-dir build --output-on-failure \
-    -R '^(fusion_serial|training_fusion_off)$' || exit 1
+    -R '^(fusion_serial|fusion_scalar|fusion_oversub|training_fusion_off)$' \
+    || exit 1
   # The ablation bench doubles as a contract check: it exits non-zero if
   # the fused epilogue is not bitwise equal to kernel-then-add-bias or if
   # any steady-state epoch compiled a program.

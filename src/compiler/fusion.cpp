@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -13,7 +15,8 @@
 #include "runtime/device_buffer.hpp"
 #include "runtime/mutex.hpp"
 #include "runtime/parallel.hpp"
-#include "tensor/ew_scalar.hpp"
+#include "runtime/simd.hpp"
+#include "tensor/ewmath.hpp"
 #include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -244,105 +247,201 @@ void debug_corrupt_cached_shapes(int64_t rows, int64_t cols) {
 
 // ---- blocked interpreter --------------------------------------------------
 
-void run_ew_program(const EwProgram& p, const float* const* inputs,
-                    int64_t rows, int64_t cols, float* const* outputs) {
+namespace {
+
+// One node's loop over a block: native vectors, then the block's tail
+// through ScalarOps running the same lambda. Every Ops op is lane-exact, so
+// where the split lands does not change a bit.
+template <class O, class F>
+void map1(float* r, const float* a, int len, F f) {
+  constexpr int W = static_cast<int>(O::kWidth);
+  int j = 0;
+  for (; j + W <= len; j += W) O::store(r + j, f(O{}, O::load(a + j)));
+  for (; j < len; ++j) r[j] = f(simd::ScalarOps{}, a[j]);
+}
+
+template <class O, class F>
+void map2(float* r, const float* a, const float* b, int len, F f) {
+  constexpr int W = static_cast<int>(O::kWidth);
+  int j = 0;
+  for (; j + W <= len; j += W)
+    O::store(r + j, f(O{}, O::load(a + j), O::load(b + j)));
+  for (; j < len; ++j) r[j] = f(simd::ScalarOps{}, a[j], b[j]);
+}
+
+/// Evaluate elements [lo, hi) in kEwBlock blocks. `in` holds one pointer
+/// per input slot; a kBias slot points at the bias tiled past cols +
+/// kEwBlock (see run_program), so every input is read in place.
+template <class O>
+void run_range(const EwProgram& p, const float* const* in, int64_t cols,
+               float* const* outputs, std::size_t lo, std::size_t hi) {
+  const int nn = static_cast<int>(p.nodes.size());
+  const EwNode* nodes = p.nodes.data();
+  const EwInputKind* kinds = p.inputs.data();
+  alignas(64) float reg[kMaxEwNodes][kEwBlock];
+  const float* val[kMaxEwNodes];
+  for (std::size_t base = lo; base < hi; base += kEwBlock) {
+    const int len = static_cast<int>(std::min<std::size_t>(kEwBlock, hi - base));
+    for (int ni = 0; ni < nn; ++ni) {
+      const EwNode& n = nodes[ni];
+      if (n.op == EwOp::kInput) {
+        // Bias broadcast: element (base+j) reads column (base+j) % F.
+        val[ni] = kinds[n.input] == EwInputKind::kMat
+                      ? in[n.input] + base
+                      : in[n.input] + base % static_cast<std::size_t>(cols);
+        continue;
+      }
+      float* r = reg[ni];
+      val[ni] = r;
+      const float* a = n.a >= 0 ? val[n.a] : nullptr;
+      const float* b = n.b >= 0 ? val[n.b] : nullptr;
+      const float imm = n.imm;
+      switch (n.op) {
+        case EwOp::kInput:  // resolved to a pointer above
+          break;
+        case EwOp::kAdd:
+        case EwOp::kAddBias:  // b is the broadcast bias row
+          map2<O>(r, a, b, len,
+                  [](auto o, auto x, auto y) { return decltype(o)::add(x, y); });
+          break;
+        case EwOp::kSub:
+          map2<O>(r, a, b, len,
+                  [](auto o, auto x, auto y) { return decltype(o)::sub(x, y); });
+          break;
+        case EwOp::kMul:
+          map2<O>(r, a, b, len,
+                  [](auto o, auto x, auto y) { return decltype(o)::mul(x, y); });
+          break;
+        case EwOp::kDiv:
+          map2<O>(r, a, b, len,
+                  [](auto o, auto x, auto y) { return decltype(o)::div(x, y); });
+          break;
+        case EwOp::kAddS:
+          map1<O>(r, a, len, [imm](auto o, auto x) {
+            using P = decltype(o);
+            return P::add(x, P::set1(imm));
+          });
+          break;
+        case EwOp::kMulS:
+          map1<O>(r, a, len, [imm](auto o, auto x) {
+            using P = decltype(o);
+            return P::mul(x, P::set1(imm));
+          });
+          break;
+        case EwOp::kNeg:
+          map1<O>(r, a, len, [](auto o, auto x) { return decltype(o)::neg(x); });
+          break;
+        case EwOp::kOneMinus:
+          map1<O>(r, a, len, [](auto o, auto x) {
+            using P = decltype(o);
+            return P::sub(P::set1(1.0f), x);
+          });
+          break;
+        case EwOp::kSigmoid:
+          if constexpr (O::kWidth > 1) {
+            ewmath::sigmoid(a, r, static_cast<std::size_t>(len));
+          } else {
+            for (int j = 0; j < len; ++j) r[j] = ewmath::sigmoid(a[j]);
+          }
+          break;
+        case EwOp::kTanh:
+          if constexpr (O::kWidth > 1) {
+            ewmath::tanh(a, r, static_cast<std::size_t>(len));
+          } else {
+            for (int j = 0; j < len; ++j) r[j] = ewmath::tanh(a[j]);
+          }
+          break;
+        case EwOp::kRelu:
+          map1<O>(r, a, len, [](auto o, auto x) {
+            using P = decltype(o);
+            return P::blend(P::zero(), x, P::cmp_gt(x, P::zero()));
+          });
+          break;
+        case EwOp::kLeakyRelu:
+          map1<O>(r, a, len, [imm](auto o, auto x) {
+            using P = decltype(o);
+            return P::blend(P::mul(P::set1(imm), x), x,
+                            P::cmp_gt(x, P::zero()));
+          });
+          break;
+        case EwOp::kExp:
+          for (int j = 0; j < len; ++j) r[j] = std::exp(a[j]);
+          break;
+        case EwOp::kReluGrad:
+          // a = forward input x, b = incoming gradient.
+          map2<O>(r, a, b, len, [](auto o, auto x, auto g) {
+            using P = decltype(o);
+            return P::blend(P::zero(), g, P::cmp_gt(x, P::zero()));
+          });
+          break;
+        case EwOp::kLeakyGrad:
+          map2<O>(r, a, b, len, [imm](auto o, auto x, auto g) {
+            using P = decltype(o);
+            return P::blend(P::mul(P::set1(imm), g), g,
+                            P::cmp_gt(x, P::zero()));
+          });
+          break;
+      }
+    }
+    for (std::size_t oi = 0; oi < p.outputs.size(); ++oi)
+      std::memcpy(outputs[oi] + base, val[p.outputs[oi]],
+                  static_cast<std::size_t>(len) * sizeof(float));
+  }
+}
+
+template <class O>
+void run_program(const EwProgram& p, const float* const* inputs, int64_t rows,
+                 int64_t cols, float* const* outputs) {
   const int nn = static_cast<int>(p.nodes.size());
   STG_CHECK(nn <= kMaxEwNodes, "elementwise program too large: ", nn,
             " nodes (max ", kMaxEwNodes, ")");
-  STG_CHECK(rows > 0 && cols > 0, "elementwise program on empty view");
   const std::size_t total =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  const EwNode* nodes = p.nodes.data();
-  const EwInputKind* kinds = p.inputs.data();
+  if (total == 0) return;
+  // Each bias slot tiled to cols + kEwBlock floats: a block starting at
+  // column c then reads its broadcast row contiguously from tile + c.
+  const std::size_t nin = p.inputs.size();
+  const std::size_t tile = static_cast<std::size_t>(cols) + kEwBlock;
+  std::vector<const float*> in(inputs, inputs + nin);
+  std::vector<float> tiles(
+      tile * static_cast<std::size_t>(std::count(
+                 p.inputs.begin(), p.inputs.end(), EwInputKind::kBias)));
+  for (std::size_t i = 0, t = 0; i < nin; ++i) {
+    if (p.inputs[i] != EwInputKind::kBias) continue;
+    float* dst = tiles.data() + t;
+    for (std::size_t k = 0; k < tile; ++k)
+      dst[k] = inputs[i][k % static_cast<std::size_t>(cols)];
+    in[i] = dst;
+    t += tile;
+  }
   device::parallel_for_ranges(total, [&](std::size_t lo, std::size_t hi) {
-    float reg[kMaxEwNodes][kEwBlock];
-    for (std::size_t base = lo; base < hi; base += kEwBlock) {
-      const int len =
-          static_cast<int>(std::min<std::size_t>(kEwBlock, hi - base));
-      for (int ni = 0; ni < nn; ++ni) {
-        const EwNode& n = nodes[ni];
-        float* r = reg[ni];
-        const float* ra = n.a >= 0 ? reg[n.a] : nullptr;
-        const float* rb = n.b >= 0 ? reg[n.b] : nullptr;
-        switch (n.op) {
-          case EwOp::kInput: {
-            const float* src = inputs[n.input];
-            if (kinds[n.input] == EwInputKind::kMat) {
-              const float* s = src + base;
-              for (int j = 0; j < len; ++j) r[j] = s[j];
-            } else {
-              // Bias broadcast: element (base+j) reads column (base+j)%F.
-              int64_t c = static_cast<int64_t>(
-                  base % static_cast<std::size_t>(cols));
-              for (int j = 0; j < len; ++j) {
-                r[j] = src[c];
-                if (++c == cols) c = 0;
-              }
-            }
-            break;
-          }
-          case EwOp::kAdd:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] + rb[j];
-            break;
-          case EwOp::kSub:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] - rb[j];
-            break;
-          case EwOp::kMul:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] * rb[j];
-            break;
-          case EwOp::kDiv:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] / rb[j];
-            break;
-          case EwOp::kAddS:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] + n.imm;
-            break;
-          case EwOp::kMulS:
-            for (int j = 0; j < len; ++j) r[j] = ra[j] * n.imm;
-            break;
-          case EwOp::kNeg:
-            for (int j = 0; j < len; ++j) r[j] = -ra[j];
-            break;
-          case EwOp::kOneMinus:
-            for (int j = 0; j < len; ++j) r[j] = 1.0f - ra[j];
-            break;
-          case EwOp::kSigmoid:
-            for (int j = 0; j < len; ++j) r[j] = ewmath::sigmoid(ra[j]);
-            break;
-          case EwOp::kTanh:
-            for (int j = 0; j < len; ++j) r[j] = std::tanh(ra[j]);
-            break;
-          case EwOp::kRelu:
-            for (int j = 0; j < len; ++j) r[j] = ewmath::relu(ra[j]);
-            break;
-          case EwOp::kLeakyRelu:
-            for (int j = 0; j < len; ++j)
-              r[j] = ewmath::leaky_relu(ra[j], n.imm);
-            break;
-          case EwOp::kExp:
-            for (int j = 0; j < len; ++j) r[j] = std::exp(ra[j]);
-            break;
-          case EwOp::kAddBias:
-            // The bias operand is a kInput register already holding the
-            // broadcast row, so this is a plain register add.
-            for (int j = 0; j < len; ++j) r[j] = ra[j] + rb[j];
-            break;
-          case EwOp::kReluGrad:
-            // a = forward input x, b = incoming gradient.
-            for (int j = 0; j < len; ++j) r[j] = ra[j] > 0 ? rb[j] : 0.0f;
-            break;
-          case EwOp::kLeakyGrad:
-            for (int j = 0; j < len; ++j)
-              r[j] = ra[j] > 0 ? rb[j] : n.imm * rb[j];
-            break;
-        }
-      }
-      for (std::size_t oi = 0; oi < p.outputs.size(); ++oi) {
-        float* dst = outputs[oi] + base;
-        const float* src = reg[p.outputs[oi]];
-        for (int j = 0; j < len; ++j) dst[j] = src[j];
-      }
-    }
+    run_range<O>(p, in.data(), cols, outputs, lo, hi);
   });
+}
+
+}  // namespace
+
+namespace detail {
+
+void run_ew_program_native(const EwProgram& p, const float* const* inputs,
+                           int64_t rows, int64_t cols, float* const* outputs) {
+  run_program<simd::NativeOps>(p, inputs, rows, cols, outputs);
+}
+
+void run_ew_program_scalar(const EwProgram& p, const float* const* inputs,
+                           int64_t rows, int64_t cols, float* const* outputs) {
+  run_program<simd::ScalarOps>(p, inputs, rows, cols, outputs);
+}
+
+}  // namespace detail
+
+void run_ew_program(const EwProgram& p, const float* const* inputs,
+                    int64_t rows, int64_t cols, float* const* outputs) {
+  if (simd::enabled()) {
+    detail::run_ew_program_native(p, inputs, rows, cols, outputs);
+  } else {
+    detail::run_ew_program_scalar(p, inputs, rows, cols, outputs);
+  }
 }
 
 // ---- unfused replay (STGRAPH_FUSION=off) ----------------------------------
@@ -435,6 +534,21 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
     return replay_unfused(fwd_, inputs);
   }
 
+  if (rows == 0 || cols == 0) {
+    // Nothing to evaluate: an empty output, and zero gradients (an empty
+    // [0,F] or an all-zero bias sum) without compiling or launching.
+    Tensor out = Tensor::empty({rows, cols});
+    attach(out, name_, inputs,
+           [inputs, grad_slots = bwd_.input_grads](const Tensor&) {
+             std::vector<Tensor> grads(inputs.size());
+             for (std::size_t i = 0; i < inputs.size(); ++i)
+               if (grad_slots[i] >= 0)
+                 grads[i] = Tensor::zeros(inputs[i].shape());
+             return grads;
+           });
+    return out;
+  }
+
   std::shared_ptr<const ExecPlan> plan =
       lookup_or_compile(name_, sig_, fwd_exec_, bwd_, rows, cols);
 
@@ -502,16 +616,10 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
              run_ew_program(plan->bwd.prog, ins.data(), rows, cols,
                             outs.data());
              for (auto& [slot, buf] : bias_tmp) {
-               // Serial row-major column reduction — the exact loop (and
-               // accumulation order) of ops::add_bias's backward: one
-               // sequential pass over the pointwise grads.
-               grads[slot] = Tensor::zeros({cols});
-               float* gb = grads[slot].data();
-               const float* src = buf.data();
-               const std::size_t f = static_cast<std::size_t>(cols);
-               const std::size_t nrows = static_cast<std::size_t>(rows);
-               for (std::size_t r = 0; r < nrows; ++r)
-                 for (std::size_t c = 0; c < f; ++c) gb[c] += src[r * f + c];
+               // The reduce ops::add_bias's backward uses (same bits).
+               grads[slot] = Tensor::empty({cols});
+               ops::detail::column_sums(buf.data(), rows, cols,
+                                        grads[slot].data());
              }
            }
            for (auto& [slot, buf] : bias_tmp)

@@ -4,22 +4,33 @@
 // in registers, never materialized) and attaches a single autograd node
 // whose backward runs the derived gradient program in one more pass.
 //
+// The interpreter (run_ew_program) is a SIMD interpreter: it walks
+// kEwBlock-element blocks with a register file of kEwBlock floats per
+// node, each node's loop stepping one native vector (runtime/simd.hpp) and
+// the block's tail running the same code through ScalarOps. Input arrays
+// are read in place. It dispatches on simd::enabled() as run_kernel does,
+// so STGRAPH_SIMD=off runs the ScalarOps instantiation throughout.
+//
 // Bit-parity contract (tests/test_fusion.cpp):
 //
 //   * STGRAPH_FUSION=off replays the SAME optimized program node-by-node
 //     through the ops:: tape — losses, parameters, and gradients are
-//     memcmp-equal against the fused path. Both interpreters share the
-//     scalar formulas in tensor/ew_scalar.hpp, and both TUs compile with
+//     memcmp-equal against the fused path. Both paths call the one
+//     sigmoid/tanh definition in tensor/ewmath.cpp, every other node is a
+//     single lane-exact IEEE op, and both TUs compile with
 //     -ffp-contract=off so no path gains an FMA the other lacks.
+//   * The bits do not depend on the SIMD width, the thread count, or
+//     where a block's vector/tail split lands: every lane computes what
+//     the scalar formula computes.
 //   * Collapsing a region to one node preserves the engine's gradient
 //     accumulation order: the replayed region occupies a contiguous run of
 //     autograd sequence numbers, so all in-region contributions to any
 //     producer arrive adjacently (decreasing-seq order) — exactly the
 //     left-associative fold differentiate_elementwise emits. Out-of-region
 //     consumers keep their relative arrival position either way.
-//   * A kBias input's gradient is reduced per column serially over rows,
-//     the order ops::add_bias's backward uses (parallel only across
-//     columns, which are independent).
+//   * A kBias input's gradient is reduced by ops::detail::column_sums,
+//     the reduce ops::add_bias's backward uses (each column summed over
+//     rows in order; vectorized only across columns).
 //   * Non-finite propagation is covered too (the fuzz salts NaN and Inf),
 //     with one carve-out: when BOTH operands of a binary op are NaN with
 //     different bit patterns, IEEE lets hardware return either payload and
@@ -27,6 +38,8 @@
 //     codegen-dependent on every path. As long as a single NaN pattern is
 //     in flight (a propagated qNaN, or the ffc00000 indefinite that
 //     invalid ops produce) parity is exact.
+//   * An empty region (zero rows or columns) returns an empty output and
+//     zero gradients without compiling or launching, as the replay does.
 //
 // Compiled programs are cached per (program signature, rows, cols): the
 // steady state of a training loop performs zero compilation work, which the
@@ -107,10 +120,19 @@ class FusedOp {
 };
 
 /// Raw blocked interpreter (no autograd): evaluate `p` elementwise over
-/// rows×cols, writing one [rows,cols] array per program output. Exposed
-/// for the parity fuzz tests.
+/// rows×cols, writing one [rows,cols] array per program output (nothing
+/// on an empty view). Exposed for the parity fuzz tests.
 void run_ew_program(const EwProgram& p, const float* const* inputs,
                     int64_t rows, int64_t cols, float* const* outputs);
+
+namespace detail {
+/// The two instantiations run_ew_program picks between on
+/// simd::enabled(); exposed so one test process can memcmp them.
+void run_ew_program_native(const EwProgram& p, const float* const* inputs,
+                           int64_t rows, int64_t cols, float* const* outputs);
+void run_ew_program_scalar(const EwProgram& p, const float* const* inputs,
+                           int64_t rows, int64_t cols, float* const* outputs);
+}  // namespace detail
 
 /// Replay an optimized single-output program node-by-node through the
 /// ops:: tape (the STGRAPH_FUSION=off path and the parity oracle).

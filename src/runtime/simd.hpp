@@ -12,7 +12,15 @@
 // fuzz suite asserts bitwise identity between the two paths, which a fused
 // madd would break. `fma` is the opposite by design: one correctly rounded
 // a*b+acc on every backend (scalar std::fmaf included), so a chain of them
-// has the same bits at every width. Only the GEMM kernel uses it.
+// has the same bits at every width. The GEMM kernel and the ewmath
+// activations (tensor/ewmath.cpp) use it.
+//
+// The ops the ewmath activations and the fused elementwise interpreter use
+// are lane-exact too: add/sub/mul/div are single IEEE operations, round is
+// round-half-to-even, comparisons are ordered (false on NaN, like scalar
+// `<` / `>=`), blend selects, and neg/abs/copysign touch only the sign bit.
+// Code written once as a template over these ops yields the same bits
+// through ScalarOps and through every vector backend.
 #pragma once
 
 #include <cmath>
@@ -44,14 +52,39 @@ struct ScalarOps {
   static vu loadu(const uint32_t* p) { return *p; }
   static void storeu(uint32_t* p, vu v) { *p = v; }
   static vf add(vf a, vf b) { return a + b; }
+  static vf sub(vf a, vf b) { return a - b; }
   static vf mul(vf a, vf b) { return a * b; }
+  static vf div(vf a, vf b) { return a / b; }
+  /// Sign-bit flip (C unary minus; flips a NaN's sign too).
+  static vf neg(vf a) { return -a; }
+  static vf abs(vf a) { return std::fabs(a); }
+  /// |mag| with the sign bit of `sgn`.
+  static vf copysign(vf mag, vf sgn) { return std::copysign(mag, sgn); }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return std::fmaf(a, b, acc); }
   static vf max(vf a, vf b) { return a > b ? a : b; }
+  /// Round half to even (the default rounding mode).
+  static vf round(vf a) { return std::nearbyint(a); }
+  /// Float → int32 (two's complement in a vu lane) of an integral value
+  /// in int32 range; other inputs are undefined.
+  static vu cvt_i32(vf a) {
+    return static_cast<uint32_t>(static_cast<int32_t>(a));
+  }
+  /// 2^n for an int32 lane n in [-126, 127]: n + 127 shifted into the
+  /// exponent field.
+  static vf pow2i(vu n) {
+    const uint32_t bits = (n + 127u) << 23;
+    vf out;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+  }
   /// Lane mask with a > b (ordered: false on NaN, like scalar `>`).
   static vu cmp_gt(vf a, vf b) { return a > b ? 0xFFFFFFFFu : 0u; }
+  /// Ordered a >= b and a < b masks (false on NaN).
+  static vu cmp_ge(vf a, vf b) { return a >= b ? 0xFFFFFFFFu : 0u; }
+  static vu cmp_lt(vf a, vf b) { return a < b ? 0xFFFFFFFFu : 0u; }
   static vu cmp_eq_u(vu a, vu b) { return a == b ? 0xFFFFFFFFu : 0u; }
   /// mask ? b : a, per lane.
   static vf blend(vf a, vf b, vu mask) { return mask ? b : a; }
@@ -89,14 +122,37 @@ struct AvxOps {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
   static vf add(vf a, vf b) { return _mm256_add_ps(a, b); }
+  static vf sub(vf a, vf b) { return _mm256_sub_ps(a, b); }
   static vf mul(vf a, vf b) { return _mm256_mul_ps(a, b); }
+  static vf div(vf a, vf b) { return _mm256_div_ps(a, b); }
+  static vf neg(vf a) { return _mm256_xor_ps(a, _mm256_set1_ps(-0.0f)); }
+  static vf abs(vf a) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), a); }
+  static vf copysign(vf mag, vf sgn) {
+    const vf sign = _mm256_set1_ps(-0.0f);
+    return _mm256_or_ps(_mm256_andnot_ps(sign, mag),
+                        _mm256_and_ps(sign, sgn));
+  }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return _mm256_fmadd_ps(a, b, acc); }
   static vf max(vf a, vf b) { return _mm256_max_ps(a, b); }
+  static vf round(vf a) {
+    return _mm256_round_ps(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static vu cvt_i32(vf a) { return _mm256_cvtps_epi32(a); }
+  static vf pow2i(vu n) {
+    return _mm256_castsi256_ps(
+        _mm256_slli_epi32(_mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
+  }
   static vu cmp_gt(vf a, vf b) {
     return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GT_OQ));
+  }
+  static vu cmp_ge(vf a, vf b) {
+    return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GE_OQ));
+  }
+  static vu cmp_lt(vf a, vf b) {
+    return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_LT_OQ));
   }
   static vu cmp_eq_u(vu a, vu b) { return _mm256_cmpeq_epi32(a, b); }
   static vf blend(vf a, vf b, vu mask) {
@@ -130,13 +186,28 @@ struct NeonOps {
   static vu loadu(const uint32_t* p) { return vld1q_u32(p); }
   static void storeu(uint32_t* p, vu v) { vst1q_u32(p, v); }
   static vf add(vf a, vf b) { return vaddq_f32(a, b); }
+  static vf sub(vf a, vf b) { return vsubq_f32(a, b); }
   static vf mul(vf a, vf b) { return vmulq_f32(a, b); }
+  static vf div(vf a, vf b) { return vdivq_f32(a, b); }
+  static vf neg(vf a) { return vnegq_f32(a); }
+  static vf abs(vf a) { return vabsq_f32(a); }
+  static vf copysign(vf mag, vf sgn) {
+    return vbslq_f32(vdupq_n_u32(0x80000000u), sgn, mag);
+  }
   /// acc + a*b, deliberately unfused (see header comment) — NOT vfmaq.
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return vfmaq_f32(acc, a, b); }
   static vf max(vf a, vf b) { return vmaxq_f32(a, b); }
+  static vf round(vf a) { return vrndnq_f32(a); }
+  static vu cvt_i32(vf a) { return vreinterpretq_u32_s32(vcvtnq_s32_f32(a)); }
+  static vf pow2i(vu n) {
+    return vreinterpretq_f32_u32(
+        vshlq_n_u32(vaddq_u32(n, vdupq_n_u32(127u)), 23));
+  }
   static vu cmp_gt(vf a, vf b) { return vcgtq_f32(a, b); }
+  static vu cmp_ge(vf a, vf b) { return vcgeq_f32(a, b); }
+  static vu cmp_lt(vf a, vf b) { return vcltq_f32(a, b); }
   static vu cmp_eq_u(vu a, vu b) { return vceqq_u32(a, b); }
   static vf blend(vf a, vf b, vu mask) { return vbslq_f32(mask, b, a); }
   static vu blendu(vu a, vu b, vu mask) { return vbslq_u32(mask, b, a); }

@@ -8,7 +8,8 @@
 
 #include "autograd/engine.hpp"
 #include "runtime/parallel.hpp"
-#include "tensor/ew_scalar.hpp"
+#include "runtime/simd.hpp"
+#include "tensor/ewmath.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/op_profile.hpp"
 #include "util/check.hpp"
@@ -54,6 +55,35 @@ Tensor binary_map(const Tensor& a, const Tensor& b, F f,
   return out;
 }
 
+template <class O>
+void column_sums_impl(const float* src, std::size_t rows, std::size_t cols,
+                      float* dst) {
+  // Up to kTile vectors of columns accumulate in registers while the rows
+  // stream past in order; the scalar tail columns do the same one by one.
+  constexpr std::size_t W = O::kWidth, kTile = 8;
+  std::size_t c = 0;
+  for (; c + W <= cols; c += kTile * W) {
+    const std::size_t nv = std::min(kTile, (cols - c) / W);
+    typename O::vf acc[kTile];
+    for (std::size_t v = 0; v < nv; ++v) acc[v] = O::zero();
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = src + r * cols + c;
+      for (std::size_t v = 0; v < nv; ++v)
+        acc[v] = O::add(acc[v], O::load(row + v * W));
+    }
+    for (std::size_t v = 0; v < nv; ++v) O::store(dst + c + v * W, acc[v]);
+    if (nv < kTile) {
+      c += nv * W;
+      break;
+    }
+  }
+  for (; c < cols; ++c) {
+    float acc = 0.0f;
+    for (std::size_t r = 0; r < rows; ++r) acc += src[r * cols + c];
+    dst[c] = acc;
+  }
+}
+
 // Attach a lambda-backed autograd node consuming `inputs`.
 template <typename Fn>
 void attach(Tensor& out, const char* name,
@@ -66,6 +96,20 @@ void attach(Tensor& out, const char* name,
 }
 
 }  // namespace
+
+namespace detail {
+
+void column_sums(const float* src, int64_t rows, int64_t cols, float* dst) {
+  const std::size_t r = static_cast<std::size_t>(rows);
+  const std::size_t c = static_cast<std::size_t>(cols);
+  if (simd::enabled()) {
+    column_sums_impl<simd::NativeOps>(src, r, c, dst);
+  } else {
+    column_sums_impl<simd::ScalarOps>(src, r, c, dst);
+  }
+}
+
+}  // namespace detail
 
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out = binary_map(a, b, [](float x, float y) { return x + y; });
@@ -156,14 +200,8 @@ Tensor add_bias(const Tensor& x, const Tensor& bias) {
       });
   const int64_t fcols = x.cols();
   attach(out, "add_bias", {x, bias}, [fcols](const Tensor& g) {
-    // grad_bias = column sums of g.
-    Tensor gb = Tensor::zeros({fcols});
-    const float* pg = g.data();
-    float* pgb = gb.data();
-    const std::size_t f2 = static_cast<std::size_t>(fcols);
-    const std::size_t rows = static_cast<std::size_t>(g.rows());
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < f2; ++c) pgb[c] += pg[r * f2 + c];
+    Tensor gb = Tensor::empty({fcols});
+    detail::column_sums(g.data(), g.rows(), fcols, gb.data());
     return std::vector<Tensor>{g, gb};
   });
   return out;
@@ -179,8 +217,9 @@ Tensor one_minus(const Tensor& x) {
 }
 
 Tensor sigmoid(const Tensor& x) {
-  // Stable formula shared with the fused interpreter (tensor/ew_scalar.hpp).
-  Tensor out = unary_map(x, ewmath::sigmoid, OpClass::kActivation);
+  // The fused interpreter evaluates the same function (tensor/ewmath.hpp).
+  Tensor out = unary_map(
+      x, [](float v) { return ewmath::sigmoid(v); }, OpClass::kActivation);
   // Save the input handle and recompute σ at backward time: saving the
   // output handle inside its own grad node would create an ownership
   // cycle, and a detached copy would double activation memory.
@@ -200,13 +239,13 @@ Tensor sigmoid(const Tensor& x) {
 
 Tensor tanh_op(const Tensor& x) {
   Tensor out = unary_map(
-      x, [](float v) { return std::tanh(v); }, OpClass::kActivation);
+      x, [](float v) { return ewmath::tanh(v); }, OpClass::kActivation);
   attach(out, "tanh", {x}, [x](const Tensor& g) {
     NoGradGuard ng;
     Tensor d = binary_map(
         x, g,
         [](float v, float gg) {
-          const float y = std::tanh(v);
+          const float y = ewmath::tanh(v);
           return gg * (1.0f - y * y);
         },
         OpClass::kActivation);

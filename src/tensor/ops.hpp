@@ -73,4 +73,12 @@ Tensor bce_with_logits_loss(const Tensor& logits, const Tensor& targets);
 /// Inverted dropout; identity when !training.
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training);
 
+namespace detail {
+/// dst[c] = Σ_r src[r·cols + c]: the bias-gradient reduce of add_bias's
+/// backward and of fused regions with a bias input. Vectorized across
+/// columns; each column still sums rows 0…rows−1 in order from +0, so the
+/// bits match a serial row-major loop at every SIMD width.
+void column_sums(const float* src, int64_t rows, int64_t cols, float* dst);
+}  // namespace detail
+
 }  // namespace stgraph::ops

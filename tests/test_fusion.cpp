@@ -5,13 +5,17 @@
 // ops:: tape. "Parity" here is memcmp over raw float bits, not tolerance:
 // losses, outputs, parameters, and gradients must be IDENTICAL, including
 // through NaN/Inf-salted inputs and odd feature widths that leave SIMD
-// remainder lanes. Also covered: the per-(signature, rows, cols) program
+// remainder lanes. Also covered: the SIMD interpreter against its ScalarOps
+// instantiation (memcmp), empty regions, finite-difference gradients
+// through every fused cell region, the per-(signature, rows, cols) program
 // cache (zero steady-state compiles), the STGRAPH_VALIDATE stale-plan
 // audit, the fused GCN bias epilogue, and the bias-grad scratch arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -31,6 +35,7 @@
 #include "nn/gconv_gru.hpp"
 #include "nn/gconv_lstm.hpp"
 #include "nn/models.hpp"
+#include "autograd/engine.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -54,6 +59,7 @@ void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_TRUE(a.defined()) << what << ": lhs undefined";
   ASSERT_TRUE(b.defined()) << what << ": rhs undefined";
   ASSERT_EQ(a.numel(), b.numel()) << what;
+  if (a.numel() == 0) return;  // an empty tensor may have no storage
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         sizeof(float) * static_cast<size_t>(a.numel())),
             0)
@@ -320,6 +326,179 @@ TEST(FusionParity, BackwardFuzzGradientsBitwise) {
       for (size_t i = 0; i < lv_on.size(); ++i)
         expect_bitwise(lv_on[i].grad(), lv_off[i].grad(),
                        tag + " grad_in" + std::to_string(i));
+      }
+    }
+  }
+}
+
+// ---- SIMD interpreter vs its ScalarOps instantiation ---------------------
+
+/// Random [rows,cols] / [cols] arrays for every input slot of `p`.
+std::vector<Tensor> program_inputs(const EwProgram& p, int64_t rows,
+                                   int64_t cols, Rng& rng, Salt mode) {
+  std::vector<Tensor> in;
+  for (compiler::EwInputKind k : p.inputs) {
+    Tensor t = k == compiler::EwInputKind::kMat
+                   ? Tensor::randn({rows, cols}, rng, 1.5f)
+                   : Tensor::randn({cols}, rng, 0.7f);
+    salt(t, rng, mode);
+    in.push_back(t);
+  }
+  return in;
+}
+
+TEST(FusionSimd, NativeMatchesScalarInterpreterBitwise) {
+  // Forward and derived backward programs of every region, run by both
+  // instantiations of the interpreter in one process. Shapes are chosen so
+  // rows×cols is a multiple of neither 8 nor 64, and the largest crosses
+  // the parallel grain so lane chunks split blocks at odd offsets too.
+  const std::function<compiler::EwExpr(EwTracer&)> builders[] = {
+      [](EwTracer& t) { return t.sigmoid(t.add(t.in(), t.in())); },
+      [](EwTracer& t) { return t.tanh(t.add(t.in(), t.in())); },
+      [](EwTracer& t) {
+        auto z = t.in(), h = t.in(), c = t.in();
+        return t.add(t.mul(z, h), t.mul(t.one_minus(z), c));
+      },
+      [](EwTracer& t) {
+        auto o = t.in(), c = t.in();
+        return t.mul(o, t.tanh(c));
+      },
+      [](EwTracer& t) { return t.sigmoid(t.add_bias(t.in(), t.in_bias())); },
+      [](EwTracer& t) { return t.tanh(t.add_bias(t.in(), t.in_bias())); },
+      [](EwTracer& t) {  // the "mixed" region: every other op; keep last
+        auto a = t.in(), b = t.in();
+        auto d = t.div(t.sub(a, b), t.add_scalar(t.mul(b, b), 1.0f));
+        auto r = t.leaky_relu(t.relu(d), 0.2f);
+        return t.mul(r, t.exp(t.mul_scalar(a, 0.5f)));
+      },
+  };
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {1, 3}, {5, 13}, {33, 7}, {19, 17}, {301, 11}};
+  int case_id = 0;
+  for (size_t bi = 0; bi < std::size(builders); ++bi) {
+    EwProgram fwd = compiler::optimize_elementwise(
+        compiler::trace_elementwise(builders[bi]));
+    compiler::EwBackward bw = compiler::differentiate_elementwise(fwd);
+    for (const EwProgram* p : {&fwd, &bw.prog}) {
+      for (auto [rows, cols] : shapes) {
+        for (Salt mode : kSalts) {
+          // The mixed region's backward meets two NaN patterns at one op
+          // (Region::nan_safe_backward), which no contract covers.
+          if (bi + 1 == std::size(builders) && p == &bw.prog &&
+              mode == Salt::kNan)
+            continue;
+          Rng rng(0x51D0000u + static_cast<uint64_t>(++case_id));
+          std::vector<Tensor> in = program_inputs(*p, rows, cols, rng, mode);
+          std::vector<const float*> ins;
+          for (const Tensor& t : in) ins.push_back(t.data());
+          std::vector<Tensor> native, scalar;
+          std::vector<float*> pn, ps;
+          for (size_t o = 0; o < p->outputs.size(); ++o) {
+            native.push_back(Tensor::empty({rows, cols}));
+            scalar.push_back(Tensor::empty({rows, cols}));
+            pn.push_back(native.back().data());
+            ps.push_back(scalar.back().data());
+          }
+          fu::detail::run_ew_program_native(*p, ins.data(), rows, cols,
+                                            pn.data());
+          fu::detail::run_ew_program_scalar(*p, ins.data(), rows, cols,
+                                            ps.data());
+          for (size_t o = 0; o < native.size(); ++o)
+            expect_bitwise(native[o], scalar[o],
+                           "case " + std::to_string(case_id) + " out " +
+                               std::to_string(o) + " " +
+                               std::to_string(rows) + "x" +
+                               std::to_string(cols));
+        }
+      }
+    }
+  }
+}
+
+// ---- empty regions -------------------------------------------------------
+
+TEST(FusionEmpty, ZeroRowRegionsMatchReplayForwardAndBackward) {
+  // A [0,F] (or [N,0]) region returns an empty output and zero gradients
+  // on both paths instead of throwing on the fused one.
+  FusionGuard guard;
+  const std::pair<int64_t, int64_t> shapes[] = {{0, 4}, {3, 0}};
+  for (auto [rows, cols] : shapes) {
+    for (const Region& r : kRegions) {
+      std::vector<Tensor> grads[2];
+      for (int fused = 0; fused < 2; ++fused) {
+        fu::set_fusion_enabled(fused == 1);
+        fu::reset_fusion_stats();
+        Rng rng(61);
+        std::vector<Tensor> leaves = make_inputs(r, rows, cols, rng,
+                                                 Salt::kNone);
+        for (Tensor& l : leaves) l.set_requires_grad(true);
+        Tensor y = r.run(leaves);
+        ASSERT_EQ(y.rows(), rows) << r.name;
+        ASSERT_EQ(y.cols(), cols) << r.name;
+        y.backward(Tensor::empty({rows, cols}));
+        for (const Tensor& l : leaves) {
+          ASSERT_TRUE(l.grad().defined()) << r.name << " fused=" << fused;
+          EXPECT_EQ(l.grad().shape(), l.shape()) << r.name;
+          for (int64_t i = 0; i < l.grad().numel(); ++i)
+            EXPECT_EQ(l.grad().data()[i], 0.0f) << r.name;
+          grads[fused].push_back(l.grad());
+        }
+        if (fused == 1) {
+          EXPECT_EQ(fu::fusion_stats().fused_forward, 0u)
+              << r.name << ": an empty region launched";
+        }
+      }
+      for (size_t i = 0; i < grads[0].size(); ++i)
+        expect_bitwise(grads[1][i], grads[0][i],
+                       std::string(r.name) + " empty grad " +
+                           std::to_string(i));
+    }
+  }
+}
+
+// ---- finite-difference gradients through the fused path ------------------
+
+TEST(FusionGradcheck, EveryCellRegionMatchesFiniteDifferences) {
+  // Parity says the fused and replayed backwards agree; this checks the
+  // fused one is the derivative. L = Σ w⊙y for a fixed random w, so the
+  // backward seeded with w is ∂L/∂input, compared entrywise against
+  // central differences (L accumulated in double).
+  FusionGuard guard;
+  fu::set_fusion_enabled(true);
+  const int64_t rows = 3, cols = 5;
+  const float eps = 1e-2f, tol = 2e-2f;
+  for (const Region& r : kRegions) {
+    if (std::string(r.name) == "mixed") continue;  // not a cell region
+    Rng rng(0x6AD);
+    std::vector<Tensor> leaves = make_inputs(r, rows, cols, rng, Salt::kNone);
+    for (Tensor& l : leaves) l.set_requires_grad(true);
+    Tensor w = Tensor::randn({rows, cols}, rng, 1.0f);
+    r.run(leaves).backward(w);
+
+    auto loss = [&] {
+      NoGradGuard ng;
+      Tensor y = r.run(leaves);
+      double acc = 0.0;
+      for (int64_t i = 0; i < y.numel(); ++i)
+        acc += static_cast<double>(y.data()[i]) * w.data()[i];
+      return acc;
+    };
+    for (size_t li = 0; li < leaves.size(); ++li) {
+      Tensor& x = leaves[li];
+      const Tensor grad = x.grad();
+      ASSERT_TRUE(grad.defined()) << r.name << " input " << li;
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        const float orig = x.data()[i];
+        x.data()[i] = orig + eps;
+        const double up = loss();
+        x.data()[i] = orig - eps;
+        const double down = loss();
+        x.data()[i] = orig;
+        const float fd = static_cast<float>((up - down) / (2.0 * eps));
+        const float ad = grad.data()[i];
+        const float scale = std::max({1.0f, std::abs(fd), std::abs(ad)});
+        EXPECT_NEAR(ad, fd, tol * scale)
+            << r.name << " input " << li << " entry " << i;
       }
     }
   }
