@@ -4,65 +4,19 @@
 // share shrinks as the feature size grows.
 //
 // The update time is further split into its two phases (Algorithm-2 delta
-// replay vs snapshot-view maintenance), and a second section isolates the
-// view-maintenance cost on a small-delta workload with the delta-bounded
-// incremental path on vs off (full rebuild every refresh). Everything is
-// also written as BENCH_fig9.json (path via --json-out=, default
-// BENCH_fig9.json; empty to skip).
+// replay vs snapshot-view rebuild). Everything is also written as
+// BENCH_fig9.json (path via --json-out=, default BENCH_fig9.json; empty to
+// skip).
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "common.hpp"
-#include "gpma/gpma_graph.hpp"
 
 using namespace stgraph;
 using namespace stgraph::bench;
 
 namespace {
-
-struct ViewAblation {
-  std::string dataset;
-  uint32_t timesteps = 0;      // get_graph calls measured per mode
-  double incremental_s = 0.0;  // total view-maintenance seconds
-  double full_s = 0.0;
-  uint64_t incremental_updates = 0;
-  uint64_t incremental_fallbacks = 0;  // full rebuilds on the incremental run
-  uint64_t full_rebuilds = 0;
-  double speedup() const {
-    return incremental_s > 0.0 ? full_s / incremental_s : 0.0;
-  }
-};
-
-// Roll a GPMA graph through every timestamp, forward then backward, for
-// `passes` round trips, and return the accumulated view-maintenance time.
-// This isolates the cost the incremental path targets: no GNN, no signal.
-void roll_views(GpmaGraph& g, uint32_t passes, ViewAblation& out,
-                bool incremental) {
-  const uint32_t T = g.num_timestamps();
-  // Serial schedule: without prefetch hints the pipeline would prepare
-  // (and publish-copy) inline on every call, charging the copy to the
-  // view timer and diluting the incremental-vs-full comparison.
-  g.set_pipeline_enabled(false);
-  g.set_incremental_views(incremental);
-  // Warm pass (first rebuilds allocate the view buffers).
-  for (uint32_t t = 0; t < T; ++t) g.get_graph(t);
-  g.reset_update_stats();
-  uint32_t calls = 0;
-  for (uint32_t p = 0; p < passes; ++p) {
-    for (uint32_t t = 0; t < T; ++t, ++calls) g.get_graph(t);
-    for (uint32_t t = T; t-- > 0; ++calls) g.get_graph(t);
-  }
-  out.timesteps = calls;
-  if (incremental) {
-    out.incremental_s = g.view_timer().total_seconds();
-    out.incremental_updates = g.incremental_view_updates();
-    out.incremental_fallbacks = g.full_view_rebuilds();
-  } else {
-    out.full_s = g.view_timer().total_seconds();
-    out.full_rebuilds = g.full_view_rebuilds();
-  }
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -89,8 +43,7 @@ int main(int argc, char** argv) {
   CsvWriter csv({"dataset", "feature_size", "update_s", "position_s",
                  "view_s", "gnn_s", "forward_s", "backward_s", "stall_s",
                  "pf_hits", "pf_misses", "update_pct", "gnn_pct",
-                 "incr_updates", "full_rebuilds", "tape_ops", "tape_mib",
-                 "fused_ops", "fused_mib"});
+                 "tape_ops", "tape_mib", "fused_ops", "fused_mib"});
   std::ostringstream rows_json;
 
   bool first_row = true;
@@ -119,8 +72,6 @@ int main(int argc, char** argv) {
                    CsvWriter::fmt(100.0 * gpma.gnn_seconds /
                                       std::max(total, 1e-9),
                                   1),
-                   std::to_string(gpma.incremental_view_updates),
-                   std::to_string(gpma.full_view_rebuilds),
                    std::to_string(gpma.tape_op_count),
                    CsvWriter::fmt(gpma.tape_bytes / (1024.0 * 1024.0), 2),
                    std::to_string(gpma.fused_op_count),
@@ -136,9 +87,6 @@ int main(int argc, char** argv) {
                 << ", \"stall_s\": " << gpma.stall_seconds
                 << ", \"prefetch_hits\": " << gpma.prefetch_hits
                 << ", \"prefetch_misses\": " << gpma.prefetch_misses
-                << ", \"incremental_view_updates\": "
-                << gpma.incremental_view_updates
-                << ", \"full_view_rebuilds\": " << gpma.full_view_rebuilds
                 << ", \"tape_ops\": " << gpma.tape_op_count
                 << ", \"tape_bytes\": " << gpma.tape_bytes
                 << ", \"fused_ops\": " << gpma.fused_op_count
@@ -150,57 +98,11 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   emit("fig9_gpma_time_breakup", csv, opts);
 
-  // Incremental-vs-full view maintenance on a small-delta workload (0.5%
-  // change per timestep): the delta-bounded path must beat the full
-  // rebuild by a wide margin when little of the PMA moves per step.
-  CsvWriter acsv({"dataset", "steps", "incr_view_ms_per_step",
-                  "full_view_ms_per_step", "speedup", "incr_updates",
-                  "incr_fallbacks"});
-  std::ostringstream abl_json;
-  double min_speedup = 0.0;
-  bool first_abl = true;
-  const uint32_t passes = opts.full ? 4 : 2;
-  for (const auto& ds : datasets::load_all_dynamic(dyo)) {
-    const DtdgEvents events = datasets::make_dtdg(ds, 0.5);
-    ViewAblation a;
-    a.dataset = ds.name;
-    {
-      GpmaGraph g(events);
-      roll_views(g, passes, a, /*incremental=*/true);
-    }
-    {
-      GpmaGraph g(events);
-      roll_views(g, passes, a, /*incremental=*/false);
-    }
-    const double per_inc = 1e3 * a.incremental_s / std::max(1u, a.timesteps);
-    const double per_full = 1e3 * a.full_s / std::max(1u, a.timesteps);
-    acsv.add_row({a.dataset, std::to_string(a.timesteps),
-                  CsvWriter::fmt(per_inc, 5), CsvWriter::fmt(per_full, 5),
-                  CsvWriter::fmt(a.speedup(), 2),
-                  std::to_string(a.incremental_updates),
-                  std::to_string(a.incremental_fallbacks)});
-    abl_json << (first_abl ? "" : ",") << "\n    {\"dataset\": \""
-             << json_escape(a.dataset) << "\", \"steps\": " << a.timesteps
-             << ", \"incremental_view_s\": " << a.incremental_s
-             << ", \"full_view_s\": " << a.full_s
-             << ", \"incr_view_ms_per_step\": " << per_inc
-             << ", \"full_view_ms_per_step\": " << per_full
-             << ", \"speedup\": " << a.speedup()
-             << ", \"incremental_updates\": " << a.incremental_updates
-             << ", \"incremental_fallbacks\": " << a.incremental_fallbacks
-             << ", \"full_rebuilds\": " << a.full_rebuilds << "}";
-    if (first_abl || a.speedup() < min_speedup) min_speedup = a.speedup();
-    first_abl = false;
-  }
-  emit("fig9_view_maintenance_ablation", acsv, opts);
-
   if (!json_out.empty()) {
     std::ofstream f(json_out);
     f << "{\n  \"bench\": \"fig9_gpma_time_breakup\",\n  \"rows\": ["
-      << rows_json.str() << "\n  ],\n  \"view_ablation\": [" << abl_json.str()
-      << "\n  ],\n  \"min_view_speedup\": " << min_speedup << "\n}\n";
-    std::cout << "(wrote " << json_out << ", min view-maintenance speedup "
-              << CsvWriter::fmt(min_speedup, 2) << "x)\n";
+      << rows_json.str() << "\n  ]\n}\n";
+    std::cout << "(wrote " << json_out << ")\n";
   }
   return 0;
 }

@@ -68,8 +68,6 @@ RunResult measure_epochs(const std::function<core::EpochStats()>& epoch_fn,
     r.gnn_seconds += s.gnn_seconds;
     r.position_seconds += s.position_seconds;
     r.view_seconds += s.view_seconds;
-    r.incremental_view_updates += s.incremental_view_updates;
-    r.full_view_rebuilds += s.full_view_rebuilds;
     r.forward_seconds += s.forward_seconds;
     r.backward_seconds += s.backward_seconds;
     r.stall_seconds += s.stall_seconds;

@@ -44,13 +44,9 @@ struct RunResult {
   double graph_update_seconds = 0.0;  // per epoch
   double gnn_seconds = 0.0;           // per epoch
   // GPMAGraph-only split of graph_update_seconds (zero for other systems):
-  // Algorithm-2 delta replay vs snapshot-view maintenance, and how the
-  // view refreshes divided into incremental patches vs full rebuilds
-  // (counters summed over the measured epochs).
+  // Algorithm-2 delta replay vs snapshot-view rebuild.
   double position_seconds = 0.0;      // per epoch
   double view_seconds = 0.0;          // per epoch
-  uint64_t incremental_view_updates = 0;
-  uint64_t full_view_rebuilds = 0;
   // Pipeline phase split (zero for non-GPMA systems or pipeline off):
   // model compute per direction, time Get-Graph spent blocked on an
   // in-flight background prepare, and the prefetch hit/miss counters

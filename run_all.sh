@@ -57,7 +57,9 @@
 #                           pipeline parity + pipeline-overlap tests
 #                           (test_scaling, plus the STGRAPH_NUM_THREADS=1,
 #                           STGRAPH_NUM_THREADS=8 and STGRAPH_PIPELINE=off
-#                           ctest variants), then a reduced bench_scaling
+#                           ctest variants), the GPMA view builder against
+#                           its sequential reference at 8 lanes
+#                           (gpma_views_oversub), then a reduced bench_scaling
 #                           sweep on one dataset that asserts bit-identical
 #                           losses across the threads x pipeline grid and a
 #                           best-point speedup floor vs the serial
@@ -74,9 +76,8 @@
 #                           zero steady-state compiles asserted, JSON
 #                           under build/)
 #   ./run_all.sh bench      graph-update benches only: bench_fig9 (GNN/
-#                           update time split with the per-phase counters
-#                           and the incremental-vs-full view-maintenance
-#                           ablation, emitted as BENCH_fig9.json) +
+#                           update time split with the per-phase counters,
+#                           emitted as BENCH_fig9.json) +
 #                           bench_micro_gpma + the kernel-engine ablation
 #                           (scalar vs SIMD, coef cache on/off, fused vs
 #                           unfused, emitted as BENCH_kernels.json) +
@@ -97,10 +98,10 @@ cd "$(dirname "$0")" || exit 1
 
 if [ "$1" = "scaling-smoke" ]; then
   cmake -B build -S . || exit 1
-  cmake --build build -j "$(nproc)" --target test_scaling bench_scaling \
-    || exit 1
+  cmake --build build -j "$(nproc)" --target test_scaling \
+    test_gpma_views bench_scaling || exit 1
   ctest --test-dir build --output-on-failure \
-    -R '^(test_scaling|scaling_serial|scaling_oversub|scaling_pipeline_off)$' \
+    -R '^(test_scaling|scaling_serial|scaling_oversub|scaling_pipeline_off|gpma_views_oversub)$' \
     || exit 1
   # One small dataset, two lanes. The floor is a regression guard, not a
   # parallelism proof: on single-core hosts the grid is oversubscribed and

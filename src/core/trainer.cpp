@@ -324,8 +324,6 @@ EpochStats STGraphTrainer::run_epoch(bool training) {
   if (auto* gpma = dynamic_cast<GpmaGraph*>(&graph_)) {
     stats.position_seconds = gpma->position_timer().total_seconds();
     stats.view_seconds = gpma->view_timer().total_seconds();
-    stats.incremental_view_updates = gpma->incremental_view_updates();
-    stats.full_view_rebuilds = gpma->full_view_rebuilds();
     stats.stall_seconds = gpma->stall_timer().total_seconds();
     stats.prefetch_hits = gpma->prefetch_hits();
     stats.prefetch_misses = gpma->prefetch_misses();

@@ -77,13 +77,9 @@ struct EpochStats {
   double graph_update_seconds = 0.0;  // Figure 9: snapshot construction
   double gnn_seconds = 0.0;           // Figure 9: everything else
   // GPMAGraph-only split of graph_update_seconds (zero for other graphs):
-  // Algorithm-2 delta replay vs snapshot-view maintenance, plus how often
-  // the view refresh took the delta-bounded incremental path vs a full
-  // rebuild.
+  // Algorithm-2 delta replay vs snapshot-view rebuild.
   double position_seconds = 0.0;
   double view_seconds = 0.0;
-  uint64_t incremental_view_updates = 0;
-  uint64_t full_view_rebuilds = 0;
   // Pipeline phase split (PR 8): model compute time per direction, plus
   // how the bounded-staleness prefetch behaved — `stall_seconds` is time
   // Get-Graph spent blocked on an in-flight background prepare, and

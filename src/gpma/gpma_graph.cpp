@@ -19,10 +19,6 @@
 namespace stgraph {
 namespace {
 
-// Dirty fraction of the slot array beyond which patching the views in
-// place loses to the (parallel) full rebuild.
-constexpr double kRebuildThreshold = 0.25;
-
 bool pipeline_enabled_from_env() {
   const char* s = std::getenv("STGRAPH_PIPELINE");
   if (!s || !*s) return true;
@@ -157,12 +153,7 @@ GpmaGraph::GpmaGraph(const DtdgEvents& events)
       r_row_offset_(0, MemCategory::kGraph),
       r_col_(0, MemCategory::kGraph),
       r_eids_(0, MemCategory::kGraph),
-      gcn_coef_(0, MemCategory::kGraph),
-      gcn_coef_scratch_(0, MemCategory::kGraph),
-      r_row_offset_scratch_(0, MemCategory::kGraph),
-      r_col_scratch_(0, MemCategory::kGraph),
-      r_eids_scratch_(0, MemCategory::kGraph),
-      order_scratch_(0, MemCategory::kPma) {
+      gcn_coef_(0, MemCategory::kGraph) {
   // Base snapshot: one batch insert of all base edges.
   std::vector<uint64_t> base_keys;
   base_keys.reserve(events.base_edges.size());
@@ -262,18 +253,15 @@ void GpmaGraph::apply_delta(uint32_t idx, bool forward) {
             "delta ", idx, " did not apply cleanly (erase ", erased, "/",
             to_erase.size(), ", insert ", inserted, "/", to_insert.size(),
             ")");
-  // Incremental degree maintenance + view-delta bookkeeping (the STG_CHECK
-  // above guarantees every listed key really hit the PMA, so the pending
-  // lists mirror the slot-array mutations exactly).
+  // Per-key degree maintenance (the STG_CHECK above guarantees every
+  // listed key really hit the PMA).
   for (uint64_t k : to_erase) {
     --out_deg_[edge_key_src(k)];
     --in_deg_[edge_key_dst(k)];
-    pending_del_.push_back(k);
   }
   for (uint64_t k : to_insert) {
     ++out_deg_[edge_key_src(k)];
     ++in_deg_[edge_key_dst(k)];
-    pending_add_.push_back(k);
   }
   ++delta_replays_;
 }
@@ -291,13 +279,6 @@ void GpmaGraph::restore_cache() {
   std::copy(cache_out_deg_.begin(), cache_out_deg_.end(), out_deg_.data());
   curr_time_ = cache_time_;
   views_fresh_ = false;
-  // The restored PMA's slot layout has nothing to do with the one the
-  // current views were built from (its dirty bitmap describes mutations
-  // relative to a different history), so the next refresh must not trust
-  // the pending lists. Full rebuild only.
-  views_force_full_ = true;
-  pending_add_.clear();
-  pending_del_.clear();
 }
 
 void GpmaGraph::position(uint32_t target) {
@@ -329,27 +310,13 @@ void GpmaGraph::position(uint32_t target) {
 }
 
 void GpmaGraph::refresh_views() {
-  bool incremental = false;
-  if (incremental_views_enabled_ && !views_force_full_ &&
-      !pma_.dirty_global() && col_.size() == pma_.capacity() &&
-      row_offset_.size() == static_cast<std::size_t>(num_nodes_) + 1) {
-    incremental = incremental_update();
-  }
-  if (incremental) {
-    ++incremental_view_updates_;
-  } else {
-    full_rebuild_views();
-    ++full_view_rebuilds_;
-  }
-  pending_add_.clear();
-  pending_del_.clear();
-  pma_.clear_dirty();
-  views_force_full_ = false;
+  full_rebuild_views();
+  ++full_view_rebuilds_;
   views_fresh_ = true;
 
-  // STGRAPH_VALIDATE: audit the freshly patched (or rebuilt) views against
-  // the PMA before any kernel consumes them, so a bad incremental patch
-  // fails here rather than as a wrong gradient downstream.
+  // STGRAPH_VALIDATE: audit the freshly rebuilt views against the PMA
+  // before any kernel consumes them, so a bad rebuild fails here rather
+  // than as a wrong gradient downstream.
   if (verify::validation_enabled()) {
     const SnapshotView v = make_view();
     verify::Report r = verify::check_snapshot_view(v);
@@ -504,7 +471,6 @@ void GpmaGraph::set_coef_cache_enabled(bool enabled) {
   coef_cache_enabled_ = enabled;
   if (!enabled) {
     gcn_coef_.resize(0);
-    gcn_coef_scratch_.resize(0);
   } else if (views_fresh_) {
     rebuild_coef_cache();
   }
@@ -516,504 +482,6 @@ void GpmaGraph::set_coef_cache_enabled(bool enabled) {
 void GpmaGraph::set_pipeline_enabled(bool enabled) {
   sync();
   pipeline_enabled_ = enabled;
-}
-
-void GpmaGraph::repair_order(DeviceBuffer<uint32_t>& order, const uint32_t* deg,
-                             std::vector<uint32_t>& affected) {
-  // `order` is sorted under (deg desc, id asc) for the degrees of the last
-  // refresh; only the vertices in `affected` changed degree. Dropping them
-  // from the stream keeps it sorted, so one merge against the (sorted)
-  // affected list restores the canonical order. The order is a strict
-  // total order (ties broken by id), so the result is exactly what a full
-  // sort would produce.
-  const uint32_t n = num_nodes_;
-  auto canon = [deg](uint32_t a, uint32_t b) {
-    return deg[a] != deg[b] ? deg[a] > deg[b] : a < b;
-  };
-  std::sort(affected.begin(), affected.end(), canon);
-  if (order_mark_.size() < n) order_mark_.assign(n, 0);
-  for (uint32_t v : affected) order_mark_[v] = 1;
-  order_scratch_.resize(n);
-  const uint32_t* src = order.data();
-  uint32_t* out = order_scratch_.data();
-  std::size_t ai = 0, w = 0, skipped = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    // Once every affected vertex is re-inserted and every marked survivor
-    // dropped, positions align (w == i) and the tail is already in place.
-    if (ai == affected.size() && skipped == ai) {
-      std::memcpy(out + w, src + i, (n - i) * sizeof(uint32_t));
-      w += n - i;
-      break;
-    }
-    const uint32_t v = src[i];
-    if (order_mark_[v]) {
-      ++skipped;  // re-inserted from `affected`
-      continue;
-    }
-    while (ai < affected.size() && canon(affected[ai], v))
-      out[w++] = affected[ai++];
-    out[w++] = v;
-  }
-  while (ai < affected.size()) out[w++] = affected[ai++];
-  STG_CHECK(w == n, "order repair wrote ", w, " of ", n, " vertices");
-  std::swap(order, order_scratch_);
-  for (uint32_t v : affected) order_mark_[v] = 0;
-}
-
-bool GpmaGraph::incremental_update() {
-  const std::size_t cap = pma_.capacity();
-  const std::size_t seg = pma_.segment_size();
-  const uint32_t n = num_nodes_;
-  const uint32_t old_m = static_cast<uint32_t>(r_col_.size());
-  const uint32_t new_m = static_cast<uint32_t>(pma_.size());
-
-  // ---- dirty windows: merged runs of dirty leaf segments ----------------
-  struct Window {
-    std::size_t lo, hi;           // slot range (leaf-aligned)
-    uint32_t new_rank, old_rank;  // label of the window's first live slot
-    uint32_t new_live, old_live;  // live slots inside, after/before
-  };
-  const auto& dl = pma_.dirty_leaves();
-  std::vector<Window> windows;
-  std::size_t dirty_slots = 0;
-  for (std::size_t l = 0; l < dl.size();) {
-    if (!dl[l]) {
-      ++l;
-      continue;
-    }
-    std::size_t r = l;
-    while (r < dl.size() && dl[r]) ++r;
-    windows.push_back({l * seg, r * seg, 0, 0, 0, 0});
-    dirty_slots += (r - l) * seg;
-    l = r;
-  }
-  if (windows.empty()) {
-    // No slot moved. Pending keys would contradict that (every pending key
-    // blanked or redistributed a slot), so treat the mismatch as
-    // unpatchable instead of trusting either record.
-    return pending_add_.empty() && pending_del_.empty();
-  }
-  if (static_cast<double>(dirty_slots) >
-      kRebuildThreshold * static_cast<double>(cap))
-    return false;
-
-  // ---- per-window label ranks -------------------------------------------
-  // New first-label of each window from one pass over the per-leaf live
-  // counts; old first-label derived from it and the cumulative live-count
-  // delta of the preceding windows (slots outside windows are untouched,
-  // so their live counts cancel).
-  {
-    const auto& lc = pma_.leaf_counts();
-    std::size_t leaf = 0;
-    uint32_t prefix = 0;
-    int64_t cum = 0;
-    for (Window& w : windows) {
-      for (; leaf < w.lo / seg; ++leaf) prefix += lc[leaf];
-      w.new_rank = prefix;
-      for (; leaf < w.hi / seg; ++leaf) prefix += lc[leaf];
-      w.new_live = prefix - w.new_rank;
-      uint32_t ol = 0;
-      for (std::size_t i = w.lo; i < w.hi; ++i)
-        ol += col_[i] != kSpace;  // branchless: gaps sit at random positions
-      w.old_live = ol;
-      w.old_rank =
-          static_cast<uint32_t>(static_cast<int64_t>(w.new_rank) - cum);
-      cum += static_cast<int64_t>(w.new_live) - static_cast<int64_t>(ol);
-    }
-    STG_CHECK(cum == static_cast<int64_t>(new_m) - static_cast<int64_t>(old_m),
-              "window live-count delta ", cum, " != label-count delta ",
-              static_cast<int64_t>(new_m) - static_cast<int64_t>(old_m));
-  }
-
-  // ---- capture the windows' old edges (key, old label) ------------------
-  // Must happen before any patching: sources come from the old row
-  // offsets, labels from the old eids. Live slots in slot order are in key
-  // order, and windows are disjoint ascending slot ranges, so the combined
-  // capture comes out sorted by key — ready for the diff merge below.
-  win_old_keys_.clear();
-  win_old_eids_.clear();
-  win_old_keys_.reserve(dirty_slots);
-  win_old_eids_.reserve(dirty_slots);
-  {
-    const uint32_t* oro = row_offset_.data();
-    for (const Window& w : windows) {
-      // Owner of slot i = last row whose old region starts at or before i
-      // (empty rows collapse onto the same offset).
-      uint32_t src = static_cast<uint32_t>(
-                         std::upper_bound(oro, oro + n + 1,
-                                          static_cast<uint32_t>(w.lo)) -
-                         oro) -
-                     1;
-      for (std::size_t i = w.lo; i < w.hi; ++i) {
-        if (col_[i] == kSpace) continue;
-        while (src + 1 < n && oro[src + 1] <= i) ++src;
-        win_old_keys_.push_back(make_edge_key(src, col_[i]));
-        win_old_eids_.push_back(eids_[i]);
-      }
-    }
-  }
-
-  // ---- patch col_/eids_ inside the windows ------------------------------
-  // Same pass records the new (key, label) contents, also sorted by key.
-  const uint64_t* slots = pma_.slots().data();
-  win_new_keys_.clear();
-  win_new_eids_.clear();
-  win_new_keys_.reserve(dirty_slots);
-  win_new_eids_.reserve(dirty_slots);
-  for (const Window& w : windows) {
-    uint32_t eid = w.new_rank;
-    for (std::size_t i = w.lo; i < w.hi; ++i) {
-      if (slots[i] == Pma::kEmptyKey) {
-        col_[i] = kSpace;
-        eids_[i] = kSpace;
-        continue;
-      }
-      col_[i] = edge_key_dst(slots[i]);
-      eids_[i] = eid;
-      win_new_keys_.push_back(slots[i]);
-      win_new_eids_.push_back(eid);
-      ++eid;
-    }
-    STG_CHECK(eid == w.new_rank + w.new_live, "window relabel saw ",
-              eid - w.new_rank, " live slots, leaf counts said ", w.new_live);
-  }
-
-  // ---- diff the window contents: remap table + net key delta ------------
-  // One two-pointer merge over the sorted captures classifies every window
-  // key: present on both sides -> survivor (old label maps to new label),
-  // old side only -> net delete, new side only -> net add (with its new
-  // label attached — the reverse splice needs it). Every inserted or
-  // blanked slot lives in a dirty leaf, so this diff is authoritative; the
-  // pending lists are only the cheap emptiness cross-check above.
-  // Labels outside the windows move by a per-region constant, which fills
-  // the rest of the old-label -> new-label table without touching keys.
-  std::vector<uint64_t> net_add, net_del;
-  std::vector<uint32_t> net_add_eid;
-  eid_remap_.resize(old_m);
-  {
-    uint32_t* rm = eid_remap_.data();
-    // Clean regions: labels [0, first window) keep their value; labels in
-    // the region after window k move by the windows' cumulative live-count
-    // delta so far.
-    int64_t cum = 0;
-    uint32_t prev_hi_label = 0;
-    for (const Window& w : windows) {
-      const uint32_t lo_label = w.old_rank;
-      if (cum == 0) {
-        for (uint32_t e = prev_hi_label; e < lo_label; ++e) rm[e] = e;
-      } else {
-        for (uint32_t e = prev_hi_label; e < lo_label; ++e)
-          rm[e] = static_cast<uint32_t>(static_cast<int64_t>(e) + cum);
-      }
-      cum += static_cast<int64_t>(w.new_live) - static_cast<int64_t>(w.old_live);
-      prev_hi_label = w.old_rank + w.old_live;
-    }
-    for (uint32_t e = prev_hi_label; e < old_m; ++e)
-      rm[e] = static_cast<uint32_t>(static_cast<int64_t>(e) + cum);
-
-    std::size_t i = 0, j = 0;
-    const std::size_t no = win_old_keys_.size(), nn = win_new_keys_.size();
-    while (i < no || j < nn) {
-      if (j >= nn || (i < no && win_old_keys_[i] < win_new_keys_[j])) {
-        rm[win_old_eids_[i]] = kSpace;  // net delete: label disappears
-        net_del.push_back(win_old_keys_[i]);
-        ++i;
-      } else if (i >= no || win_new_keys_[j] < win_old_keys_[i]) {
-        net_add.push_back(win_new_keys_[j]);
-        net_add_eid.push_back(win_new_eids_[j]);
-        ++j;
-      } else {
-        rm[win_old_eids_[i]] = win_new_eids_[j];  // survivor
-        ++i;
-        ++j;
-      }
-    }
-  }
-  STG_CHECK(old_m + net_add.size() == new_m + net_del.size(),
-            "net delta inconsistent: ", old_m, " + ", net_add.size(),
-            " adds != ", new_m, " + ", net_del.size(), " dels");
-
-  // ---- shift labels in the untouched regions ----------------------------
-  // Every label after window k moves by the cumulative live-count delta of
-  // windows 0..k; slots (and hence label positions) there do not move.
-  {
-    uint32_t* pe = eids_.data();
-    int64_t shift = 0;
-    for (std::size_t k = 0; k < windows.size(); ++k) {
-      shift += static_cast<int64_t>(windows[k].new_live) -
-               static_cast<int64_t>(windows[k].old_live);
-      const std::size_t lo = windows[k].hi;
-      const std::size_t hi =
-          (k + 1 < windows.size()) ? windows[k + 1].lo : cap;
-      if (shift == 0 || lo >= hi) continue;
-      // Branchless select so the loop vectorizes: gap slots sit at random
-      // positions, and a data-dependent branch mispredicts on ~every gap.
-      // The wrapping uint32 add is exact for live labels (always < 2^31).
-      const uint32_t s = static_cast<uint32_t>(shift);
-      device::parallel_for_ranges(
-          hi - lo, [pe, lo, s](std::size_t b, std::size_t e) {
-            for (std::size_t i = lo + b; i < lo + e; ++i) {
-              const uint32_t x = pe[i];
-              pe[i] = x == kSpace ? x : x + s;
-            }
-          });
-    }
-  }
-
-  // ---- repair the row offsets with one forward sweep --------------------
-  // Invariant maintained by both paths: row_offset_[v] = first live slot
-  // whose source is >= v, else capacity. Rows whose old offset points at
-  // an untouched slot are still correct unless an earlier window settled
-  // them; rows whose old offset points into a consumed window are stale
-  // and resolve to the first live slot of the region being scanned (any
-  // untouched live slot past their old offset has source >= the row, since
-  // the old array was key-sorted).
-  {
-    uint32_t* ro = row_offset_.data();
-    uint32_t next_row = 0;
-    std::size_t prev_hi = 0;
-    for (const Window& w : windows) {
-      bool have_f = false;
-      std::size_t f = cap;
-      while (next_row <= n) {
-        const uint32_t old_v = ro[next_row];
-        if (old_v >= w.lo) break;  // settled by this window or later
-        if (old_v >= prev_hi) {    // untouched slot, still the region start
-          ++next_row;
-          continue;
-        }
-        if (!have_f) {
-          f = pma_.first_live_slot_at_or_after(prev_hi);
-          have_f = true;
-        }
-        if (f >= w.lo) break;  // region empty; the window scan takes over
-        ro[next_row++] = static_cast<uint32_t>(f);
-      }
-      for (std::size_t i = w.lo; i < w.hi; ++i) {
-        if (slots[i] == Pma::kEmptyKey) continue;
-        const uint32_t src = edge_key_src(slots[i]);
-        while (next_row <= src) ro[next_row++] = static_cast<uint32_t>(i);
-      }
-      prev_hi = w.hi;
-    }
-    bool have_f = false;
-    std::size_t f = cap;
-    while (next_row <= n) {
-      const uint32_t old_v = ro[next_row];
-      if (old_v >= prev_hi) {  // untouched slot (or cap), still correct
-        ++next_row;
-        continue;
-      }
-      if (!have_f) {
-        f = pma_.first_live_slot_at_or_after(prev_hi);
-        have_f = true;
-      }
-      ro[next_row++] = static_cast<uint32_t>(f);
-    }
-  }
-
-  // ---- repair the degree-sorted orders ----------------------------------
-  // Any endpoint of a net add/delete may have moved; merge them back into
-  // the still-sorted survivor stream. A vertex whose changes cancelled
-  // (same in-degree as before) re-merges to its old position, so no
-  // net-zero filtering is needed.
-  // in_aff outlives the block: the coefficient-cache patch at the end of
-  // this function recomputes around the same vertex set.
-  std::vector<uint32_t> in_aff;
-  {
-    std::vector<uint32_t> out_aff;
-    in_aff.reserve(net_add.size() + net_del.size());
-    out_aff.reserve(net_add.size() + net_del.size());
-    for (uint64_t k : net_add) {
-      in_aff.push_back(edge_key_dst(k));
-      out_aff.push_back(edge_key_src(k));
-    }
-    for (uint64_t k : net_del) {
-      in_aff.push_back(edge_key_dst(k));
-      out_aff.push_back(edge_key_src(k));
-    }
-    for (auto* aff : {&in_aff, &out_aff}) {
-      std::sort(aff->begin(), aff->end());
-      aff->erase(std::unique(aff->begin(), aff->end()), aff->end());
-    }
-    if (!in_aff.empty()) repair_order(fwd_order_, in_deg_.data(), in_aff);
-    if (!out_aff.empty()) repair_order(bwd_order_, out_deg_.data(), out_aff);
-  }
-
-  // ---- splice the reverse CSR -------------------------------------------
-  {
-    // (dst, src)-keyed views of the net delta, sorted by destination; net
-    // adds carry their new label so the splice never searches for one.
-    std::vector<std::pair<uint64_t, uint32_t>> radd(net_add.size());
-    std::vector<uint64_t> rdel(net_del.size());
-    for (std::size_t i = 0; i < net_add.size(); ++i)
-      radd[i] = {make_edge_key(edge_key_dst(net_add[i]),
-                               edge_key_src(net_add[i])),
-                 net_add_eid[i]};
-    for (std::size_t i = 0; i < net_del.size(); ++i)
-      rdel[i] =
-          make_edge_key(edge_key_dst(net_del[i]), edge_key_src(net_del[i]));
-    std::sort(radd.begin(), radd.end());
-    std::sort(rdel.begin(), rdel.end());
-    const std::size_t na = radd.size(), nd = rdel.size();
-
-    // Destinations whose lists change structurally. Between two of them a
-    // whole block of lists survives verbatim, just offset-shifted.
-    std::vector<uint32_t> changed;
-    changed.reserve(na + nd);
-    for (const auto& [k, e] : radd) changed.push_back(edge_key_src(k));
-    for (uint64_t k : rdel) changed.push_back(edge_key_src(k));
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-
-    // New reverse row offsets = old + running per-destination degree delta.
-    r_row_offset_scratch_.resize(static_cast<std::size_t>(n) + 1);
-    {
-      const uint32_t* oro = r_row_offset_.data();
-      uint32_t* nro = r_row_offset_scratch_.data();
-      int64_t shift = 0;
-      std::size_t ai = 0, di = 0;
-      for (uint32_t v = 0; v <= n; ++v) {
-        nro[v] = static_cast<uint32_t>(static_cast<int64_t>(oro[v]) + shift);
-        if (v < n) {
-          while (ai < na && edge_key_src(radd[ai].first) == v) {
-            ++shift;
-            ++ai;
-          }
-          while (di < nd && edge_key_src(rdel[di]) == v) {
-            --shift;
-            ++di;
-          }
-        }
-      }
-      STG_CHECK(nro[n] == new_m, "spliced reverse offsets end at ", nro[n],
-                ", expected ", new_m);
-    }
-
-    // Block copy + per-changed-destination splice. Block b is the run of
-    // untouched destinations before the b-th changed one: its lists keep
-    // their sources (one memcpy) and only relocate labels through the
-    // remap table. Blocks are position-addressed and independent, so the
-    // parallel fill is deterministic for any lane count.
-    r_col_scratch_.resize(new_m);
-    r_eids_scratch_.resize(new_m);
-    const uint32_t* oro = r_row_offset_.data();
-    const uint32_t* nro = r_row_offset_scratch_.data();
-    const uint32_t* oc = r_col_.data();
-    const uint32_t* oe = r_eids_.data();
-    uint32_t* nc = r_col_scratch_.data();
-    uint32_t* ne = r_eids_scratch_.data();
-    const uint32_t* rm = eid_remap_.data();
-    const std::size_t B = changed.size();
-    device::parallel_for_ranges(
-        B + 1,
-        [&](std::size_t blo, std::size_t bhi) {
-          std::size_t ai = 0, di = 0;  // seeded per changed destination
-          for (std::size_t b = blo; b < bhi; ++b) {
-            const uint32_t dbegin = b == 0 ? 0u : changed[b - 1] + 1;
-            const uint32_t dend = b < B ? changed[b] : n;
-            const uint32_t o0 = oro[dbegin], o1 = oro[dend];
-            const uint32_t n0 = nro[dbegin];
-            STG_CHECK(nro[dend] - n0 == o1 - o0, "untouched block [", dbegin,
-                      ",", dend, ") changed width");
-            if (o1 > o0) {
-              std::memcpy(nc + n0, oc + o0,
-                          (o1 - o0) * sizeof(uint32_t));
-              for (uint32_t j = o0; j < o1; ++j)
-                ne[n0 + (j - o0)] = rm[oe[j]];
-            }
-            if (b == B) continue;
-            const uint32_t v = dend;
-            const uint64_t vkey = static_cast<uint64_t>(v) << 32;
-            ai = static_cast<std::size_t>(
-                std::lower_bound(radd.begin(), radd.end(),
-                                 std::pair<uint64_t, uint32_t>{vkey, 0u}) -
-                radd.begin());
-            di = static_cast<std::size_t>(
-                std::lower_bound(rdel.begin(), rdel.end(), vkey) -
-                rdel.begin());
-            std::size_t w = nro[v];
-            for (uint32_t j = oro[v]; j < oro[v + 1]; ++j) {
-              const uint32_t s = oc[j];
-              if (di < nd && edge_key_src(rdel[di]) == v &&
-                  edge_key_dst(rdel[di]) == s) {
-                ++di;  // edge s -> v net-deleted
-                continue;
-              }
-              while (ai < na && edge_key_src(radd[ai].first) == v &&
-                     edge_key_dst(radd[ai].first) < s) {
-                nc[w] = edge_key_dst(radd[ai].first);
-                ne[w] = radd[ai].second;
-                ++w;
-                ++ai;
-              }
-              nc[w] = s;
-              ne[w] = rm[oe[j]];
-              ++w;
-            }
-            while (ai < na && edge_key_src(radd[ai].first) == v) {
-              nc[w] = edge_key_dst(radd[ai].first);
-              ne[w] = radd[ai].second;
-              ++w;
-              ++ai;
-            }
-            STG_CHECK(w == nro[v + 1], "splice for destination ", v,
-                      " wrote ", w - nro[v], " entries, expected ",
-                      nro[v + 1] - nro[v]);
-          }
-        },
-        /*grain=*/16);
-    std::swap(r_row_offset_, r_row_offset_scratch_);
-    std::swap(r_col_, r_col_scratch_);
-    std::swap(r_eids_, r_eids_scratch_);
-  }
-
-  // ---- patch the edge-coefficient cache ---------------------------------
-  // Survivor labels keep their value (the factor depends only on endpoint
-  // in-degrees, which the gather relocates through the remap table); every
-  // edge touching a vertex whose in-degree may have changed is recomputed
-  // on both sides. in_aff is exactly that vertex set: in-degrees change
-  // only through net-added/-deleted edges' destinations. The recomputation
-  // matches full_rebuild_views bit for bit — same degrees, same expression.
-  if (!coef_cache_enabled_) {
-    gcn_coef_.resize(0);
-  } else if (gcn_coef_.size() != old_m) {
-    rebuild_coef_cache();  // cache was cleared or stale; start over
-  } else {
-    gcn_coef_scratch_.resize(new_m);
-    const uint32_t* rm = eid_remap_.data();
-    const float* oldc = gcn_coef_.data();
-    float* newc = gcn_coef_scratch_.data();
-    device::parallel_for_ranges(old_m, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t e = lo; e < hi; ++e)
-        if (rm[e] != kSpace) newc[rm[e]] = oldc[e];
-    });
-    std::swap(gcn_coef_, gcn_coef_scratch_);
-    float* gc = gcn_coef_.data();
-    const uint32_t* ind = in_deg_.data();
-    // Net adds first: their destination's degree change may have cancelled
-    // out, in which case the incident sweep below would not visit them.
-    for (std::size_t i = 0; i < net_add.size(); ++i)
-      gc[net_add_eid[i]] = gcn_norm_coef(ind[edge_key_src(net_add[i])],
-                                         ind[edge_key_dst(net_add[i])]);
-    // Then every edge incident to a possibly-changed in-degree, as
-    // destination (new reverse CSR rows) and as source (gapped forward
-    // rows).
-    const uint32_t* rro = r_row_offset_.data();
-    const uint32_t* rc = r_col_.data();
-    const uint32_t* re = r_eids_.data();
-    const uint32_t* ro = row_offset_.data();
-    const uint32_t* pc = col_.data();
-    const uint32_t* pe = eids_.data();
-    for (uint32_t v : in_aff) {
-      const uint32_t dv = ind[v];
-      for (uint32_t j = rro[v]; j < rro[v + 1]; ++j)
-        gc[re[j]] = gcn_norm_coef(ind[rc[j]], dv);
-      for (uint32_t j = ro[v]; j < ro[v + 1]; ++j)
-        if (pc[j] != kSpace) gc[pe[j]] = gcn_norm_coef(dv, ind[pc[j]]);
-    }
-  }
-  return true;
 }
 
 SnapshotView GpmaGraph::get_graph(uint32_t t) {
@@ -1235,7 +703,6 @@ void GpmaGraph::reset_update_stats() {
   position_timer_.reset();
   view_timer_.reset();
   stall_timer_.reset();
-  incremental_view_updates_ = 0;
   full_view_rebuilds_ = 0;
   prefetch_hits_ = 0;
   prefetch_misses_ = 0;
@@ -1247,10 +714,8 @@ std::size_t GpmaGraph::device_bytes() const {
                       row_offset_.bytes() + in_deg_.bytes() + out_deg_.bytes() +
                       fwd_order_.bytes() + bwd_order_.bytes() +
                       r_row_offset_.bytes() + r_col_.bytes() + r_eids_.bytes() +
-                      gcn_coef_.bytes() + gcn_coef_scratch_.bytes() +
-                      r_row_offset_scratch_.bytes() + r_col_scratch_.bytes() +
-                      r_eids_scratch_.bytes() + order_scratch_.bytes() +
-                      pub_[0].device_bytes() + pub_[1].device_bytes();
+                      gcn_coef_.bytes() + pub_[0].device_bytes() +
+                      pub_[1].device_bytes();
   for (const DeviceDelta& d : deltas_)
     total += d.additions.bytes() + d.deletions.bytes();
   if (cache_pma_) {

@@ -12,17 +12,12 @@
 //     (in-neighbor view for the forward pass) straight from the gapped PMA
 //     arrays with a per-destination prefix-sum + deterministic scatter.
 //
-// View maintenance is delta-bounded: the PMA reports which leaf segments a
-// batch touched (Pma::dirty_leaves()), and when the touched fraction is
-// below a quarter of the slot array the snapshot arrays are patched in
-// place — edge labels are recomputed only inside the dirty windows and
-// shifted by a constant elsewhere, row offsets are repaired with one
-// forward sweep, the degree orders are repaired by merging the few
-// vertices whose degree changed back into the (still sorted) survivor
-// stream, and the reverse CSR is spliced per destination. Past the
-// threshold (or after a capacity change) the full rebuild runs, itself
-// parallelized with a count/prefix/scatter pass over slot ranges. Both
-// paths produce bit-identical views for any thread count.
+// Every refresh rebuilds the views from the PMA slot array in one
+// O(capacity) pass, parallelized with a count/prefix/scatter over slot
+// ranges: relabel + row offsets, degree orders, Algorithm-3 reverse CSR and
+// the GCN-norm coefficient cache. The views have one canonical layout
+// (labels in slot order, reverse lists in ascending source order, orders by
+// degree desc then id asc), bit-identical at any lane count.
 //
 // The backward pass consumes the gapped PMA arrays directly (kernels skip
 // SPACE slots), so no out-CSR is ever materialized.
@@ -116,11 +111,6 @@ class GpmaGraph final : public STGraphBase {
   }
   /// Disable the Algorithm-2 snapshot cache (ablation bench).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  /// Disable the delta-bounded incremental view path (ablation bench /
-  /// parity tests); every refresh then takes the full-rebuild path.
-  void set_incremental_views(bool enabled) {
-    incremental_views_enabled_ = enabled;
-  }
   /// Disable the per-snapshot GCN-norm edge-coefficient cache (ablation
   /// bench / parity tests); kernels then recompute the factor per edge.
   void set_coef_cache_enabled(bool enabled);
@@ -130,9 +120,10 @@ class GpmaGraph final : public STGraphBase {
   void set_pipeline_enabled(bool enabled);
   bool pipeline_enabled() const { return pipeline_enabled_; }
   uint64_t delta_replays() const { return delta_replays_; }
-  uint64_t incremental_view_updates() const {
-    return incremental_view_updates_;
-  }
+  /// Always 0: every refresh is a full rebuild. Kept because external
+  /// benchmark code still reads it.
+  uint64_t incremental_view_updates() const { return 0; }
+  /// View refreshes (each one a full rebuild).
   uint64_t full_view_rebuilds() const { return full_view_rebuilds_; }
   uint64_t prefetch_hits() const { return prefetch_hits_; }
   uint64_t prefetch_misses() const { return prefetch_misses_; }
@@ -180,22 +171,15 @@ class GpmaGraph final : public STGraphBase {
   /// Roll the PMA to timestamp `target` (Algorithm 2 core).
   void position(uint32_t target);
   void apply_delta(uint32_t idx, bool forward);
-  /// Bring every derived view array up to date with the PMA, choosing the
-  /// incremental or full path; clears the delta bookkeeping.
+  /// Bring every derived view array up to date with the PMA (full
+  /// rebuild), then audit them under STGRAPH_VALIDATE.
   void refresh_views();
   /// Full O(capacity) rebuild: relabel + row offsets + degree orders +
   /// reverse CSR, parallelized over slot ranges. Reuses buffers.
   void full_rebuild_views();
-  /// Delta-bounded in-place patch of every view array. Returns false if
-  /// the delta shape turned out unpatchable (caller falls back).
-  bool incremental_update();
   /// Recompute the whole eid-indexed GCN-norm cache from the reverse CSR
   /// (no-op clearing the buffer when the cache is disabled).
   void rebuild_coef_cache();
-  /// Merge `affected` (vertices whose degree changed, sorted canonically)
-  /// back into the degree order `order` under (deg desc, id asc).
-  void repair_order(DeviceBuffer<uint32_t>& order, const uint32_t* deg,
-                    std::vector<uint32_t>& affected);
   void save_cache();
   void restore_cache();
   /// Assemble the kernel-facing view of the current position from the
@@ -230,24 +214,10 @@ class GpmaGraph final : public STGraphBase {
   DeviceBuffer<uint32_t> fwd_order_, bwd_order_;
   // Algorithm-3 output.
   DeviceBuffer<uint32_t> r_row_offset_, r_col_, r_eids_;
-  // Per-snapshot GCN-norm cache indexed by eid, maintained alongside the
-  // views: rebuilt by full_rebuild_views(), patched (gather survivors
-  // through eid_remap_, recompute around changed in-degrees) by
-  // incremental_update(). Empty when disabled.
-  DeviceBuffer<float> gcn_coef_, gcn_coef_scratch_;
+  // Per-snapshot GCN-norm cache indexed by eid, rebuilt with the views.
+  // Empty when disabled.
+  DeviceBuffer<float> gcn_coef_;
   bool coef_cache_enabled_ = true;
-  // Persistent scratch for the incremental splice / order repair (swapped
-  // with the live arrays, so allocations amortize away).
-  DeviceBuffer<uint32_t> r_row_offset_scratch_, r_col_scratch_,
-      r_eids_scratch_;
-  DeviceBuffer<uint32_t> order_scratch_;
-  std::vector<uint8_t> order_mark_;
-  // Host-side scratch for the incremental path (kept across refreshes so
-  // the per-step patch allocates nothing in steady state): the dirty
-  // windows' old/new live contents and the old-label -> new-label map.
-  std::vector<uint64_t> win_old_keys_, win_new_keys_;
-  std::vector<uint32_t> win_old_eids_, win_new_eids_;
-  std::vector<uint32_t> eid_remap_;
 
   uint32_t curr_time_ = 0;
   // Bumped by every repositioning; published snapshots stamped with an
@@ -255,13 +225,6 @@ class GpmaGraph final : public STGraphBase {
   // their timestamp and are treated as misses.
   uint64_t live_epoch_ = 0;
   bool views_fresh_ = false;
-
-  // Delta bookkeeping between refreshes: every key actually applied to the
-  // PMA since the views were last rebuilt (multiple applications of the
-  // same key cancel out to a net add / net delete / survivor).
-  std::vector<uint64_t> pending_add_, pending_del_;
-  bool views_force_full_ = false;      // e.g. after a cache restore
-  bool incremental_views_enabled_ = true;
 
   // Algorithm-2 cache: deep PMA copy + degrees at cache_time_.
   bool cache_enabled_ = true;
@@ -274,7 +237,6 @@ class GpmaGraph final : public STGraphBase {
   PhaseTimer view_timer_;
   PhaseTimer stall_timer_;
   uint64_t delta_replays_ = 0;
-  uint64_t incremental_view_updates_ = 0;
   uint64_t full_view_rebuilds_ = 0;
   uint64_t prefetch_hits_ = 0;
   uint64_t prefetch_misses_ = 0;

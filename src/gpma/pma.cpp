@@ -32,10 +32,6 @@ Pma Pma::clone() const {
   out.leaf_fence_ = leaf_fence_;
   out.rebalances_ = rebalances_;
   out.resizes_ = resizes_;
-  out.dirty_lo_ = dirty_lo_;
-  out.dirty_hi_ = dirty_hi_;
-  out.leaf_dirty_ = leaf_dirty_;
-  out.dirty_global_ = dirty_global_;
   return out;
 }
 
@@ -97,7 +93,6 @@ void Pma::redistribute(const std::vector<uint64_t>& keys, std::size_t begin,
     const std::size_t pos = begin + j * window / k;
     slots_[pos] = keys[j];
   }
-  mark_dirty(begin, end);
   ++rebalances_;
 }
 
@@ -105,7 +100,6 @@ void Pma::rebuild_metadata() {
   const std::size_t leaves = num_leaves();
   leaf_count_.assign(leaves, 0);
   leaf_fence_.assign(leaves, 0);
-  leaf_dirty_.assign(leaves, 1);
   uint64_t fence = 0;
   for (std::size_t l = 0; l < leaves; ++l) {
     uint32_t count = 0;
@@ -150,7 +144,6 @@ void Pma::rebuild_with_capacity(std::vector<uint64_t> keys,
   redistribute(keys, 0, new_capacity);
   size_ = keys.size();
   rebuild_metadata();
-  dirty_global_ = true;
   ++resizes_;
 }
 
@@ -238,7 +231,6 @@ std::size_t Pma::erase_batch(std::vector<uint64_t> keys) {
     const std::size_t pos = lower_bound_slot(key);
     if (pos < capacity() && slots_[pos] == key) {
       slots_[pos] = kEmptyKey;
-      mark_dirty(pos, pos + 1);
       --size_;
       ++removed;
       const std::size_t leaf = pos / seg_size_;
@@ -317,30 +309,6 @@ std::size_t Pma::lower_bound_slot(uint64_t key) const {
 
 std::vector<uint64_t> Pma::extract_sorted() const {
   return collect(0, capacity());
-}
-
-std::size_t Pma::live_keys_before(std::size_t slot) const {
-  slot = std::min(slot, capacity());
-  const std::size_t full_leaves = slot / seg_size_;
-  std::size_t rank = 0;
-  for (std::size_t l = 0; l < full_leaves; ++l) rank += leaf_count_[l];
-  for (std::size_t i = full_leaves * seg_size_; i < slot; ++i)
-    if (slots_[i] != kEmptyKey) ++rank;
-  return rank;
-}
-
-std::size_t Pma::first_live_slot_at_or_after(std::size_t slot) const {
-  for (std::size_t i = slot; i < capacity(); ++i) {
-    if (i % seg_size_ == 0) {
-      // Leaf-aligned: hop over empty leaves via the counts.
-      std::size_t l = i / seg_size_;
-      while (l < num_leaves() && leaf_count_[l] == 0) ++l;
-      if (l >= num_leaves()) return capacity();
-      i = l * seg_size_;
-    }
-    if (slots_[i] != kEmptyKey) return i;
-  }
-  return capacity();
 }
 
 bool Pma::check_invariants(std::string* why) const {

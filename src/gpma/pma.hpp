@@ -11,11 +11,10 @@
 // GPU algorithm's per-leaf partitioning step.
 //
 // The PMA stores only keys; GPMAGraph layers edge labels, degree arrays and
-// CSR views on top (they are rebuilt by a single O(capacity) pass after
-// each batch, which is also where the paper's edge relabelling happens).
+// CSR views on top (they are rebuilt by a single O(capacity) pass over the
+// slot array, which is also where the paper's edge relabelling happens).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -61,38 +60,8 @@ class Pma {
   /// Raw gapped slot array (kEmptyKey marks SPACE).
   const DeviceBuffer<uint64_t>& slots() const { return slots_; }
 
-  // ---- delta bookkeeping (incremental view maintenance) -----------------
-  // Every slot mutation since the last clear_dirty() is recorded in a
-  // per-leaf dirty bitmap (blanked slots, redistributed windows), unless
-  // dirty_global() is set (capacity change / global redistribute).
-  // GPMAGraph merges runs of dirty leaves into windows and patches its
-  // snapshot views in place instead of re-scanning the whole array. The
-  // coarse [dirty_begin, dirty_end) envelope is kept for cheap emptiness
-  // checks; the bitmap is what bounds the patch cost for deltas whose keys
-  // scatter across the array.
-  std::size_t dirty_begin() const { return dirty_lo_; }
-  std::size_t dirty_end() const { return dirty_hi_; }
-  bool dirty() const { return dirty_global_ || dirty_lo_ < dirty_hi_; }
-  bool dirty_global() const { return dirty_global_; }
-  /// One byte per leaf, nonzero iff any slot of that leaf changed.
-  const std::vector<uint8_t>& dirty_leaves() const { return leaf_dirty_; }
-  /// Per-leaf live-key counts (rank prefix source for incremental relabel).
+  /// Per-leaf live-key counts (audited by verify::check_pma).
   const std::vector<uint32_t>& leaf_counts() const { return leaf_count_; }
-  void clear_dirty() {
-    dirty_lo_ = capacity();
-    dirty_hi_ = 0;
-    dirty_global_ = false;
-    std::fill(leaf_dirty_.begin(), leaf_dirty_.end(), uint8_t{0});
-  }
-
-  /// Number of live keys in slots [0, slot). O(leaves) via the per-leaf
-  /// counts (plus a partial-leaf scan when `slot` is not leaf-aligned) —
-  /// the rank an incremental relabel pass seeds its edge-id counter with.
-  std::size_t live_keys_before(std::size_t slot) const;
-
-  /// Index of the first live slot >= `slot`; capacity() if none. Skips
-  /// empty leaves via the counts instead of scanning slot by slot.
-  std::size_t first_live_slot_at_or_after(std::size_t slot) const;
 
   /// Live keys in sorted order (O(capacity); tests and global rebuilds).
   std::vector<uint64_t> extract_sorted() const;
@@ -137,16 +106,6 @@ class Pma {
 
   static std::size_t segment_size_for(std::size_t capacity);
 
-  void mark_dirty(std::size_t begin, std::size_t end) {
-    dirty_lo_ = std::min(dirty_lo_, begin);
-    dirty_hi_ = std::max(dirty_hi_, end);
-    if (leaf_dirty_.empty()) return;
-    const std::size_t first = begin / seg_size_;
-    const std::size_t last = std::min((end + seg_size_ - 1) / seg_size_,
-                                      leaf_dirty_.size());
-    for (std::size_t l = first; l < last; ++l) leaf_dirty_[l] = 1;
-  }
-
   DeviceBuffer<uint64_t> slots_;
   std::size_t size_ = 0;
   std::size_t seg_size_ = 8;
@@ -154,11 +113,6 @@ class Pma {
   std::vector<uint64_t> leaf_fence_;   // prefix max of live keys per leaf
   uint64_t rebalances_ = 0;
   uint64_t resizes_ = 0;
-  // Dirty slot range since clear_dirty(); empty when lo >= hi.
-  std::size_t dirty_lo_ = 0;
-  std::size_t dirty_hi_ = 0;
-  std::vector<uint8_t> leaf_dirty_;  // per-leaf dirty flags
-  bool dirty_global_ = true;  // fresh arrays count as globally dirty
 };
 
 /// Pack/unpack edge keys.

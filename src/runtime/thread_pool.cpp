@@ -6,8 +6,6 @@
 
 namespace stgraph {
 
-thread_local bool ThreadPool::in_pool_job_ = false;
-
 namespace {
 unsigned default_workers() {
   if (const char* e = std::getenv("STGRAPH_NUM_THREADS")) {

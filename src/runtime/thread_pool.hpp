@@ -82,7 +82,10 @@ class ThreadPool {
   uint64_t generation_ STG_GUARDED_BY(mu_) = 0;
   unsigned pending_ STG_GUARDED_BY(mu_) = 0;
   bool stop_ STG_GUARDED_BY(mu_) = false;
-  static thread_local bool in_pool_job_;
+  // Defined here, constant-initialized, so the inline code above
+  // (ScopedInline, on_pool_lane) never reaches it through another
+  // translation unit's out-of-line thread_local definition.
+  static inline thread_local bool in_pool_job_ = false;
 };
 
 }  // namespace stgraph

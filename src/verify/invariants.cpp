@@ -305,8 +305,8 @@ Report check_pma(const Pma& pma) {
   std::string why;
   if (!pma.check_invariants(&why)) fail(why);
 
-  // Per-leaf live counts agree with the slot array (the rank source the
-  // incremental relabel seeds from — a stale count silently shifts labels).
+  // Per-leaf live counts agree with the slot array (batch routing's density
+  // checks and lower_bound_slot's empty-leaf skip trust them).
   r.note_check();
   const uint64_t* slots = pma.slots().data();
   const std::size_t seg = pma.segment_size();

@@ -1,6 +1,6 @@
 // Structural invariant analyzer — the self-check machinery behind the
-// aggressively incremental hot paths (delta-patched GPMA views, the
-// eid-remapped coefficient cache, the executor's stack protocol). Every
+// hot paths (GPMA view rebuilds, the per-snapshot coefficient cache, the
+// executor's stack protocol). Every
 // checker re-derives an invariant from first principles and reports where
 // the live structure disagrees:
 //
@@ -19,7 +19,7 @@
 //   * check_pma             — PMA key order/density/leaf-count agreement.
 //   * check_pma_view_agreement — the gapped view arrays mirror the PMA
 //                             slot array exactly (the invariant the
-//                             incremental patch path must preserve).
+//                             view rebuild must preserve).
 //   * check_program         — IR sanity: in-range inputs, finite
 //                             constants, and a derivable backward rule for
 //                             every input (the autodiff contract).
@@ -70,8 +70,8 @@ Report check_csr(const CsrView& v, const std::string& which = "csr");
 Report check_transpose(const CsrView& in_view, const CsrView& out_view);
 
 /// `order` is a permutation of 0..n-1 sorted canonically by
-/// (deg[v] desc, v asc) — the strict total order both the full sort and
-/// the incremental order repair must produce.
+/// (deg[v] desc, v asc) — the strict total order the degree sort must
+/// produce.
 Report check_degree_order(const uint32_t* order, const uint32_t* deg,
                           uint32_t n, const std::string& which);
 
@@ -93,7 +93,7 @@ Report check_pma(const Pma& pma);
 
 /// The gapped out-view arrays mirror the PMA slot array exactly: same
 /// capacity, gap pattern, and per-slot (src, dst) keys — the invariant the
-/// delta-bounded incremental patch must preserve.
+/// view rebuild must preserve.
 Report check_pma_view_agreement(const Pma& pma, const SnapshotView& v);
 
 /// IR sanity: inputs in range, coefficient kinds valid, constants finite,

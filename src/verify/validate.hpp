@@ -1,7 +1,7 @@
 // STGRAPH_VALIDATE wiring: a process-wide switch that makes the graph
 // formats and the trainer run the structural invariant analyzer
 // (verify/invariants.hpp) after every mutation that could corrupt a view —
-// GPMA incremental patches, streaming appends, and each completed training
+// GPMA view rebuilds, streaming appends, and each completed training
 // sequence. Off (the default) the hooks cost one cached-bool branch; on,
 // every violation surfaces as an StgError thrown AT the mutation that
 // introduced it instead of as a wrong gradient three layers later.
