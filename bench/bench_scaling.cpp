@@ -1,15 +1,15 @@
-// Multi-core scaling sweep: end-to-end GPMA training epoch time across a
-// (threads x pipeline) grid on the Fig. 9 DTDG datasets, emitted as
-// BENCH_scaling.json.
+// Multi-core scaling sweep: end-to-end GPMA training epoch time across
+// thread counts on the Fig. 9 DTDG datasets, emitted as BENCH_scaling.json.
+// Speedups are against the 1-thread point.
 //
-// The ThreadPool freezes its lane count at first use, so every grid point
-// runs in a fresh subprocess: the parent re-execs this binary with
-// --child and the STGRAPH_NUM_THREADS / STGRAPH_PIPELINE environment of
-// that point, and aggregates the one-line JSON results.
+// The ThreadPool freezes its lane count at first use, so every thread
+// count runs in a fresh subprocess: the parent re-execs this binary with
+// --child and the STGRAPH_NUM_THREADS environment of that point, and
+// aggregates the one-line JSON results.
 //
 // The sweep doubles as a parity audit: the final-epoch loss is compared
-// bit-for-bit (hexfloat) across every configuration of a dataset — a lane
-// count or schedule that changes a single ulp fails the bench.
+// bit-for-bit (hexfloat) across every thread count of a dataset — a lane
+// count that changes a single ulp fails the bench.
 //
 //   --max-threads=N   cap the thread sweep (default: min(8, cores))
 //   --hidden=N        model width (default 32; compute-heavy on purpose so
@@ -82,8 +82,8 @@ std::string hex_double(double v) {
 }
 
 // ---------------------------------------------------------------------------
-// Child: run one grid point and print a single machine-readable line.
-// Threads / pipeline arrive via the environment set by the parent.
+// Child: run one thread count and print a single machine-readable line.
+// The thread count arrives via the environment set by the parent.
 // ---------------------------------------------------------------------------
 
 int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
@@ -115,7 +115,7 @@ int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
   cfg.task = core::Task::kLinkPrediction;
 
   Rng rng(kModelSeed);
-  GpmaGraph graph(events);  // pipeline resolved from the env
+  GpmaGraph graph(events);
   nn::TGCNEncoder model(signal.feature_size(), sa.hidden, rng);
   core::STGraphTrainer trainer(graph, model, signal, cfg);
 
@@ -139,7 +139,6 @@ int run_child(const ScalingArgs& sa, const BenchOptions& opts) {
 
   std::cout << "SCALING {\"dataset\": \"" << sa.dataset
             << "\", \"threads\": " << device::lane_count()
-            << ", \"pipeline\": " << (graph.pipeline_enabled() ? 1 : 0)
             << ", \"epoch_s\": " << sum.seconds * inv
             << ", \"loss_hex\": \"" << hex_double(sum.loss)
             << "\", \"update_s\": " << sum.graph_update_seconds * inv
@@ -170,7 +169,6 @@ std::string self_exe(const char* argv0) {
 
 struct Point {
   uint32_t threads = 1;
-  bool pipeline = false;
   std::string raw;  // child JSON line (without the SCALING prefix)
 
   double num(const char* key) const {
@@ -191,9 +189,7 @@ struct Point {
 bool run_point(const std::string& exe, const std::string& dataset,
                const ScalingArgs& sa, const BenchOptions& opts, Point& p) {
   std::ostringstream cmd;
-  cmd << "STGRAPH_NUM_THREADS=" << p.threads
-      << " STGRAPH_PIPELINE=" << (p.pipeline ? "on" : "off") << " '" << exe
-      << "' --child --dataset='" << dataset << "'"
+  cmd << "STGRAPH_NUM_THREADS=" << p.threads << " '" << exe << "' --child --dataset='" << dataset << "'"
       << " --scale-dynamic=" << opts.scale_dynamic
       << " --epochs=" << opts.epochs << " --warmup=" << opts.warmup_epochs
       << " --seq-len=" << opts.sequence_length << " --hidden=" << sa.hidden
@@ -208,8 +204,7 @@ bool run_point(const std::string& exe, const std::string& dataset,
   }
   const int rc = ::pclose(pipe);
   if (rc != 0 || out.empty()) {
-    std::cerr << "grid point failed (threads=" << p.threads
-              << " pipeline=" << (p.pipeline ? "on" : "off") << "): rc=" << rc
+    std::cerr << "grid point failed (threads=" << p.threads << "): rc=" << rc
               << "\n";
     return false;
   }
@@ -235,14 +230,9 @@ int main(int argc, char** argv) {
     max_threads = std::min(8u, std::max(4u, std::thread::hardware_concurrency()));
   }
 
-  // Thread ladder 1,2,4,...; per thread count one point with the prefetch
-  // pipeline off and one with it on. The first point (1 thread, pipeline
-  // off) is the serial reference.
+  // Thread ladder 1,2,4,...; the first point (1 thread) is the reference.
   std::vector<Point> grid;
-  for (uint32_t n = 1; n <= max_threads; n *= 2) {
-    grid.push_back({n, false, {}});
-    grid.push_back({n, true, {}});
-  }
+  for (uint32_t n = 1; n <= max_threads; n *= 2) grid.push_back({n, {}});
 
   datasets::DynamicLoadOptions dyo;
   dyo.scale = opts.scale_dynamic;
@@ -252,7 +242,7 @@ int main(int argc, char** argv) {
     if (sa.datasets > 0 && names.size() >= sa.datasets) break;
   }
 
-  CsvWriter csv({"dataset", "threads", "pipeline", "epoch_s", "speedup",
+  CsvWriter csv({"dataset", "threads", "epoch_s", "speedup",
                  "update_s", "gnn_s", "stall_s", "pf_hits", "pf_misses",
                  "parity"});
   std::ostringstream rows_json;
@@ -269,23 +259,22 @@ int main(int argc, char** argv) {
       if (!run_point(exe, name, sa, opts, point)) return 1;
       const double epoch_s = point.num("epoch_s");
       const std::string loss = point.str("loss_hex");
-      if (!point.pipeline && point.threads == 1) {
+      if (point.threads == 1) {
         base_epoch_s = epoch_s;
         base_loss = loss;
       }
       const bool parity = loss == base_loss;
       parity_ok = parity_ok && parity;
       const double speedup = epoch_s > 0.0 ? base_epoch_s / epoch_s : 0.0;
-      // The serial reference scores exactly 1x by construction; only the
-      // multi-lane/pipelined points count toward the --assert-speedup floor.
-      if (point.pipeline || point.threads > 1)
-        best_speedup = std::max(best_speedup, speedup);
+      // The 1-thread reference scores exactly 1x by construction; only the
+      // multi-lane points count toward the --assert-speedup floor.
+      if (point.threads > 1) best_speedup = std::max(best_speedup, speedup);
       if (point.threads == 4 && speedup > best_speedup_4t) {
         best_speedup_4t = speedup;
         best_dataset_4t = name;
       }
       csv.add_row({name, std::to_string(point.threads),
-                   point.pipeline ? "on" : "off", CsvWriter::fmt(epoch_s, 4),
+                   CsvWriter::fmt(epoch_s, 4),
                    CsvWriter::fmt(speedup, 2),
                    CsvWriter::fmt(point.num("update_s"), 4),
                    CsvWriter::fmt(point.num("gnn_s"), 4),
@@ -325,8 +314,8 @@ int main(int argc, char** argv) {
               << best_dataset_4t << ")\n";
   }
   if (!parity_ok) {
-    std::cerr << "PARITY FAILURE: a multi-lane/pipelined configuration "
-                 "diverged from the serial reference\n";
+    std::cerr << "PARITY FAILURE: a multi-lane point diverged from the "
+                 "1-thread reference\n";
     return 1;
   }
   if (sa.assert_speedup > 0.0 && best_speedup < sa.assert_speedup) {

@@ -47,7 +47,7 @@ struct RunResult {
   // Algorithm-2 delta replay vs snapshot-view rebuild.
   double position_seconds = 0.0;      // per epoch
   double view_seconds = 0.0;          // per epoch
-  // Pipeline phase split (zero for non-GPMA systems or pipeline off):
+  // Pipeline phase split (zero for non-GPMA systems):
   // model compute per direction, time Get-Graph spent blocked on an
   // in-flight background prepare, and the prefetch hit/miss counters
   // (counters summed over the measured epochs).

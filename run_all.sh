@@ -13,8 +13,9 @@
 #                           front-end (concurrent clients over loopback),
 #                           and the multi-core/pipeline training path
 #                           (test_scaling: background view preparation +
-#                           strided aggregation parity), and the
-#                           row-block-parallel GEMM (test_gemm)
+#                           strided aggregation parity; test_gpma_views:
+#                           prefetch hints against the view reference),
+#                           and the row-block-parallel GEMM (test_gemm)
 #   ./run_all.sh lint       clang-tidy over src/ + a clang syntax-only pass
 #                           of EVERY .cpp under src/ and tools/ with
 #                           -Wthread-safety -Werror (the annotations in
@@ -53,17 +54,17 @@
 #                           no-late-accepts contracts, emit
 #                           BENCH_serve_net.json
 #   ./run_all.sh scaling-smoke
-#                           multi-core scaling smoke test: multi-lane/
-#                           pipeline parity + pipeline-overlap tests
-#                           (test_scaling, plus the STGRAPH_NUM_THREADS=1,
-#                           STGRAPH_NUM_THREADS=8 and STGRAPH_PIPELINE=off
-#                           ctest variants), the GPMA view builder against
+#                           multi-core scaling smoke test: multi-lane and
+#                           prefetch-hint parity + pipeline-overlap tests
+#                           (test_scaling, plus its STGRAPH_NUM_THREADS=1
+#                           and STGRAPH_NUM_THREADS=8 ctest variants), serve
+#                           parity at 1 and 8 lanes (serve_serial,
+#                           serve_oversub), the GPMA view builder against
 #                           its sequential reference at 8 lanes
 #                           (gpma_views_oversub), then a reduced bench_scaling
 #                           sweep on one dataset that asserts bit-identical
-#                           losses across the threads x pipeline grid and a
-#                           best-point speedup floor vs the serial
-#                           schedule (JSON under build/)
+#                           losses across thread counts and a best-point
+#                           speedup floor vs 1 thread (JSON under build/)
 #   ./run_all.sh fusion-smoke
 #                           fusing tape compiler smoke test: the fusion
 #                           bit-parity suite (test_fusion, plus its serial,
@@ -86,8 +87,8 @@
 #                           BENCH_serve_robust.json) + bench_serve_net
 #                           (closed/open-loop TCP load, reader-scaling
 #                           sweep, emitted as BENCH_serve_net.json) +
-#                           the full bench_scaling threads x pipeline
-#                           sweep (BENCH_scaling.json)
+#                           the full bench_scaling thread sweep
+#                           (BENCH_scaling.json)
 #   ./run_all.sh chaos      chaos harness sweep: test_serve_chaos (random
 #                           failpoint schedules + concurrent load + fork/
 #                           SIGKILL recovery parity) across 20 fixed seeds
@@ -99,15 +100,15 @@ cd "$(dirname "$0")" || exit 1
 if [ "$1" = "scaling-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_scaling \
-    test_gpma_views bench_scaling || exit 1
+    test_gpma_views test_serve bench_scaling || exit 1
   ctest --test-dir build --output-on-failure \
-    -R '^(test_scaling|scaling_serial|scaling_oversub|scaling_pipeline_off|gpma_views_oversub)$' \
+    -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|gpma_views_oversub)$' \
     || exit 1
   # One small dataset, two lanes. The floor is a regression guard, not a
   # parallelism proof: on single-core hosts the grid is oversubscribed and
-  # the best point hovers around 1x, so assert only that no configuration
-  # family collapses (e.g. pipeline suddenly costing 25%+). Parity (bit-
-  # identical losses across the grid) is the hard gate and has no slack.
+  # the best point hovers around 1x, so assert only that a second lane
+  # does not collapse (e.g. suddenly costing 25%+). Parity (bit-identical
+  # losses across thread counts) is the hard gate and has no slack.
   # The reduced sweep writes under build/: the committed
   # BENCH_scaling.json holds the full sweep (./run_all.sh bench).
   ./build/bench/bench_scaling --datasets=1 --max-threads=2 \
@@ -219,9 +220,9 @@ if [ "$1" = "tsan" ]; then
     -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-    test_fusion test_gemm || exit 1
+    test_gpma_views test_fusion test_gemm || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-           test_fusion test_gemm; do
+           test_gpma_views test_fusion test_gemm; do
     echo "===== $t (tsan) ====="
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1

@@ -1,9 +1,7 @@
 #include "gpma/gpma_graph.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "graph/csr.hpp"
@@ -17,28 +15,6 @@
 #include "verify/validate.hpp"
 
 namespace stgraph {
-namespace {
-
-bool pipeline_enabled_from_env() {
-  const char* s = std::getenv("STGRAPH_PIPELINE");
-  if (!s || !*s) return true;
-  return !(std::string_view(s) == "off" || std::string_view(s) == "0" ||
-           std::string_view(s) == "false");
-}
-
-void copy_buf(DeviceBuffer<uint32_t>& dst, const DeviceBuffer<uint32_t>& src) {
-  dst.resize(src.size());
-  if (src.size())
-    std::memcpy(dst.data(), src.data(), src.size() * sizeof(uint32_t));
-}
-
-void copy_buf(DeviceBuffer<float>& dst, const DeviceBuffer<float>& src) {
-  dst.resize(src.size());
-  if (src.size())
-    std::memcpy(dst.data(), src.data(), src.size() * sizeof(float));
-}
-
-}  // namespace
 
 void reverse_gpma(uint32_t num_nodes, const DeviceBuffer<uint32_t>& row_offset,
                   const DeviceBuffer<uint32_t>& col,
@@ -144,16 +120,7 @@ void reverse_gpma(uint32_t num_nodes, const DeviceBuffer<uint32_t>& row_offset,
 }
 
 GpmaGraph::GpmaGraph(const DtdgEvents& events)
-    : num_nodes_(events.num_nodes),
-      col_(0, MemCategory::kPma),
-      eids_(0, MemCategory::kPma),
-      row_offset_(0, MemCategory::kPma),
-      fwd_order_(0, MemCategory::kPma),
-      bwd_order_(0, MemCategory::kPma),
-      r_row_offset_(0, MemCategory::kGraph),
-      r_col_(0, MemCategory::kGraph),
-      r_eids_(0, MemCategory::kGraph),
-      gcn_coef_(0, MemCategory::kGraph) {
+    : num_nodes_(events.num_nodes) {
   // Base snapshot: one batch insert of all base edges.
   std::vector<uint64_t> base_keys;
   base_keys.reserve(events.base_edges.size());
@@ -187,8 +154,6 @@ GpmaGraph::GpmaGraph(const DtdgEvents& events)
                         static_cast<uint32_t>(del.size()));
     deltas_.push_back(std::move(dd));
   }
-  pipeline_enabled_ = pipeline_enabled_from_env();
-  refresh_views();
 }
 
 GpmaGraph::~GpmaGraph() {
@@ -278,7 +243,6 @@ void GpmaGraph::restore_cache() {
   std::copy(cache_in_deg_.begin(), cache_in_deg_.end(), in_deg_.data());
   std::copy(cache_out_deg_.begin(), cache_out_deg_.end(), out_deg_.data());
   curr_time_ = cache_time_;
-  views_fresh_ = false;
 }
 
 void GpmaGraph::position(uint32_t target) {
@@ -306,19 +270,22 @@ void GpmaGraph::position(uint32_t target) {
       ++curr_time_;
     }
   }
-  views_fresh_ = false;
 }
 
-void GpmaGraph::refresh_views() {
-  full_rebuild_views();
+void GpmaGraph::refresh_views(PublishedView& pub) {
+  pub.valid = false;
+  full_rebuild_views(pub);
   ++full_view_rebuilds_;
-  views_fresh_ = true;
+  pub.num_edges = static_cast<uint32_t>(pma_.size());
+  pub.timestamp = curr_time_;
+  pub.live_epoch = live_epoch_;
+  pub.valid = true;
 
   // STGRAPH_VALIDATE: audit the freshly rebuilt views against the PMA
   // before any kernel consumes them, so a bad rebuild fails here rather
   // than as a wrong gradient downstream.
   if (verify::validation_enabled()) {
-    const SnapshotView v = make_view();
+    const SnapshotView v = make_view(pub);
     verify::Report r = verify::check_snapshot_view(v);
     r.merge(verify::check_pma(pma_));
     r.merge(verify::check_pma_view_agreement(pma_, v));
@@ -327,7 +294,7 @@ void GpmaGraph::refresh_views() {
   }
 }
 
-void GpmaGraph::full_rebuild_views() {
+void GpmaGraph::full_rebuild_views(PublishedView& pub) {
   const std::size_t cap = pma_.capacity();
   const uint32_t m = static_cast<uint32_t>(pma_.size());
   const uint32_t n = num_nodes_;
@@ -335,13 +302,13 @@ void GpmaGraph::full_rebuild_views() {
   // Edge relabelling in slot order (Algorithm 2 line 8) + the dst/eid slot
   // arrays + row offsets over slot positions. Buffers are resized in
   // place; their heap capacity persists across refreshes.
-  col_.resize(cap);
-  eids_.resize(cap);
-  row_offset_.resize(static_cast<std::size_t>(n) + 1);
+  pub.col.resize(cap);
+  pub.eids.resize(cap);
+  pub.row_offset.resize(static_cast<std::size_t>(n) + 1);
   const uint64_t* slots = pma_.slots().data();
-  uint32_t* pc = col_.data();
-  uint32_t* pe = eids_.data();
-  uint32_t* ro = row_offset_.data();
+  uint32_t* pc = pub.col.data();
+  uint32_t* pe = pub.eids.data();
+  uint32_t* ro = pub.row_offset.data();
 
   const unsigned lanes = device::lane_count();
   if (lanes == 1 || cap < (1u << 14)) {
@@ -423,40 +390,38 @@ void GpmaGraph::full_rebuild_views() {
       ro[v] = static_cast<uint32_t>(cap);
   }
 
-  // Degree-sorted processing orders (paper Figure 3 auxiliary node_ids).
-  const uint32_t* ind = in_deg_.data();
-  const uint32_t* outd = out_deg_.data();
-  const auto fwd = device::sort_indices(
-      n, [ind](uint32_t a, uint32_t b) { return ind[a] > ind[b]; });
-  const auto bwd = device::sort_indices(
-      n, [outd](uint32_t a, uint32_t b) { return outd[a] > outd[b]; });
-  fwd_order_.resize(n);
-  bwd_order_.resize(n);
-  if (n) {
-    std::memcpy(fwd_order_.data(), fwd.data(), n * sizeof(uint32_t));
-    std::memcpy(bwd_order_.data(), bwd.data(), n * sizeof(uint32_t));
-  }
+  // Degrees at this position (the live ones keep changing under replay)
+  // and the degree-sorted processing orders (paper Figure 3 auxiliary
+  // node_ids).
+  pub.in_deg.resize(n);
+  pub.out_deg.resize(n);
+  pub.fwd_order.resize(n);
+  pub.bwd_order.resize(n);
+  std::copy_n(in_deg_.data(), n, pub.in_deg.data());
+  std::copy_n(out_deg_.data(), n, pub.out_deg.data());
+  device::degree_order(pub.in_deg.data(), n, pub.fwd_order.data());
+  device::degree_order(pub.out_deg.data(), n, pub.bwd_order.data());
 
   // Algorithm 3: compacted reverse CSR for the forward pass.
-  reverse_gpma(n, row_offset_, col_, eids_, in_deg_, m, r_row_offset_, r_col_,
-               r_eids_);
+  reverse_gpma(n, pub.row_offset, pub.col, pub.eids, pub.in_deg, m,
+               pub.r_row_offset, pub.r_col, pub.r_eids);
 
   // Per-snapshot GCN-norm cache, consumed by the kernel engine.
-  rebuild_coef_cache();
+  rebuild_coef_cache(pub);
 }
 
-void GpmaGraph::rebuild_coef_cache() {
+void GpmaGraph::rebuild_coef_cache(PublishedView& pub) {
   if (!coef_cache_enabled_) {
-    gcn_coef_.resize(0);
+    pub.gcn_coef.resize(0);
     return;
   }
   const uint32_t m = static_cast<uint32_t>(pma_.size());
-  gcn_coef_.resize(m);
-  const uint32_t* rro = r_row_offset_.data();
-  const uint32_t* rc = r_col_.data();
-  const uint32_t* re = r_eids_.data();
-  const uint32_t* ind = in_deg_.data();
-  float* gc = gcn_coef_.data();
+  pub.gcn_coef.resize(m);
+  const uint32_t* rro = pub.r_row_offset.data();
+  const uint32_t* rc = pub.r_col.data();
+  const uint32_t* re = pub.r_eids.data();
+  const uint32_t* ind = pub.in_deg.data();
+  float* gc = pub.gcn_coef.data();
   device::parallel_for_ranges(num_nodes_, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
       const uint32_t dv = ind[v];
@@ -469,41 +434,20 @@ void GpmaGraph::rebuild_coef_cache() {
 void GpmaGraph::set_coef_cache_enabled(bool enabled) {
   sync();
   coef_cache_enabled_ = enabled;
-  if (!enabled) {
-    gcn_coef_.resize(0);
-  } else if (views_fresh_) {
-    rebuild_coef_cache();
-  }
-  // Published copies carry the old cache setting; drop them.
+  // Built views carry the old cache setting; drop them.
   pub_[0].valid = false;
   pub_[1].valid = false;
 }
 
-void GpmaGraph::set_pipeline_enabled(bool enabled) {
-  sync();
-  pipeline_enabled_ = enabled;
+bool GpmaGraph::servable(const PublishedView& pub, uint32_t t) const {
+  return pub.valid && pub.timestamp == t && pub.live_epoch == live_epoch_;
 }
 
 SnapshotView GpmaGraph::get_graph(uint32_t t) {
-  if (!pipeline_enabled_) {
-    // Serial schedule: replay + refresh inline, views point at the live
-    // arrays (zero copies — exactly the pre-pipeline behavior).
-    PhaseScope scope(update_timer_);
-    {
-      PhaseScope pos(position_timer_);
-      position(t);
-    }
-    if (!views_fresh_) {
-      PhaseScope view(view_timer_);
-      refresh_views();
-    }
-    return make_view();
-  }
-
-  // Pipelined schedule. First reclaim ownership of the live state: wait
-  // out any in-flight prefetch (the stall is the un-overlapped remainder
-  // of the update phase) and surface a worker error here, where the
-  // trainer's failure handling expects graph errors to appear.
+  // First reclaim ownership of the live state: wait out any in-flight
+  // prefetch (the stall is the un-overlapped remainder of the update phase)
+  // and surface a worker error here, where the trainer's failure handling
+  // expects graph errors to appear.
   bool worker_delivered = false;
   if (worker_.joinable()) {
     MutexLock lock(pmu_);
@@ -522,14 +466,13 @@ SnapshotView GpmaGraph::get_graph(uint32_t t) {
     }
   }
 
-  // A published snapshot of timestamp t may serve the request only while
-  // the live PMA has not been repositioned since it was published: the
-  // snapshot's *edge content* at t is immutable, but the serving contract
-  // also promises byte-agreement with the live slot layout, which is
+  // A built snapshot of timestamp t may serve the request only while the
+  // live PMA has not been repositioned since it was built: the snapshot's
+  // *edge content* at t is immutable, but the serving contract also
+  // promises byte-agreement with the live slot layout, which is
   // path-dependent. An epoch match implies the live PMA is still at t.
   for (int i : {active_pub_, 1 - active_pub_}) {
-    if (pub_[i].valid && pub_[i].timestamp == t &&
-        pub_[i].live_epoch == live_epoch_) {
+    if (servable(pub_[i], t)) {
       if (worker_delivered && i != active_pub_) ++prefetch_hits_;
       active_pub_ = i;
       return make_view(pub_[active_pub_]);
@@ -537,7 +480,7 @@ SnapshotView GpmaGraph::get_graph(uint32_t t) {
   }
 
   // Miss: do the work inline into the standby buffer (the hint was wrong,
-  // absent, or this is the first request).
+  // absent, or this is the first request). This is the serial schedule.
   ++prefetch_misses_;
   prepare(t);
   active_pub_ = 1 - active_pub_;
@@ -550,37 +493,12 @@ void GpmaGraph::prepare(uint32_t target) {
     PhaseScope pos(position_timer_);
     position(target);
   }
-  if (!views_fresh_) {
-    PhaseScope view(view_timer_);
-    refresh_views();
-  }
-  {
-    PhaseScope view(view_timer_);
-    publish(pub_[1 - active_pub_]);
-  }
-}
-
-void GpmaGraph::publish(PublishedView& pub) {
-  pub.valid = false;
-  copy_buf(pub.col, col_);
-  copy_buf(pub.eids, eids_);
-  copy_buf(pub.row_offset, row_offset_);
-  copy_buf(pub.in_deg, in_deg_);
-  copy_buf(pub.out_deg, out_deg_);
-  copy_buf(pub.fwd_order, fwd_order_);
-  copy_buf(pub.bwd_order, bwd_order_);
-  copy_buf(pub.r_row_offset, r_row_offset_);
-  copy_buf(pub.r_col, r_col_);
-  copy_buf(pub.r_eids, r_eids_);
-  copy_buf(pub.gcn_coef, gcn_coef_);
-  pub.num_edges = static_cast<uint32_t>(pma_.size());
-  pub.timestamp = curr_time_;
-  pub.live_epoch = live_epoch_;
-  pub.valid = true;
+  PhaseScope view(view_timer_);
+  refresh_views(pub_[1 - active_pub_]);
 }
 
 void GpmaGraph::prefetch(uint32_t t) {
-  if (!pipeline_enabled_ || t >= num_timestamps()) return;
+  if (t >= num_timestamps()) return;
   ensure_worker();
   MutexLock lock(pmu_);
   // Staleness bound 1: at most one prefetch in flight, and an unconsumed
@@ -589,11 +507,7 @@ void GpmaGraph::prefetch(uint32_t t) {
   // Already have a servable t (current-epoch snapshot in either buffer)?
   // Nothing to do. Safe to read here: the worker is provably idle while
   // we hold the lock at kIdle.
-  if ((pub_[0].valid && pub_[0].timestamp == t &&
-       pub_[0].live_epoch == live_epoch_) ||
-      (pub_[1].valid && pub_[1].timestamp == t &&
-       pub_[1].live_epoch == live_epoch_))
-    return;
+  if (servable(pub_[0], t) || servable(pub_[1], t)) return;
   pf_target_ = t;
   pf_state_ = PfState::kPending;
   pcv_.notify_all();
@@ -603,7 +517,7 @@ void GpmaGraph::sync() const {
   if (!worker_.joinable()) return;
   MutexLock lock(pmu_);
   while (pf_state_ == PfState::kPending) pcv_.wait(lock);
-  // Leave a completed result published (a later get_* may still hit it)
+  // Leave a completed result servable (a later get_* may still hit it)
   // and any error stored for the next get_* to rethrow.
   if (pf_state_ == PfState::kDone) pf_state_ = PfState::kIdle;
 }
@@ -642,57 +556,30 @@ void GpmaGraph::worker_loop() {
   }
 }
 
-namespace {
-
-/// Pointer-pack a SnapshotView from one source of snapshot arrays; shared
-/// by the live (serial) and published (pipelined) assembly so the two
-/// schedules hand kernels structurally identical views.
-SnapshotView assemble_view(
-    uint32_t num_nodes, uint32_t num_edges, const DeviceBuffer<uint32_t>& ro,
-    const DeviceBuffer<uint32_t>& col, const DeviceBuffer<uint32_t>& eids,
-    const DeviceBuffer<uint32_t>& rro, const DeviceBuffer<uint32_t>& rcol,
-    const DeviceBuffer<uint32_t>& reids, const DeviceBuffer<uint32_t>& fwd,
-    const DeviceBuffer<uint32_t>& bwd, const DeviceBuffer<uint32_t>& ind,
-    const DeviceBuffer<uint32_t>& outd, const DeviceBuffer<float>& coef) {
+SnapshotView GpmaGraph::make_view(const PublishedView& pub) const {
   SnapshotView v;
-  v.num_nodes = num_nodes;
-  v.num_edges = num_edges;
+  v.num_nodes = num_nodes_;
+  v.num_edges = pub.num_edges;
   // Forward pass: compacted reverse CSR (in-neighbors).
-  v.in_view.num_nodes = num_nodes;
-  v.in_view.num_edges = num_edges;
-  v.in_view.row_offset = rro.data();
-  v.in_view.col_indices = rcol.data();
-  v.in_view.eids = reids.data();
-  v.in_view.node_ids = fwd.data();
+  v.in_view.num_nodes = num_nodes_;
+  v.in_view.num_edges = pub.num_edges;
+  v.in_view.row_offset = pub.r_row_offset.data();
+  v.in_view.col_indices = pub.r_col.data();
+  v.in_view.eids = pub.r_eids.data();
+  v.in_view.node_ids = pub.fwd_order.data();
   v.in_view.has_gaps = false;
   // Backward pass: gapped PMA arrays consumed in place.
-  v.out_view.num_nodes = num_nodes;
-  v.out_view.num_edges = num_edges;
-  v.out_view.row_offset = ro.data();
-  v.out_view.col_indices = col.data();
-  v.out_view.eids = eids.data();
-  v.out_view.node_ids = bwd.data();
+  v.out_view.num_nodes = num_nodes_;
+  v.out_view.num_edges = pub.num_edges;
+  v.out_view.row_offset = pub.row_offset.data();
+  v.out_view.col_indices = pub.col.data();
+  v.out_view.eids = pub.eids.data();
+  v.out_view.node_ids = pub.bwd_order.data();
   v.out_view.has_gaps = true;
-  v.in_degrees = ind.data();
-  v.out_degrees = outd.data();
-  v.gcn_coef = coef.empty() ? nullptr : coef.data();
+  v.in_degrees = pub.in_deg.data();
+  v.out_degrees = pub.out_deg.data();
+  v.gcn_coef = pub.gcn_coef.empty() ? nullptr : pub.gcn_coef.data();
   return v;
-}
-
-}  // namespace
-
-SnapshotView GpmaGraph::make_view() const {
-  return assemble_view(num_nodes_, static_cast<uint32_t>(pma_.size()),
-                       row_offset_, col_, eids_, r_row_offset_, r_col_,
-                       r_eids_, fwd_order_, bwd_order_, in_deg_, out_deg_,
-                       gcn_coef_);
-}
-
-SnapshotView GpmaGraph::make_view(const PublishedView& pub) const {
-  return assemble_view(num_nodes_, pub.num_edges, pub.row_offset, pub.col,
-                       pub.eids, pub.r_row_offset, pub.r_col, pub.r_eids,
-                       pub.fwd_order, pub.bwd_order, pub.in_deg, pub.out_deg,
-                       pub.gcn_coef);
 }
 
 SnapshotView GpmaGraph::get_backward_graph(uint32_t t) { return get_graph(t); }
@@ -710,11 +597,8 @@ void GpmaGraph::reset_update_stats() {
 
 std::size_t GpmaGraph::device_bytes() const {
   sync();
-  std::size_t total = pma_.device_bytes() + col_.bytes() + eids_.bytes() +
-                      row_offset_.bytes() + in_deg_.bytes() + out_deg_.bytes() +
-                      fwd_order_.bytes() + bwd_order_.bytes() +
-                      r_row_offset_.bytes() + r_col_.bytes() + r_eids_.bytes() +
-                      gcn_coef_.bytes() + pub_[0].device_bytes() +
+  std::size_t total = pma_.device_bytes() + in_deg_.bytes() +
+                      out_deg_.bytes() + pub_[0].device_bytes() +
                       pub_[1].device_bytes();
   for (const DeviceDelta& d : deltas_)
     total += d.additions.bytes() + d.deletions.bytes();

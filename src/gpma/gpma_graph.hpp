@@ -22,19 +22,20 @@
 // The backward pass consumes the gapped PMA arrays directly (kernels skip
 // SPACE slots), so no out-CSR is ever materialized.
 //
-// Bounded-staleness pipeline (STGRAPH_PIPELINE, default on): get_graph
-// returns views over a *published copy* of the snapshot arrays, double-
-// buffered, so a background worker can roll the live PMA to the next hinted
-// timestamp (prefetch(), called by the trainer/executor) and publish its
-// views into the standby buffer while kernels read the active one. The
-// staleness bound is 1 — at most one prefetch in flight, into the one
-// standby buffer — and the worker runs every pool-using builder under
-// ThreadPool::ScopedInline (serially), both because run_on_lanes is a
-// single-launcher protocol and because views are bit-identical at any lane
-// count, so overlap changes nothing downstream. A published snapshot of
-// timestamp t is immutable and stays valid across epochs (the DTDG's state
-// at t is a pure function of t). With the pipeline off, get_graph points
-// views directly at the live arrays exactly as before — zero copies.
+// Views live in two PublishedView buffers and nowhere else. Every refresh
+// builds straight into the standby buffer (including a copy of the
+// degrees, the only live state replay keeps mutating) and get_graph flips
+// it to active, so the view a get_* call returns keeps its bytes through
+// the following call. Bounded-staleness pipeline: prefetch(t), called by
+// the trainer/executor, hands t to a background worker that rolls the PMA
+// there and builds t's views into the standby buffer while kernels read
+// the active one. The staleness bound is 1 — at most one prefetch in
+// flight, into the one standby buffer — and the worker runs every
+// pool-using builder under ThreadPool::ScopedInline (serially), both
+// because run_on_lanes is a single-launcher protocol and because views are
+// bit-identical at any lane count, so overlap changes nothing downstream.
+// Without prefetch() calls, get_graph builds inline: that is the serial
+// schedule.
 //
 // Edge aggregation over these views has one schedule: the kernel engine
 // walks the degree orders (fwd/bwd node_ids) with strided lanes, each row
@@ -42,7 +43,6 @@
 // lane count.
 #pragma once
 
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -74,9 +74,9 @@ class GpmaGraph final : public STGraphBase {
   SnapshotView get_graph(uint32_t t) override;
   SnapshotView get_backward_graph(uint32_t t) override;
   /// Hand timestamp t to the pipeline worker: it rolls the live PMA there
-  /// and publishes t's views into the standby buffer while the caller keeps
-  /// computing on the active one. No-op when the pipeline is off or a
-  /// prefetch is already in flight (staleness bound 1).
+  /// and builds t's views into the standby buffer while the caller keeps
+  /// computing on the active one. No-op when a prefetch is already in
+  /// flight (staleness bound 1).
   void prefetch(uint32_t t) override;
 
   std::size_t device_bytes() const override;
@@ -114,11 +114,6 @@ class GpmaGraph final : public STGraphBase {
   /// Disable the per-snapshot GCN-norm edge-coefficient cache (ablation
   /// bench / parity tests); kernels then recompute the factor per edge.
   void set_coef_cache_enabled(bool enabled);
-  /// Toggle the bounded-staleness pipeline (STGRAPH_PIPELINE sets the
-  /// default). Off degrades to the serial schedule: get_graph does the
-  /// replay + refresh inline and views point at the live arrays.
-  void set_pipeline_enabled(bool enabled);
-  bool pipeline_enabled() const { return pipeline_enabled_; }
   uint64_t delta_replays() const { return delta_replays_; }
   /// Always 0: every refresh is a full rebuild. Kept because external
   /// benchmark code still reads it.
@@ -136,12 +131,15 @@ class GpmaGraph final : public STGraphBase {
     DeviceBuffer<uint64_t> deletions;
   };
 
-  /// One immutable published copy of the snapshot arrays for a timestamp —
-  /// what kernels read while the pipeline worker mutates the live state.
-  /// Two of these double-buffer the handoff: compute holds the active one,
-  /// the worker overwrites the standby one (whose previous contents were
-  /// invalidated by the last get_* call, per the view-lifetime contract).
+  /// The snapshot arrays of one timestamp — what kernels read while the
+  /// pipeline worker mutates the live PMA. Two of these double-buffer the
+  /// handoff: compute holds the active one, refreshes overwrite the
+  /// standby one (whose previous contents were invalidated by the last
+  /// get_* call, per the view-lifetime contract).
   struct PublishedView {
+    // Gapped out-CSR over slot positions (dst and edge label per slot,
+    // kSpace for gaps), degrees, degree orders, the Algorithm-3 reverse
+    // CSR and the eid-indexed GCN-norm cache (empty when disabled).
     DeviceBuffer<uint32_t> col, eids, row_offset;
     DeviceBuffer<uint32_t> in_deg, out_deg;
     DeviceBuffer<uint32_t> fwd_order, bwd_order;
@@ -149,7 +147,7 @@ class GpmaGraph final : public STGraphBase {
     DeviceBuffer<float> gcn_coef;
     uint32_t num_edges = 0;
     uint32_t timestamp = 0;
-    /// live_epoch_ at publish time. A snapshot may only be served while
+    /// live_epoch_ at build time. A snapshot may only be served while
     /// this still matches: the PMA's physical slot layout at a timestamp
     /// is path-dependent (backward replay re-inserts deleted edges into
     /// possibly different gaps), and the serving contract promises the
@@ -171,31 +169,29 @@ class GpmaGraph final : public STGraphBase {
   /// Roll the PMA to timestamp `target` (Algorithm 2 core).
   void position(uint32_t target);
   void apply_delta(uint32_t idx, bool forward);
-  /// Bring every derived view array up to date with the PMA (full
-  /// rebuild), then audit them under STGRAPH_VALIDATE.
-  void refresh_views();
-  /// Full O(capacity) rebuild: relabel + row offsets + degree orders +
-  /// reverse CSR, parallelized over slot ranges. Reuses buffers.
-  void full_rebuild_views();
-  /// Recompute the whole eid-indexed GCN-norm cache from the reverse CSR
-  /// (no-op clearing the buffer when the cache is disabled).
-  void rebuild_coef_cache();
+  /// Rebuild `pub` from the PMA at the current position, stamp it, then
+  /// audit it under STGRAPH_VALIDATE.
+  void refresh_views(PublishedView& pub);
+  /// Full O(capacity) rebuild into `pub`: relabel + row offsets + degrees
+  /// + degree orders + reverse CSR, parallelized over slot ranges. Reuses
+  /// the buffers' capacity.
+  void full_rebuild_views(PublishedView& pub);
+  /// Recompute the whole eid-indexed GCN-norm cache from `pub`'s reverse
+  /// CSR (clearing the buffer when the cache is disabled).
+  void rebuild_coef_cache(PublishedView& pub);
   void save_cache();
   void restore_cache();
-  /// Assemble the kernel-facing view of the current position from the
-  /// derived arrays (pointer packing only; requires fresh views).
-  SnapshotView make_view() const;
-  /// Assemble the kernel-facing view of a published copy.
+  /// Whether `pub` may serve timestamp t (built at t, epoch still current).
+  bool servable(const PublishedView& pub, uint32_t t) const;
+  /// Assemble the kernel-facing view of a built buffer (pointer packing).
   SnapshotView make_view(const PublishedView& pub) const;
-  /// Position + refresh + publish timestamp `target` into the standby
-  /// buffer. Runs on the caller's thread (prefetch miss / serial fill) or
-  /// on the worker under ScopedInline.
+  /// Position + refresh timestamp `target` into the standby buffer. Runs
+  /// on the caller's thread (prefetch miss / serial schedule) or on the
+  /// worker under ScopedInline.
   void prepare(uint32_t target);
-  /// Copy the live view arrays into `pub` and stamp it.
-  void publish(PublishedView& pub);
   /// Wait until the worker is idle (observers and mutators call this
   /// before touching live state). Keeps any worker error stored for the
-  /// next get_* to rethrow, and keeps a completed result published.
+  /// next get_* to rethrow, and keeps a completed result servable.
   void sync() const;
   /// Spawn the worker thread on first use.
   void ensure_worker();
@@ -205,26 +201,15 @@ class GpmaGraph final : public STGraphBase {
   Pma pma_;
   std::vector<DeviceDelta> deltas_;
   std::vector<uint32_t> edges_at_;  // |E_t| per timestamp
-
-  // Derived per-snapshot arrays (device-resident).
-  DeviceBuffer<uint32_t> col_;         // dst per slot, kSpace for gaps
-  DeviceBuffer<uint32_t> eids_;        // edge label per slot
-  DeviceBuffer<uint32_t> row_offset_;  // V+1, into slot positions
+  // Degrees at the live position, maintained per replayed key.
   DeviceBuffer<uint32_t> in_deg_, out_deg_;
-  DeviceBuffer<uint32_t> fwd_order_, bwd_order_;
-  // Algorithm-3 output.
-  DeviceBuffer<uint32_t> r_row_offset_, r_col_, r_eids_;
-  // Per-snapshot GCN-norm cache indexed by eid, rebuilt with the views.
-  // Empty when disabled.
-  DeviceBuffer<float> gcn_coef_;
   bool coef_cache_enabled_ = true;
 
   uint32_t curr_time_ = 0;
-  // Bumped by every repositioning; published snapshots stamped with an
-  // older epoch are no longer guaranteed byte-equal to the live PMA at
-  // their timestamp and are treated as misses.
+  // Bumped by every repositioning; view buffers stamped with an older
+  // epoch are no longer guaranteed byte-equal to the live PMA at their
+  // timestamp and are treated as misses.
   uint64_t live_epoch_ = 0;
-  bool views_fresh_ = false;
 
   // Algorithm-2 cache: deep PMA copy + degrees at cache_time_.
   bool cache_enabled_ = true;
@@ -245,12 +230,12 @@ class GpmaGraph final : public STGraphBase {
   // Protocol: pf_state_ is the single-slot job queue. Main thread moves
   // kIdle -> kPending (prefetch) and kDone -> kIdle (consume/sync); the
   // worker moves kPending -> kDone after running prepare(). All live
-  // mutable state (pma_, degrees, view arrays, timers) is owned by whoever
-  // the state machine says runs: the worker only between kPending and
-  // kDone, the main thread only at kIdle/kDone — every transition passes
-  // through pmu_, which carries the happens-before edge. Compute kernels
-  // read only the active PublishedView, which nobody writes while active.
-  bool pipeline_enabled_ = true;
+  // mutable state (pma_, degrees, the standby view buffer, timers) is owned
+  // by whoever the state machine says runs: the worker only between
+  // kPending and kDone, the main thread only at kIdle/kDone — every
+  // transition passes through pmu_, which carries the happens-before edge.
+  // Compute kernels read only the active PublishedView, which nobody
+  // writes while active.
   PublishedView pub_[2];
   int active_pub_ = 0;
   std::thread worker_;

@@ -86,12 +86,10 @@ std::vector<uint32_t> csr_degrees(const Csr& csr) {
 
 void degree_sort(Csr& csr) {
   const std::vector<uint32_t> deg = csr_degrees(csr);
-  // Descending-degree processing order (paper Figure 3). sort_indices is
-  // stable so ties break by ascending vertex id.
-  std::vector<uint32_t> order = device::sort_indices(
-      csr.num_nodes,
-      [&deg](uint32_t a, uint32_t b) { return deg[a] > deg[b]; });
-  csr.node_ids = DeviceBuffer<uint32_t>(order, MemCategory::kGraph);
+  // Descending-degree processing order (paper Figure 3), ties by
+  // ascending vertex id.
+  csr.node_ids = DeviceBuffer<uint32_t>(csr.num_nodes, MemCategory::kGraph);
+  device::degree_order(deg.data(), csr.num_nodes, csr.node_ids.data());
 }
 
 GraphSnapshot build_snapshot(uint32_t num_nodes,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "runtime/parallel.hpp"
-
 namespace stgraph::device {
 namespace {
 
@@ -76,36 +74,15 @@ void radix_sort_pairs(std::vector<uint64_t>& keys,
   }
 }
 
-std::vector<uint32_t> sort_indices(
-    std::size_t n, const std::function<bool(uint32_t, uint32_t)>& less) {
-  std::vector<uint32_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
-  auto& pool = ThreadPool::instance();
-  // Effective lanes so nested use (a pool lane or a ScopedInline worker)
-  // sorts the whole range serially instead of only the first chunk.
-  const unsigned lanes = detail::effective_lanes(pool);
-  if (lanes == 1 || n < (1u << 14)) {
-    std::stable_sort(idx.begin(), idx.end(), less);
-    return idx;
-  }
-  // Per-lane sort of contiguous chunks, then sequential k-way merge via
-  // repeated inplace_merge (lanes is small, merge depth is log2(lanes)).
-  const std::size_t chunk = (n + lanes - 1) / lanes;
-  pool.run_on_lanes([&](unsigned lane) {
-    const std::size_t b = static_cast<std::size_t>(lane) * chunk;
-    if (b >= n) return;
-    const std::size_t e = std::min(n, b + chunk);
-    std::stable_sort(idx.begin() + b, idx.begin() + e, less);
-  });
-  for (std::size_t width = chunk; width < n; width *= 2) {
-    for (std::size_t b = 0; b + width < n; b += 2 * width) {
-      const std::size_t mid = b + width;
-      const std::size_t e = std::min(n, b + 2 * width);
-      std::inplace_merge(idx.begin() + b, idx.begin() + mid, idx.begin() + e,
-                         less);
-    }
-  }
-  return idx;
+void degree_order(const uint32_t* deg, uint32_t n, uint32_t* out) {
+  uint32_t max_deg = 0;
+  for (uint32_t v = 0; v < n; ++v) max_deg = std::max(max_deg, deg[v]);
+  // Bucket b holds degree max_deg - b, so buckets run in descending degree;
+  // placing ids in ascending order keeps each bucket sorted by id.
+  std::vector<uint32_t> start(static_cast<std::size_t>(max_deg) + 2, 0);
+  for (uint32_t v = 0; v < n; ++v) ++start[max_deg - deg[v] + 1];
+  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  for (uint32_t v = 0; v < n; ++v) out[start[max_deg - deg[v]]++] = v;
 }
 
 }  // namespace stgraph::device

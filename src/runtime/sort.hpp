@@ -1,11 +1,9 @@
-// Parallel sorting — the Thrust/CUB `sort` analogue used by the GPMA batch
-// update path (updates must be key-sorted before leaf partitioning) and by
-// the degree-sort that builds the `node_ids` processing-order array.
+// Sorting — the Thrust/CUB `sort` analogue used by the GPMA batch update
+// path (updates must be key-sorted before leaf partitioning) and by the
+// degree-sort that builds the `node_ids` processing-order array.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace stgraph::device {
@@ -18,10 +16,9 @@ void radix_sort(std::vector<uint64_t>& keys);
 void radix_sort_pairs(std::vector<uint64_t>& keys,
                       std::vector<uint64_t>& payload);
 
-/// Parallel comparison sort of an index permutation [0, n) ordered by
-/// `less`. Used for degree sorting where the comparator reads a degree
-/// array. Merge-based: per-lane std::sort then pairwise merges.
-std::vector<uint32_t> sort_indices(
-    std::size_t n, const std::function<bool(uint32_t, uint32_t)>& less);
+/// Vertex ids [0, n) ordered by descending deg[v], ties by ascending id
+/// (the paper's degree-sorted node_ids). Serial stable counting sort,
+/// O(n + max degree); writes n ids to `out`.
+void degree_order(const uint32_t* deg, uint32_t n, uint32_t* out);
 
 }  // namespace stgraph::device

@@ -2,8 +2,8 @@
 // host-side reference rebuilt from the PMA slot array alone (independent
 // of the device primitives) — same slot arrays, same edge labels, same row
 // offsets, same reverse CSR, same degree orders — after any sequence of
-// forward/backward rolls, cache restores and streamed appends. The
-// reference pins the canonical layout, so the suite also proves lane-count
+// forward/backward rolls, cache restores, streamed appends and prefetch
+// hints, right or wrong. The reference pins the canonical layout, so the suite also proves lane-count
 // independence: ctest reruns the binary under STGRAPH_NUM_THREADS=1 and =8,
 // and every run must agree with the same reference.
 #include <gtest/gtest.h>
@@ -91,6 +91,30 @@ void expect_matches_reference(const GpmaGraph& g, const SnapshotView& v) {
   EXPECT_TRUE(std::equal(bwd.begin(), bwd.end(), v.out_view.node_ids));
 }
 
+// Every array a view points at, copied out.
+struct ViewBytes {
+  std::vector<uint32_t> ro, col, eids, r_ro, r_col, r_eids, fwd, bwd, ind,
+      outd;
+  std::vector<float> coef;
+
+  explicit ViewBytes(const SnapshotView& v) {
+    const uint32_t n = v.num_nodes, m = v.num_edges;
+    const uint32_t slots = v.out_view.row_offset[n];
+    ro.assign(v.out_view.row_offset, v.out_view.row_offset + n + 1);
+    col.assign(v.out_view.col_indices, v.out_view.col_indices + slots);
+    eids.assign(v.out_view.eids, v.out_view.eids + slots);
+    r_ro.assign(v.in_view.row_offset, v.in_view.row_offset + n + 1);
+    r_col.assign(v.in_view.col_indices, v.in_view.col_indices + m);
+    r_eids.assign(v.in_view.eids, v.in_view.eids + m);
+    fwd.assign(v.in_view.node_ids, v.in_view.node_ids + n);
+    bwd.assign(v.out_view.node_ids, v.out_view.node_ids + n);
+    ind.assign(v.in_degrees, v.in_degrees + n);
+    outd.assign(v.out_degrees, v.out_degrees + n);
+    if (v.gcn_coef) coef.assign(v.gcn_coef, v.gcn_coef + m);
+  }
+  bool operator==(const ViewBytes&) const = default;
+};
+
 TEST(GpmaViews, MatchesSequentialReferenceEverywhere) {
   DtdgEvents ev = window_edge_stream(80, random_stream(80, 2500, 91), 0.05);
   GpmaGraph g(ev);
@@ -98,12 +122,27 @@ TEST(GpmaViews, MatchesSequentialReferenceEverywhere) {
   for (uint32_t t = 0; t < T; ++t) expect_matches_reference(g, g.get_graph(t));
   for (uint32_t t = T; t-- > 0;) expect_matches_reference(g, g.get_graph(t));
   for (uint32_t t = 0; t < T; ++t) expect_matches_reference(g, g.get_graph(t));
+  // Random jumps, each after a prefetch hint that is right half the time
+  // (a wrong hint leaves the worker's PMA elsewhere). Hints are given
+  // before the jump only: the reference reads the live PMA, which a hint
+  // in flight would move. Every view must also keep its bytes through the
+  // next get_graph (the double-buffer contract).
   Rng rng(7);
-  for (int i = 0; i < 24; ++i) {
+  SnapshotView prev = g.get_graph(0);
+  for (int i = 0; i < 48; ++i) {
     const auto t = static_cast<uint32_t>(rng.next_below(T));
-    expect_matches_reference(g, g.get_graph(t));
+    const ViewBytes prev_bytes(prev);
+    if (rng.next_below(4) != 0)
+      g.prefetch(rng.next_below(2) ? t
+                                   : static_cast<uint32_t>(rng.next_below(T)));
+    const SnapshotView v = g.get_graph(t);
+    EXPECT_TRUE(ViewBytes(prev) == prev_bytes)
+        << "the previous view changed under get_graph(" << t << ")";
+    expect_matches_reference(g, v);
     if (HasFailure()) FAIL() << "view diverged at timestamp " << t;
+    prev = v;
   }
+  EXPECT_GT(g.prefetch_hits(), 0u);
 }
 
 // Large enough that the relabel, the degree sorts and the Algorithm-3

@@ -130,27 +130,6 @@ TEST(NestedParallel, ScopedInlineForcesSerialFullCoverage) {
   EXPECT_DOUBLE_EQ(got, double(n - 1) * double(n) / 2.0);
 }
 
-TEST(NestedParallel, SortIndicesFullySortedOnPoolLane) {
-  // sort_indices sizes merge chunks with the lane count; nested use must
-  // fall back to a full serial sort, not sort only the first chunk.
-  auto& pool = ThreadPool::instance();
-  const std::size_t n = 1u << 15;  // above the serial cutoff
-  std::vector<uint32_t> keys(n);
-  Rng rng(404);
-  for (auto& k : keys) k = static_cast<uint32_t>(rng.next_below(1u << 20));
-  std::vector<uint8_t> ok(pool.lanes(), 0);
-  pool.run_on_lanes([&](unsigned lane) {
-    auto idx = device::sort_indices(
-        n, [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
-    uint8_t sorted = idx.size() == n;
-    for (std::size_t i = 1; i < idx.size(); ++i)
-      if (keys[idx[i - 1]] > keys[idx[i]]) sorted = 0;
-    ok[lane] = sorted;
-  });
-  for (unsigned lane = 0; lane < pool.lanes(); ++lane)
-    EXPECT_TRUE(ok[lane]) << "lane " << lane;
-}
-
 TEST(Parallel, KernelStatsCountLaunches) {
   auto& stats = device::KernelStats::instance();
   stats.reset();
@@ -229,25 +208,47 @@ TEST(RadixSortPairs, PayloadFollowsKeysStably) {
     EXPECT_EQ(keys[i], keys_copy[payload[i]]);
 }
 
+std::vector<uint32_t> degree_order(const std::vector<uint32_t>& deg) {
+  std::vector<uint32_t> idx(deg.size());
+  device::degree_order(deg.data(), static_cast<uint32_t>(deg.size()),
+                       idx.data());
+  return idx;
+}
+
 TEST(SortIndices, DescendingDegreeOrderStable) {
-  std::vector<uint32_t> deg{3, 1, 4, 1, 5, 9, 2, 6};
-  auto idx = device::sort_indices(
-      deg.size(), [&](uint32_t a, uint32_t b) { return deg[a] > deg[b]; });
-  for (std::size_t i = 0; i + 1 < idx.size(); ++i) {
-    EXPECT_GE(deg[idx[i]], deg[idx[i + 1]]);
-    if (deg[idx[i]] == deg[idx[i + 1]]) EXPECT_LT(idx[i], idx[i + 1]);
-  }
+  EXPECT_EQ(degree_order({3, 1, 4, 1, 5, 9, 2, 6}),
+            (std::vector<uint32_t>{5, 7, 4, 2, 0, 6, 1, 3}));
+  // All degrees equal: ties break by ascending id, so the identity.
+  std::vector<uint32_t> ids(1000);
+  std::iota(ids.begin(), ids.end(), 0u);
+  EXPECT_EQ(degree_order(std::vector<uint32_t>(1000, 7)), ids);
+  // A star center first, then every leaf in id order.
+  std::vector<uint32_t> star(500, 1);
+  star[321] = 499;
+  std::vector<uint32_t> want{321};
+  for (uint32_t v = 0; v < 500; ++v)
+    if (v != 321) want.push_back(v);
+  EXPECT_EQ(degree_order(star), want);
 }
 
 TEST(SortIndices, LargeInputSorted) {
   Rng rng(7);
   std::vector<uint32_t> deg(50000);
   for (auto& d : deg) d = static_cast<uint32_t>(rng.next_below(1000));
-  auto idx = device::sort_indices(
-      deg.size(), [&](uint32_t a, uint32_t b) { return deg[a] > deg[b]; });
-  EXPECT_EQ(idx.size(), deg.size());
-  for (std::size_t i = 0; i + 1 < idx.size(); ++i)
+  const auto idx = degree_order(deg);
+  ASSERT_EQ(idx.size(), deg.size());
+  std::vector<uint8_t> seen(deg.size(), 0);
+  for (uint32_t v : idx) {
+    ASSERT_LT(v, deg.size());
+    EXPECT_FALSE(seen[v]) << v;
+    seen[v] = 1;
+  }
+  for (std::size_t i = 0; i + 1 < idx.size(); ++i) {
     EXPECT_GE(deg[idx[i]], deg[idx[i + 1]]);
+    if (deg[idx[i]] == deg[idx[i + 1]]) {
+      EXPECT_LT(idx[i], idx[i + 1]);
+    }
+  }
 }
 
 TEST(MemoryTracker, ChargesAndReleases) {

@@ -1,11 +1,11 @@
 // Multi-core / pipeline parity suite. The hard contract: pipelined
 // multi-core training is an execution-schedule change only — losses and
-// gradients must be bit-identical with the prefetch pipeline on or off and
-// at any lane count. ctest re-runs this whole binary under
-// STGRAPH_NUM_THREADS=1, under STGRAPH_NUM_THREADS=8 (a multi-lane pool on
-// any host, so kernels walk the degree-sorted order) and under
-// STGRAPH_PIPELINE=off (see tests/CMakeLists.txt), so the parity claims
-// are checked across every schedule the runtime can pick.
+// gradients must be bit-identical whether or not the trainer's prefetch
+// hints reach the graph, and at any lane count. ctest re-runs this whole
+// binary under STGRAPH_NUM_THREADS=1 and under STGRAPH_NUM_THREADS=8 (a
+// multi-lane pool on any host, so kernels walk the degree-sorted order;
+// see tests/CMakeLists.txt), so the parity claims are checked across every
+// schedule the runtime can pick.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -39,6 +39,35 @@ EdgeList random_stream(uint32_t nodes, std::size_t events, uint64_t seed) {
   return stream;
 }
 
+// Forwards every call to the wrapped graph except prefetch(), so a
+// GpmaGraph behind it never sees a hint and builds every view inline: the
+// serial schedule.
+class HintlessGraph final : public STGraphBase {
+ public:
+  explicit HintlessGraph(STGraphBase& inner) : inner_(inner) {}
+
+  uint32_t num_nodes() const override { return inner_.num_nodes(); }
+  uint32_t num_edges_at(uint32_t t) const override {
+    return inner_.num_edges_at(t);
+  }
+  uint32_t num_timestamps() const override { return inner_.num_timestamps(); }
+  bool is_dynamic() const override { return inner_.is_dynamic(); }
+  std::string format_name() const override { return inner_.format_name(); }
+  SnapshotView get_graph(uint32_t t) override { return inner_.get_graph(t); }
+  SnapshotView get_backward_graph(uint32_t t) override {
+    return inner_.get_backward_graph(t);
+  }
+  std::size_t device_bytes() const override { return inner_.device_bytes(); }
+  bool supports_append() const override { return inner_.supports_append(); }
+  void append_delta(const EdgeDelta& delta) override {
+    inner_.append_delta(delta);
+  }
+  void prefetch(uint32_t) override {}
+
+ private:
+  STGraphBase& inner_;
+};
+
 struct TrainOutcome {
   std::vector<double> epoch_losses;
   std::vector<std::vector<float>> params;
@@ -46,13 +75,14 @@ struct TrainOutcome {
 };
 
 TrainOutcome train_gpma(const DtdgEvents& ev, const TemporalSignal& signal,
-                        const core::TrainConfig& cfg, bool pipeline,
+                        const core::TrainConfig& cfg, bool hinted,
                         uint64_t model_seed) {
   GpmaGraph g(ev);
-  g.set_pipeline_enabled(pipeline);
+  HintlessGraph hintless(g);
+  STGraphBase& graph = hinted ? static_cast<STGraphBase&>(g) : hintless;
   Rng rng(model_seed);
   nn::TGCNEncoder model(signal.feature_size(), 8, rng);
-  core::STGraphTrainer trainer(g, model, signal, cfg);
+  core::STGraphTrainer trainer(graph, model, signal, cfg);
   TrainOutcome out;
   for (uint32_t e = 0; e < cfg.epochs; ++e)
     out.epoch_losses.push_back(trainer.train_epoch().loss);
@@ -111,10 +141,11 @@ TEST(ScalingParity, PipelineNeverChangesTrainingFuzz) {
     cfg.lr = 5e-3f;
     cfg.task = core::Task::kLinkPrediction;
 
-    const TrainOutcome on = train_gpma(ev, signal, cfg, /*pipeline=*/true, 21);
-    const TrainOutcome off =
-        train_gpma(ev, signal, cfg, /*pipeline=*/false, 21);
-    expect_bit_identical(on, off, "trial " + std::to_string(trial));
+    const TrainOutcome hinted =
+        train_gpma(ev, signal, cfg, /*hinted=*/true, 21);
+    const TrainOutcome serial =
+        train_gpma(ev, signal, cfg, /*hinted=*/false, 21);
+    expect_bit_identical(hinted, serial, "trial " + std::to_string(trial));
   }
 }
 
@@ -130,9 +161,10 @@ TEST(ScalingParity, PipelineOffMatchesPipelineOnBitForBit) {
   cfg.lr = 5e-3f;
   cfg.task = core::Task::kLinkPrediction;
 
-  const TrainOutcome on = train_gpma(ev, signal, cfg, /*pipeline=*/true, 33);
-  const TrainOutcome off = train_gpma(ev, signal, cfg, /*pipeline=*/false, 33);
-  expect_bit_identical(on, off, "pipeline on/off");
+  const TrainOutcome hinted = train_gpma(ev, signal, cfg, /*hinted=*/true, 33);
+  const TrainOutcome serial =
+      train_gpma(ev, signal, cfg, /*hinted=*/false, 33);
+  expect_bit_identical(hinted, serial, "hinted vs serial");
 }
 
 TEST(ScalingPipeline, PrefetchHitsDuringTraining) {
@@ -148,41 +180,18 @@ TEST(ScalingPipeline, PrefetchHitsDuringTraining) {
   cfg.task = core::Task::kLinkPrediction;
 
   GpmaGraph g(ev);
-  if (!g.pipeline_enabled()) GTEST_SKIP() << "STGRAPH_PIPELINE=off";
   Rng rng(41);
   nn::TGCNEncoder model(signal.feature_size(), 8, rng);
   core::STGraphTrainer trainer(g, model, signal, cfg);
   const core::EpochStats stats = trainer.train_epoch();
   // The trainer hints every in-sequence step and the executor hints every
-  // backward step: most Get-Graph calls must be served from a published
-  // snapshot prepared off the critical path.
+  // backward step: most Get-Graph calls must be served from a view buffer
+  // prepared off the critical path.
   EXPECT_GT(stats.prefetch_hits, 0u);
   EXPECT_GT(stats.prefetch_hits, stats.prefetch_misses);
   EXPECT_GT(stats.forward_seconds, 0.0);
   EXPECT_GT(stats.backward_seconds, 0.0);
   EXPECT_GE(stats.stall_seconds, 0.0);
-}
-
-TEST(ScalingPipeline, SerialScheduleReportsNoPrefetch) {
-  DtdgEvents ev = window_edge_stream(50, random_stream(50, 800, 3), 6.0);
-  DynamicLoadOptions o;
-  o.feature_size = 4;
-  o.link_samples_per_step = 16;
-  TemporalSignal signal = make_dynamic_signal(ev, o);
-  core::TrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.sequence_length = 4;
-  cfg.task = core::Task::kLinkPrediction;
-
-  GpmaGraph g(ev);
-  g.set_pipeline_enabled(false);
-  Rng rng(51);
-  nn::TGCNEncoder model(signal.feature_size(), 8, rng);
-  core::STGraphTrainer trainer(g, model, signal, cfg);
-  const core::EpochStats stats = trainer.train_epoch();
-  EXPECT_EQ(stats.prefetch_hits, 0u);
-  EXPECT_EQ(stats.prefetch_misses, 0u);
-  EXPECT_EQ(stats.stall_seconds, 0.0);
 }
 
 }  // namespace
