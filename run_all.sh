@@ -73,9 +73,8 @@
 #                           suite rerun with STGRAPH_FUSION=off), then the
 #                           fused-vs-
 #                           unfused ablation (epilogue micro + end-to-end
-#                           TGCN/GConvGRU epochs, bitwise loss equality and
-#                           zero steady-state compiles asserted, JSON
-#                           under build/)
+#                           TGCN/GConvGRU epochs, bitwise loss equality
+#                           asserted, JSON under build/)
 #   ./run_all.sh bench      graph-update benches only: bench_fig9 (GNN/
 #                           update time split with the per-phase counters,
 #                           emitted as BENCH_fig9.json) +
@@ -101,7 +100,7 @@ if [ "$1" = "scaling-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_scaling \
     test_gpma_views test_serve bench_scaling || exit 1
-  ctest --test-dir build --output-on-failure \
+  ctest --test-dir build --output-on-failure --no-tests=error \
     -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|gpma_views_oversub)$' \
     || exit 1
   # One small dataset, two lanes. The floor is a regression guard, not a
@@ -121,15 +120,15 @@ if [ "$1" = "fusion-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_fusion test_ewmath \
     test_training bench_micro_kernels || exit 1
-  ctest --test-dir build --output-on-failure \
-    -R '^(FusionParity|FusionSimd|FusionEmpty|FusionGradcheck|FusionCache|FusionStats|TrainingParity|EwPasses|EwAutodiff|EwMath)\.' \
+  ctest --test-dir build --output-on-failure --no-tests=error \
+    -R '^(FusionParity|FusionSimd|FusionEmpty|FusionGradcheck|FusionLaunch|FusionScratch|TrainingParity|EwPasses|EwAutodiff|EwMath)\.' \
     || exit 1
-  ctest --test-dir build --output-on-failure \
+  ctest --test-dir build --output-on-failure --no-tests=error \
     -R '^(fusion_serial|fusion_scalar|fusion_oversub|training_fusion_off)$' \
     || exit 1
   # The ablation bench doubles as a contract check: it exits non-zero if
   # the fused epilogue is not bitwise equal to kernel-then-add-bias or if
-  # any steady-state epoch compiled a program.
+  # either model's fused and unfused losses differ in any bit.
   # Written under build/ so the smoke never overwrites the committed
   # BENCH_fusion.json.
   ./build/bench/bench_micro_kernels \

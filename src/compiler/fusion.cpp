@@ -7,126 +7,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "autograd/engine.hpp"
 #include "compiler/passes.hpp"
 #include "runtime/device_buffer.hpp"
-#include "runtime/mutex.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/simd.hpp"
 #include "tensor/ewmath.hpp"
 #include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
-#include "util/thread_annotations.hpp"
-#include "verify/validate.hpp"
 
 namespace stgraph::compiler::fusion {
 namespace {
 
-// ---- switch, stats --------------------------------------------------------
+// ---- switch ---------------------------------------------------------------
 
 std::atomic<int> g_enabled{-1};  // -1 = environment not read yet
-
-struct StatCounters {
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> fused_forward{0};
-  std::atomic<uint64_t> fused_backward{0};
-  std::atomic<uint64_t> unfused_replays{0};
-  std::atomic<uint64_t> scratch_acquires{0};
-  std::atomic<uint64_t> scratch_reuses{0};
-};
-
-StatCounters& stat_counters() {
-  static StatCounters s;
-  return s;
-}
-
-// ---- per-signature program cache -----------------------------------------
-
-/// A compiled program specialized to one (signature, rows, cols) shape.
-/// Holding the programs by value keeps a cached plan (and everything a
-/// pending backward needs) alive independently of the FusedOp that built
-/// it.
-struct ExecPlan {
-  uint64_t sig = 0;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  EwProgram fwd;
-  EwBackward bwd;
-};
-
-struct CacheKey {
-  uint64_t sig;
-  int64_t rows;
-  int64_t cols;
-  bool operator==(const CacheKey& o) const {
-    return sig == o.sig && rows == o.rows && cols == o.cols;
-  }
-};
-
-struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& k) const {
-    uint64_t h = k.sig;
-    h ^= static_cast<uint64_t>(k.rows) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    h ^= static_cast<uint64_t>(k.cols) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct ProgramCache {
-  Mutex mu{"fusion::ProgramCache::mu"};
-  std::unordered_map<CacheKey, std::shared_ptr<ExecPlan>, CacheKeyHash> map
-      STG_GUARDED_BY(mu);
-};
-
-ProgramCache& program_cache() {
-  static ProgramCache c;
-  return c;
-}
-
-std::shared_ptr<const ExecPlan> lookup_or_compile(const std::string& name,
-                                                  uint64_t sig,
-                                                  const EwProgram& fwd,
-                                                  const EwBackward& bwd,
-                                                  int64_t rows, int64_t cols) {
-  ProgramCache& c = program_cache();
-  const CacheKey key{sig, rows, cols};
-  std::shared_ptr<ExecPlan> plan;
-  {
-    MutexLock lock(c.mu);
-    auto it = c.map.find(key);
-    if (it != c.map.end()) {
-      stat_counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
-      plan = it->second;
-    } else {
-      stat_counters().cache_misses.fetch_add(1, std::memory_order_relaxed);
-      plan = std::make_shared<ExecPlan>();
-      plan->sig = sig;
-      plan->rows = rows;
-      plan->cols = cols;
-      plan->fwd = fwd;
-      plan->bwd = bwd;
-      c.map.emplace(key, plan);
-    }
-  }
-  // STGRAPH_VALIDATE audit: the plan a lookup returns must describe the
-  // live view shape. A healthy cache cannot fail this (the shape is part
-  // of the key); a stale or aliased entry fails here, at the step that
-  // would have used it.
-  if (verify::validation_enabled()) {
-    STG_CHECK(plan->sig == sig && plan->rows == rows && plan->cols == cols,
-              "fused program cache audit failed for ", name, ": cached (sig=",
-              plan->sig, ", ", plan->rows, "x", plan->cols, ") vs live (sig=",
-              sig, ", ", rows, "x", cols, ")");
-  }
-  return plan;
-}
 
 // ---- bias-grad scratch arena ---------------------------------------------
 
@@ -137,10 +35,8 @@ std::shared_ptr<const ExecPlan> lookup_or_compile(const std::string& name,
 class ScratchArena {
  public:
   DeviceBuffer<float> acquire(std::size_t n) {
-    stat_counters().scratch_acquires.fetch_add(1, std::memory_order_relaxed);
     for (auto it = free_.begin(); it != free_.end(); ++it) {
       if (it->size() >= n) {
-        stat_counters().scratch_reuses.fetch_add(1, std::memory_order_relaxed);
         DeviceBuffer<float> b = std::move(*it);
         free_.erase(it);
         return b;
@@ -178,7 +74,7 @@ void attach(Tensor& out, const std::string& name,
 
 }  // namespace
 
-// ---- switch / stats API ---------------------------------------------------
+// ---- switch API -----------------------------------------------------------
 
 bool fusion_enabled() {
   int v = g_enabled.load(std::memory_order_relaxed);
@@ -198,51 +94,6 @@ bool fusion_enabled() {
 
 void set_fusion_enabled(bool on) {
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-FusionStats fusion_stats() {
-  StatCounters& s = stat_counters();
-  FusionStats out;
-  out.cache_hits = s.cache_hits.load(std::memory_order_relaxed);
-  out.cache_misses = s.cache_misses.load(std::memory_order_relaxed);
-  out.fused_forward = s.fused_forward.load(std::memory_order_relaxed);
-  out.fused_backward = s.fused_backward.load(std::memory_order_relaxed);
-  out.unfused_replays = s.unfused_replays.load(std::memory_order_relaxed);
-  out.scratch_acquires = s.scratch_acquires.load(std::memory_order_relaxed);
-  out.scratch_reuses = s.scratch_reuses.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_fusion_stats() {
-  StatCounters& s = stat_counters();
-  s.cache_hits.store(0, std::memory_order_relaxed);
-  s.cache_misses.store(0, std::memory_order_relaxed);
-  s.fused_forward.store(0, std::memory_order_relaxed);
-  s.fused_backward.store(0, std::memory_order_relaxed);
-  s.unfused_replays.store(0, std::memory_order_relaxed);
-  s.scratch_acquires.store(0, std::memory_order_relaxed);
-  s.scratch_reuses.store(0, std::memory_order_relaxed);
-}
-
-std::size_t fusion_cache_size() {
-  ProgramCache& c = program_cache();
-  MutexLock lock(c.mu);
-  return c.map.size();
-}
-
-void clear_fusion_cache() {
-  ProgramCache& c = program_cache();
-  MutexLock lock(c.mu);
-  c.map.clear();
-}
-
-void debug_corrupt_cached_shapes(int64_t rows, int64_t cols) {
-  ProgramCache& c = program_cache();
-  MutexLock lock(c.mu);
-  for (auto& kv : c.map) {
-    kv.second->rows = rows;
-    kv.second->cols = cols;
-  }
 }
 
 // ---- blocked interpreter --------------------------------------------------
@@ -486,19 +337,20 @@ FusedOp::FusedOp(std::string name,
                  const std::function<EwExpr(EwTracer&)>& build)
     : name_(std::move(name)) {
   fwd_ = optimize_elementwise(trace_elementwise(build));
-  bwd_ = differentiate_elementwise(fwd_);
-  sig_ = fwd_.hash();
+  auto exec = std::make_shared<Exec>();
+  exec->bwd = differentiate_elementwise(fwd_);
   // The executed forward additionally materializes every transcendental
   // value the backward wants to read back (kEwBlock-sized register blocks
   // spill to [N,F] buffers the backward takes as inputs). A saved node
   // that IS the program output still gets its own buffer: capturing the
   // output tensor inside its own grad node would create an ownership
   // cycle (tensor → grad_fn → closure → tensor) and leak the pair.
-  fwd_exec_ = fwd_;
-  for (int sid : bwd_.saved) fwd_exec_.outputs.push_back(sid);
+  exec->fwd = fwd_;
+  for (int sid : exec->bwd.saved) exec->fwd.outputs.push_back(sid);
   STG_CHECK(static_cast<int>(fwd_.nodes.size()) <= kMaxEwNodes &&
-                static_cast<int>(bwd_.prog.nodes.size()) <= kMaxEwNodes,
+                static_cast<int>(exec->bwd.prog.nodes.size()) <= kMaxEwNodes,
             "fused region ", name_, " exceeds the interpreter node budget");
+  exec_ = std::move(exec);
 }
 
 Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
@@ -529,17 +381,14 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
                 "fused op ", name_, ": bias input ", i, " must be [", cols,
                 "]");
 
-  if (!fusion_enabled()) {
-    stat_counters().unfused_replays.fetch_add(1, std::memory_order_relaxed);
-    return replay_unfused(fwd_, inputs);
-  }
+  if (!fusion_enabled()) return replay_unfused(fwd_, inputs);
 
   if (rows == 0 || cols == 0) {
     // Nothing to evaluate: an empty output, and zero gradients (an empty
-    // [0,F] or an all-zero bias sum) without compiling or launching.
+    // [0,F] or an all-zero bias sum) without launching.
     Tensor out = Tensor::empty({rows, cols});
     attach(out, name_, inputs,
-           [inputs, grad_slots = bwd_.input_grads](const Tensor&) {
+           [inputs, grad_slots = exec_->bwd.input_grads](const Tensor&) {
              std::vector<Tensor> grads(inputs.size());
              for (std::size_t i = 0; i < inputs.size(); ++i)
                if (grad_slots[i] >= 0)
@@ -549,22 +398,19 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
     return out;
   }
 
-  std::shared_ptr<const ExecPlan> plan =
-      lookup_or_compile(name_, sig_, fwd_exec_, bwd_, rows, cols);
-
   Tensor out = Tensor::empty({rows, cols});
   // Saved transcendental values (the tape's saved-output VJP analogue):
   // extra forward outputs the backward reads instead of re-evaluating the
   // exponentials. Each lives in its own buffer — never the output tensor
   // itself, which would cycle through its grad node and leak.
   std::vector<Tensor> saved_vals;
-  saved_vals.reserve(plan->bwd.saved.size());
+  saved_vals.reserve(exec_->bwd.saved.size());
   {
     std::vector<float*> outps;
-    outps.reserve(plan->fwd.outputs.size());
+    outps.reserve(exec_->fwd.outputs.size());
     outps.push_back(out.data());
     uint64_t fwd_bytes = static_cast<uint64_t>(out.numel()) * sizeof(float);
-    for (std::size_t j = 0; j < plan->bwd.saved.size(); ++j) {
+    for (std::size_t j = 0; j < exec_->bwd.saved.size(); ++j) {
       Tensor s = Tensor::empty({rows, cols});
       outps.push_back(s.data());
       saved_vals.push_back(std::move(s));
@@ -573,15 +419,11 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
     ops::ProfileScope ps(ops::OpClass::kFused, fwd_bytes);
     std::vector<const float*> ins(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) ins[i] = inputs[i].data();
-    run_ew_program(plan->fwd, ins.data(), rows, cols, outps.data());
+    run_ew_program(exec_->fwd, ins.data(), rows, cols, outps.data());
   }
-  stat_counters().fused_forward.fetch_add(1, std::memory_order_relaxed);
 
   attach(out, name_, inputs,
-         [plan, inputs, saved_vals](const Tensor& g) {
-           stat_counters().fused_backward.fetch_add(1,
-                                                    std::memory_order_relaxed);
-           const int64_t rows = plan->rows, cols = plan->cols;
+         [exec = exec_, rows, cols, inputs, saved_vals](const Tensor& g) {
            const std::size_t nin = inputs.size();
            std::vector<const float*> ins(nin + 1 + saved_vals.size());
            for (std::size_t i = 0; i < nin; ++i) ins[i] = inputs[i].data();
@@ -596,8 +438,8 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
            std::vector<std::pair<std::size_t, DeviceBuffer<float>>> bias_tmp;
            uint64_t out_bytes = 0;
            for (std::size_t slot = 0; slot < nin; ++slot) {
-             if (plan->bwd.input_grads[slot] < 0) continue;
-             if (plan->fwd.inputs[slot] == EwInputKind::kMat) {
+             if (exec->bwd.input_grads[slot] < 0) continue;
+             if (exec->fwd.inputs[slot] == EwInputKind::kMat) {
                grads[slot] = Tensor::empty({rows, cols});
                outs.push_back(grads[slot].data());
                out_bytes +=
@@ -613,7 +455,7 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
            }
            {
              ops::ProfileScope ps(ops::OpClass::kFused, out_bytes);
-             run_ew_program(plan->bwd.prog, ins.data(), rows, cols,
+             run_ew_program(exec->bwd.prog, ins.data(), rows, cols,
                             outs.data());
              for (auto& [slot, buf] : bias_tmp) {
                // The reduce ops::add_bias's backward uses (same bits).

@@ -39,18 +39,17 @@
 //     in flight (a propagated qNaN, or the ffc00000 indefinite that
 //     invalid ops produce) parity is exact.
 //   * An empty region (zero rows or columns) returns an empty output and
-//     zero gradients without compiling or launching, as the replay does.
+//     zero gradients without launching, as the replay does.
 //
-// Compiled programs are cached per (program signature, rows, cols): the
-// steady state of a training loop performs zero compilation work, which the
-// cache's hit/miss/compile counters let tests assert. STGRAPH_VALIDATE=1
-// audits every cache hit against the live view shape so a stale program
-// (e.g. after a snapshot view change that a bad key would alias) fails
-// loudly at the lookup instead of corrupting a step.
+// Compile once: construction traces, optimizes and differentiates the
+// region, and every call runs those same programs on whatever [N,F] shape
+// it is given — nothing in a program depends on the shape, so there is no
+// per-shape cache and the fused path takes no lock.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,27 +71,6 @@ inline constexpr int kEwBlock = 64;
 bool fusion_enabled();
 void set_fusion_enabled(bool on);
 
-struct FusionStats {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;      // == programs compiled into the cache
-  uint64_t fused_forward = 0;     // fused forward launches
-  uint64_t fused_backward = 0;    // fused backward launches
-  uint64_t unfused_replays = 0;   // off-path region replays through ops::
-  uint64_t scratch_acquires = 0;  // bias-grad scratch requests
-  uint64_t scratch_reuses = 0;    // ... served from the arena free list
-};
-FusionStats fusion_stats();
-void reset_fusion_stats();
-
-std::size_t fusion_cache_size();
-void clear_fusion_cache();
-
-/// Test hook for the STGRAPH_VALIDATE audit: overwrite the recorded shape
-/// of every cached program so the next validated lookup sees a signature
-/// whose plan no longer matches the live tensors (the stale-program
-/// regression scenario).
-void debug_corrupt_cached_shapes(int64_t rows, int64_t cols);
-
 /// One traced region. Construction traces, optimizes, and differentiates
 /// the program once; operator() dispatches per call on fusion_enabled().
 class FusedOp {
@@ -106,17 +84,21 @@ class FusedOp {
 
   const std::string& name() const { return name_; }
   const EwProgram& forward_program() const { return fwd_; }
-  const EwBackward& backward_program() const { return bwd_; }
-  uint64_t signature() const { return sig_; }
+  const EwBackward& backward_program() const { return exec_->bwd; }
 
  private:
+  /// What the fused path executes: fwd_ with its outputs extended by the
+  /// transcendental values the backward reads back (bwd.saved), and the
+  /// derived backward. Shared with every pending backward closure, so a
+  /// backward may run after its FusedOp is gone.
+  struct Exec {
+    EwProgram fwd;
+    EwBackward bwd;
+  };
+
   std::string name_;
-  EwProgram fwd_;       // single-output program (replay / parity oracle)
-  /// fwd_ with its outputs extended by the transcendental values the
-  /// backward reads back (bwd_.saved) — what the fused path executes.
-  EwProgram fwd_exec_;
-  EwBackward bwd_;
-  uint64_t sig_ = 0;
+  EwProgram fwd_;  // single-output program (replay / parity oracle)
+  std::shared_ptr<const Exec> exec_;
 };
 
 /// Raw blocked interpreter (no autograd): evaluate `p` elementwise over

@@ -1,7 +1,6 @@
 #include "compiler/ir.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 namespace stgraph::compiler {
@@ -120,27 +119,6 @@ std::string EwProgram::to_string() const {
   for (size_t i = 0; i < outputs.size(); ++i)
     oss << (i ? "," : "") << "%" << outputs[i];
   return oss.str();
-}
-
-uint64_t EwProgram::hash() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const EwNode& n : nodes) {
-    mix(static_cast<uint64_t>(n.op));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(n.a)) + 1);
-    mix(static_cast<uint64_t>(static_cast<int64_t>(n.b)) + 1);
-    uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(n.imm));
-    std::memcpy(&bits, &n.imm, sizeof(bits));
-    mix(bits);
-    mix(static_cast<uint64_t>(static_cast<int64_t>(n.input)) + 1);
-  }
-  for (EwInputKind k : inputs) mix(static_cast<uint64_t>(k) + 0x9e);
-  for (int o : outputs) mix(static_cast<uint64_t>(o) + 0x51);
-  return h;
 }
 
 bool operator==(const EwNode& a, const EwNode& b) {

@@ -126,11 +126,8 @@ struct EwProgram {
   std::vector<int> outputs;
 
   int num_inputs() const { return static_cast<int>(inputs.size()); }
-  /// Canonical signature, e.g. "sig(add(in0,in1))" — the structural half
-  /// of the program-cache key.
+  /// Canonical listing, e.g. "%0=in0; %1=in1; %2=add(%0,%1); %3=sig(%2) -> %3".
   std::string to_string() const;
-  /// FNV-1a over the structure (ops, operands, immediates, input kinds).
-  uint64_t hash() const;
 };
 
 const char* ew_op_name(EwOp op);

@@ -40,16 +40,16 @@ void canonicalize(std::vector<Coef>& coefs) {
                    });
 }
 
-// Classify one canonical-ordered coef product into a TermPlan. Returns
-// false when the product exceeds what the plan can represent (factor
-// counts beyond uint8_t — no real program comes close).
-bool make_plan(const std::vector<Coef>& coefs, int input, TermPlan& tp) {
-  tp = TermPlan{};
+// Classify one canonical-ordered coef product into a TermPlan. A factor
+// count beyond uint8_t is outside the engine grid (no real program comes
+// close) and fails compile().
+TermPlan make_plan(const std::vector<Coef>& coefs, int input) {
+  TermPlan tp;
   tp.input = input;
   auto bump = [](uint8_t& n) {
-    if (n == 0xFF) return false;
+    STG_CHECK(n < 0xFF,
+              "coefficient product has more than 255 factors of one kind");
     ++n;
-    return true;
   };
   for (const Coef& c : coefs) {
     switch (c.kind) {
@@ -57,20 +57,20 @@ bool make_plan(const std::vector<Coef>& coefs, int input, TermPlan& tp) {
         tp.c0 *= c.value;  // left-to-right, same as eval_coefs
         break;
       case CoefKind::kInvDegree:
-        if (!bump(tp.inv_deg)) return false;
+        bump(tp.inv_deg);
         break;
       case CoefKind::kInvDegreeP1:
-        if (!bump(tp.inv_deg_p1)) return false;
+        bump(tp.inv_deg_p1);
         break;
       case CoefKind::kGcnNorm:
-        if (!bump(tp.gcn)) return false;
+        bump(tp.gcn);
         break;
       case CoefKind::kEdgeWeight:
-        if (!bump(tp.edge_w)) return false;
+        bump(tp.edge_w);
         break;
     }
   }
-  return true;
+  return tp;
 }
 
 }  // namespace
@@ -101,17 +101,15 @@ KernelSpec compile(Program p) {
   for (const MessageTerm& t : spec.program.terms) scan(t.coefs);
   if (spec.program.include_self) scan(spec.program.self_coefs);
 
-  spec.specializable =
-      spec.program.terms.size() <= kMaxSpecializedTerms;
+  STG_CHECK(spec.program.terms.size() <= kMaxSpecializedTerms,
+            "program has ", spec.program.terms.size(),
+            " message terms; the kernel engine supports at most ",
+            kMaxSpecializedTerms);
   spec.plans.reserve(spec.program.terms.size());
-  for (const MessageTerm& t : spec.program.terms) {
-    TermPlan tp;
-    if (!make_plan(t.coefs, t.input, tp)) spec.specializable = false;
-    spec.plans.push_back(tp);
-  }
-  if (spec.program.include_self &&
-      !make_plan(spec.program.self_coefs, 0, spec.self_plan))
-    spec.specializable = false;
+  for (const MessageTerm& t : spec.program.terms)
+    spec.plans.push_back(make_plan(t.coefs, t.input));
+  if (spec.program.include_self)
+    spec.self_plan = make_plan(spec.program.self_coefs, 0);
   return spec;
 }
 
@@ -341,10 +339,6 @@ void run_kernel_reference(const KernelSpec& spec, const KernelArgs& args) {
 }
 
 void run_kernel(const KernelSpec& spec, const KernelArgs& args) {
-  if (!spec.specializable) {
-    run_kernel_reference(spec, args);
-    return;
-  }
   validate_args(spec, args);
   if (simd::enabled()) {
     detail::run_engine_native(spec, args);

@@ -55,17 +55,15 @@ struct KernelSpec {
   int num_inputs = 1;
   std::vector<TermPlan> plans;  // one per program.terms entry
   TermPlan self_plan;           // valid when program.include_self
-  /// True when every term fits the specialization grid; otherwise
-  /// run_kernel falls back to the interpreted reference path.
-  bool specializable = true;
 };
 
-KernelSpec compile(Program p);
-
-/// Terms beyond this count fall back to the interpreted reference kernel
-/// (no real program comes close; the grid keeps per-row hoist state on the
-/// stack sized by this bound).
+/// The engine grid's term bound: compile() rejects (StgError) a program
+/// with more terms, or with more than 255 factors of one kind in a coef
+/// product. No real program comes close; the grid keeps per-row hoist
+/// state on the stack sized by this bound.
 inline constexpr uint32_t kMaxSpecializedTerms = 8;
+
+KernelSpec compile(Program p);
 
 /// Runtime arguments for one launch.
 struct KernelArgs {
@@ -104,8 +102,7 @@ void run_kernel(const KernelSpec& spec, const KernelArgs& args);
 
 /// The retained interpreted kernel: per-edge coef re-evaluation, scalar
 /// feature loops, original work shaping. Kept as the bit-parity oracle for
-/// the fuzz suite and the ablation baseline for bench_micro_kernels; also
-/// the fallback for programs outside the specialization grid.
+/// the fuzz suite and the ablation baseline for bench_micro_kernels.
 void run_kernel_reference(const KernelSpec& spec, const KernelArgs& args);
 
 /// Feature-size threshold at which the scheduler switches from

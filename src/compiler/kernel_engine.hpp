@@ -1,6 +1,6 @@
 // Internal entry points of the specialized kernel engine (kernel_engine.cpp).
 // run_kernel() validates arguments and picks one of these; they assume a
-// specializable spec (spec.plans populated, term count within
+// compiled spec (spec.plans populated, term count within
 // kMaxSpecializedTerms).
 #pragma once
 

@@ -411,10 +411,6 @@ void GpmaGraph::full_rebuild_views(PublishedView& pub) {
 }
 
 void GpmaGraph::rebuild_coef_cache(PublishedView& pub) {
-  if (!coef_cache_enabled_) {
-    pub.gcn_coef.resize(0);
-    return;
-  }
   const uint32_t m = static_cast<uint32_t>(pma_.size());
   pub.gcn_coef.resize(m);
   const uint32_t* rro = pub.r_row_offset.data();
@@ -429,14 +425,6 @@ void GpmaGraph::rebuild_coef_cache(PublishedView& pub) {
         gc[re[j]] = gcn_norm_coef(ind[rc[j]], dv);
     }
   });
-}
-
-void GpmaGraph::set_coef_cache_enabled(bool enabled) {
-  sync();
-  coef_cache_enabled_ = enabled;
-  // Built views carry the old cache setting; drop them.
-  pub_[0].valid = false;
-  pub_[1].valid = false;
 }
 
 bool GpmaGraph::servable(const PublishedView& pub, uint32_t t) const {

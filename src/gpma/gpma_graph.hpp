@@ -111,9 +111,6 @@ class GpmaGraph final : public STGraphBase {
   }
   /// Disable the Algorithm-2 snapshot cache (ablation bench).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  /// Disable the per-snapshot GCN-norm edge-coefficient cache (ablation
-  /// bench / parity tests); kernels then recompute the factor per edge.
-  void set_coef_cache_enabled(bool enabled);
   uint64_t delta_replays() const { return delta_replays_; }
   /// Always 0: every refresh is a full rebuild. Kept because external
   /// benchmark code still reads it.
@@ -203,7 +200,6 @@ class GpmaGraph final : public STGraphBase {
   std::vector<uint32_t> edges_at_;  // |E_t| per timestamp
   // Degrees at the live position, maintained per replayed key.
   DeviceBuffer<uint32_t> in_deg_, out_deg_;
-  bool coef_cache_enabled_ = true;
 
   uint32_t curr_time_ = 0;
   // Bumped by every repositioning; view buffers stamped with an older

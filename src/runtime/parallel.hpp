@@ -21,16 +21,13 @@ namespace stgraph::device {
 /// Global launch statistics (reset per measured region in benches).
 struct KernelStats {
   std::atomic<uint64_t> launches{0};
-  std::atomic<uint64_t> total_threads{0};
   static KernelStats& instance();
-  void reset() { launches = 0; total_threads = 0; }
+  void reset() { launches = 0; }
 };
 
 namespace detail {
-inline void count_launch(std::size_t n) {
-  auto& stats = KernelStats::instance();
-  stats.launches.fetch_add(1, std::memory_order_relaxed);
-  stats.total_threads.fetch_add(n, std::memory_order_relaxed);
+inline void count_launch() {
+  KernelStats::instance().launches.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Lane count a launch may actually use from the current thread. On a pool
@@ -53,7 +50,7 @@ inline unsigned effective_lanes(const ThreadPool& pool) {
 template <typename Fn>
 void parallel_for_ranges(std::size_t n, Fn&& fn, std::size_t grain = 1024) {
   if (n == 0) return;
-  detail::count_launch(n);
+  detail::count_launch();
   auto& pool = ThreadPool::instance();
   const unsigned lanes = detail::effective_lanes(pool);
   if (lanes == 1 || n <= grain) {
@@ -94,7 +91,7 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 1024) {
 template <typename Fn>
 void parallel_for_strided(std::size_t n, Fn&& fn, std::size_t grain = 512) {
   if (n == 0) return;
-  detail::count_launch(n);
+  detail::count_launch();
   auto& pool = ThreadPool::instance();
   const unsigned lanes = detail::effective_lanes(pool);
   if (lanes == 1 || n <= grain) {
@@ -125,7 +122,7 @@ void parallel_for_2d_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
                              std::size_t grain = 512) {
   const std::size_t n = rows * tiles;
   if (n == 0) return;
-  detail::count_launch(n);
+  detail::count_launch();
   auto& pool = ThreadPool::instance();
   const unsigned lanes = detail::effective_lanes(pool);
   if (lanes == 1 || n <= grain) {

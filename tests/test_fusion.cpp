@@ -7,9 +7,9 @@
 // through NaN/Inf-salted inputs and odd feature widths that leave SIMD
 // remainder lanes. Also covered: the SIMD interpreter against its ScalarOps
 // instantiation (memcmp), empty regions, finite-difference gradients
-// through every fused cell region, the per-(signature, rows, cols) program
-// cache (zero steady-state compiles), the STGRAPH_VALIDATE stale-plan
-// audit, the fused GCN bias epilogue, and the bias-grad scratch arena.
+// through every fused cell region, one FusedOp serving interleaved shapes,
+// fused launches counted by the op profile in both directions, the fused
+// GCN bias epilogue, and the bias-grad scratch arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compiler/autodiff.hpp"
@@ -36,10 +37,11 @@
 #include "nn/gconv_lstm.hpp"
 #include "nn/models.hpp"
 #include "autograd/engine.hpp"
+#include "runtime/memory_tracker.hpp"
+#include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "verify/validate.hpp"
 
 namespace stgraph {
 namespace {
@@ -138,16 +140,17 @@ TEST(EwPasses, HashAndPrintDistinguishPrograms) {
   auto tanh_add = compiler::trace_elementwise(
       [](EwTracer& t) { return t.tanh(t.add(t.in(), t.in())); });
   EXPECT_TRUE(sig_add == sig_add2);
-  EXPECT_EQ(sig_add.hash(), sig_add2.hash());
-  EXPECT_NE(sig_add.hash(), tanh_add.hash());
+  EXPECT_EQ(sig_add.to_string(), sig_add2.to_string());
+  EXPECT_FALSE(sig_add == tanh_add);
   EXPECT_NE(sig_add.to_string().find("sig"), std::string::npos);
   EXPECT_NE(tanh_add.to_string().find("tanh"), std::string::npos);
-  // Immediates participate in the signature (0.1 vs 0.2 slope).
+  // Immediates participate in equality and the listing (0.1 vs 0.2 slope).
   auto l1 = compiler::trace_elementwise(
       [](EwTracer& t) { return t.leaky_relu(t.in(), 0.1f); });
   auto l2 = compiler::trace_elementwise(
       [](EwTracer& t) { return t.leaky_relu(t.in(), 0.2f); });
-  EXPECT_NE(l1.hash(), l2.hash());
+  EXPECT_FALSE(l1 == l2);
+  EXPECT_NE(l1.to_string(), l2.to_string());
 }
 
 // ---- derived backward programs -------------------------------------------
@@ -427,7 +430,7 @@ TEST(FusionEmpty, ZeroRowRegionsMatchReplayForwardAndBackward) {
       std::vector<Tensor> grads[2];
       for (int fused = 0; fused < 2; ++fused) {
         fu::set_fusion_enabled(fused == 1);
-        fu::reset_fusion_stats();
+        const ops::OpProfile before = ops::profile_snapshot();
         Rng rng(61);
         std::vector<Tensor> leaves = make_inputs(r, rows, cols, rng,
                                                  Salt::kNone);
@@ -443,10 +446,8 @@ TEST(FusionEmpty, ZeroRowRegionsMatchReplayForwardAndBackward) {
             EXPECT_EQ(l.grad().data()[i], 0.0f) << r.name;
           grads[fused].push_back(l.grad());
         }
-        if (fused == 1) {
-          EXPECT_EQ(fu::fusion_stats().fused_forward, 0u)
-              << r.name << ": an empty region launched";
-        }
+        EXPECT_EQ((ops::profile_snapshot() - before).fused_ops(), 0u)
+            << r.name << ": an empty region launched";
       }
       for (size_t i = 0; i < grads[0].size(); ++i)
         expect_bitwise(grads[1][i], grads[0][i],
@@ -552,56 +553,68 @@ TEST(FusionParity, GcnEpilogueBitwise) {
   }
 }
 
-// ---- program cache -------------------------------------------------------
+// ---- one compiled program per region --------------------------------------
 
-TEST(FusionCache, KeyedBySignatureAndShape) {
+TEST(FusionParity, InterleavedShapesMatchReplayBitwise) {
+  // One FusedOp runs on two shapes, forwards interleaved, and both
+  // backwards run only after the op is gone: the compiled programs do not
+  // depend on the shape, and each pending backward keeps them alive.
   FusionGuard guard;
-  fu::set_fusion_enabled(true);
-  fu::clear_fusion_cache();
-  fu::reset_fusion_stats();
-  Rng rng(31);
-  Tensor a = Tensor::randn({8, 5}, rng), b = Tensor::randn({8, 5}, rng);
-
-  (void)fu::sigmoid_add(a, b);
-  EXPECT_EQ(fu::fusion_stats().cache_misses, 1u);
-  EXPECT_EQ(fu::fusion_cache_size(), 1u);
-
-  (void)fu::sigmoid_add(b, a);  // same signature, same shape → hit
-  EXPECT_EQ(fu::fusion_stats().cache_hits, 1u);
-  EXPECT_EQ(fu::fusion_stats().cache_misses, 1u);
-
-  Tensor c = Tensor::randn({9, 5}, rng), d = Tensor::randn({9, 5}, rng);
-  (void)fu::sigmoid_add(c, d);  // same signature, new rows → new plan
-  EXPECT_EQ(fu::fusion_stats().cache_misses, 2u);
-  EXPECT_EQ(fu::fusion_cache_size(), 2u);
-
-  (void)fu::tanh_add(a, b);  // new signature → new plan
-  EXPECT_EQ(fu::fusion_stats().cache_misses, 3u);
-  EXPECT_EQ(fu::fusion_cache_size(), 3u);
-
-  fu::clear_fusion_cache();
-  EXPECT_EQ(fu::fusion_cache_size(), 0u);
+  const std::pair<int64_t, int64_t> shapes[] = {{9, 13}, {4, 70}};
+  std::vector<Tensor> grads[2];
+  Tensor outs[2][2];
+  for (int fused = 0; fused < 2; ++fused) {
+    fu::set_fusion_enabled(fused == 1);
+    std::vector<Tensor> leaves[2], seeds(2);
+    {
+      const fu::FusedOp op("test_shapes", [](EwTracer& t) {
+        auto a = t.in(), b = t.in();
+        auto bias = t.in_bias();
+        return t.tanh(t.add_bias(t.mul(t.sigmoid(a), b), bias));
+      });
+      for (int s = 0; s < 2; ++s) {
+        auto [rows, cols] = shapes[s];
+        Rng rng(0x5A9E + static_cast<uint64_t>(s));
+        leaves[s] = {Tensor::randn({rows, cols}, rng, 1.2f),
+                     Tensor::randn({rows, cols}, rng, 1.2f),
+                     Tensor::randn({cols}, rng, 0.7f)};
+        for (Tensor& l : leaves[s]) l.set_requires_grad(true);
+        seeds[s] = Tensor::randn({rows, cols}, rng, 1.0f);
+        outs[fused][s] = op(leaves[s]);
+      }
+    }
+    for (int s = 0; s < 2; ++s) {
+      outs[fused][s].backward(seeds[s]);
+      for (const Tensor& l : leaves[s]) grads[fused].push_back(l.grad());
+    }
+  }
+  for (int s = 0; s < 2; ++s)
+    expect_bitwise(outs[1][s], outs[0][s], "shape " + std::to_string(s));
+  for (size_t i = 0; i < grads[0].size(); ++i)
+    expect_bitwise(grads[1][i], grads[0][i], "grad " + std::to_string(i));
 }
 
-TEST(FusionCache, OffPathCompilesNothing) {
+// ---- fused launches, counted by the op profile ------------------------------
+
+TEST(FusionLaunch, OffPathLaunchesNothing) {
   FusionGuard guard;
   fu::set_fusion_enabled(false);
-  fu::clear_fusion_cache();
-  fu::reset_fusion_stats();
   Rng rng(33);
-  Tensor a = Tensor::randn({6, 4}, rng), b = Tensor::randn({6, 4}, rng);
-  (void)fu::sigmoid_add(a, b);
-  EXPECT_EQ(fu::fusion_cache_size(), 0u);
-  EXPECT_EQ(fu::fusion_stats().cache_misses, 0u);
-  EXPECT_GE(fu::fusion_stats().unfused_replays, 1u);
-  EXPECT_EQ(fu::fusion_stats().fused_forward, 0u);
+  Tensor a = Tensor::randn({6, 4}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::randn({6, 4}, rng, 1.0f, /*requires_grad=*/true);
+  const ops::OpProfile before = ops::profile_snapshot();
+  ops::sum(fu::sigmoid_add(a, b)).backward();
+  const ops::OpProfile d = ops::profile_snapshot() - before;
+  EXPECT_EQ(d.fused_ops(), 0u);
+  EXPECT_GT(d.tape_ops(), 0u) << "the replay ran no tape ops";
 }
 
-TEST(FusionCache, ZeroSteadyStateCompilesDuringTraining) {
+TEST(FusionLaunch, TrainingEpochRunsFusedBothDirections) {
+  // Without this, TrainingParity would also pass if fusion never ran. An
+  // evaluate() pass runs the same forwards with no backward, so a training
+  // epoch must launch strictly more fused programs than it.
   FusionGuard guard;
   fu::set_fusion_enabled(true);
-  fu::clear_fusion_cache();
-
   datasets::StaticLoadOptions o;
   o.scale = 1.0;
   o.num_timestamps = 12;
@@ -617,55 +630,52 @@ TEST(FusionCache, ZeroSteadyStateCompilesDuringTraining) {
   cfg.task = core::Task::kNodeRegression;
   core::STGraphTrainer trainer(graph, model, ds.signal, cfg);
 
-  trainer.train_epoch();  // warmup: every (signature, shape) compiles here
-  fu::reset_fusion_stats();
+  ops::OpProfile before = ops::profile_snapshot();
   trainer.train_epoch();
-  const fu::FusionStats s = fu::fusion_stats();
-  EXPECT_EQ(s.cache_misses, 0u) << "steady-state epoch recompiled programs";
-  EXPECT_GT(s.cache_hits, 0u);
-  EXPECT_GT(s.fused_forward, 0u);
-  EXPECT_GT(s.fused_backward, 0u);
+  const uint64_t train = (ops::profile_snapshot() - before).fused_ops();
+  before = ops::profile_snapshot();
+  (void)trainer.evaluate();
+  const uint64_t eval = (ops::profile_snapshot() - before).fused_ops();
+  EXPECT_GT(eval, 0u);
+  EXPECT_GT(train, eval) << "no fused backward ran during training";
 }
 
-TEST(FusionCache, ValidateAuditCatchesStalePlan) {
-  // STGRAPH_VALIDATE=1 audits every cache hit against the live view
-  // shape; a plan whose recorded shape no longer matches must fail the
-  // lookup loudly instead of silently corrupting a step.
+// ---- bias-grad scratch arena ----------------------------------------------
+
+TEST(FusionScratch, BiasGradScratchComesFromArena) {
+  // The arena is thread-local, so a fresh thread starts it empty. The first
+  // fused backward allocates the one kScratch buffer; every later step is
+  // served from the free list: no new scratch residency, and one
+  // allocation fewer than that first fused step.
   FusionGuard guard;
-  fu::set_fusion_enabled(true);
-  fu::clear_fusion_cache();
-  Rng rng(41);
-  Tensor a = Tensor::randn({6, 4}, rng), b = Tensor::randn({6, 4}, rng);
-  (void)fu::sigmoid_add(a, b);
-  ASSERT_EQ(fu::fusion_cache_size(), 1u);
-
-  fu::debug_corrupt_cached_shapes(1, 1);
-  const bool was = verify::validation_enabled();
-  verify::set_validation_enabled(true);
-  EXPECT_THROW((void)fu::sigmoid_add(a, b), StgError);
-  verify::set_validation_enabled(was);
-  fu::clear_fusion_cache();  // drop the corrupted plans
-
-  // Unvalidated runs do not pay the audit; a fresh compile repopulates.
-  (void)fu::sigmoid_add(a, b);
-  EXPECT_EQ(fu::fusion_cache_size(), 1u);
-}
-
-TEST(FusionStats, BiasGradScratchComesFromArena) {
-  FusionGuard guard;
-  fu::set_fusion_enabled(true);
-  fu::reset_fusion_stats();
-  Rng rng(51);
-  Tensor x = Tensor::randn({16, 8}, rng);
-  Tensor bias = Tensor::randn({8}, rng, 0.5f, /*requires_grad=*/true);
-  for (int i = 0; i < 3; ++i) {
-    bias.zero_grad();
-    Tensor y = fu::bias_sigmoid(x, bias);
-    ops::sum(y).backward();
-  }
-  const fu::FusionStats s = fu::fusion_stats();
-  EXPECT_GE(s.scratch_acquires, 3u);
-  EXPECT_GE(s.scratch_reuses, 2u) << "bias-grad scratch not arena-reused";
+  MemoryTracker& mt = MemoryTracker::instance();
+  const std::size_t scratch_before = mt.current_bytes(MemCategory::kScratch);
+  std::size_t scratch_warm = 0, scratch_steady = 0;
+  uint64_t warm_allocs = 0;
+  std::vector<uint64_t> steady_allocs;
+  std::thread([&] {
+    Rng rng(51);
+    Tensor x = Tensor::randn({16, 8}, rng);
+    Tensor bias = Tensor::randn({8}, rng, 0.5f, /*requires_grad=*/true);
+    auto step = [&] {
+      const uint64_t a0 = mt.allocation_count();
+      bias.zero_grad();
+      ops::sum(fu::bias_sigmoid(x, bias)).backward();
+      return mt.allocation_count() - a0;
+    };
+    fu::set_fusion_enabled(false);
+    (void)step();  // creates bias.grad without touching the arena
+    fu::set_fusion_enabled(true);
+    warm_allocs = step();
+    scratch_warm = mt.current_bytes(MemCategory::kScratch);
+    for (int i = 0; i < 3; ++i) steady_allocs.push_back(step());
+    scratch_steady = mt.current_bytes(MemCategory::kScratch);
+  }).join();
+  EXPECT_GE(scratch_warm, scratch_before + 16 * 8 * sizeof(float))
+      << "bias-grad scratch is not tracked as kScratch";
+  EXPECT_EQ(scratch_steady, scratch_warm) << "scratch residency grew";
+  for (uint64_t n : steady_allocs)
+    EXPECT_EQ(n + 1, warm_allocs) << "a steady step allocated fresh scratch";
 }
 
 // ---- end-to-end training parity ------------------------------------------

@@ -30,6 +30,7 @@
 #include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
 #include "runtime/simd.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace stgraph {
@@ -152,7 +153,6 @@ enum class ViewShape { kCompact, kGapped, kNoEids };
 // reference and assert bitwise-identical outputs (and argmax for max).
 void check_parity(const KernelSpec& spec, KernelArgs args, uint32_t n,
                   int64_t F, const char* what) {
-  ASSERT_TRUE(spec.specializable);
   std::vector<float> out_eng(static_cast<std::size_t>(n) * F, -2.0f);
   std::vector<float> out_ref(static_cast<std::size_t>(n) * F, -2.0f);
   std::vector<uint32_t> am_eng, am_ref;
@@ -354,6 +354,35 @@ TEST(KernelSimdFuzz, MultiTermMultiInputParity) {
   }
 }
 
+TEST(KernelCompile, RejectsProgramsBeyondTheEngineGrid) {
+  // run_kernel has one executable form, the engine, so compile() refuses
+  // what the engine grid cannot hold instead of handing it to a fallback.
+  // Terms on distinct inputs survive dedup_terms.
+  auto terms_program = [](uint32_t terms) {
+    Program p;
+    for (uint32_t i = 0; i < terms; ++i)
+      p.terms.push_back(MessageTerm{{Coef{CoefKind::kGcnNorm, 1.0f}},
+                                    static_cast<int>(i)});
+    return p;
+  };
+  EXPECT_EQ(compile(terms_program(kMaxSpecializedTerms)).plans.size(),
+            kMaxSpecializedTerms);
+  EXPECT_THROW(compile(terms_program(kMaxSpecializedTerms + 1)), StgError);
+
+  auto factors_program = [](std::size_t factors) {
+    Program p;
+    p.terms.push_back(MessageTerm{
+        std::vector<Coef>(factors, Coef{CoefKind::kEdgeWeight, 1.0f}), 0});
+    return p;
+  };
+  EXPECT_EQ(compile(factors_program(255)).plans[0].edge_w, 255);
+  EXPECT_THROW(compile(factors_program(256)), StgError);
+  Program self = factors_program(1);
+  self.include_self = true;
+  self.self_coefs.assign(256, Coef{CoefKind::kInvDegree, 1.0f});
+  EXPECT_THROW(compile(self), StgError);
+}
+
 TEST(KernelSimdFuzz, CachedCoefBitIdenticalToInline) {
   // Same engine, cache bound vs not: the per-snapshot array must be
   // indistinguishable from the inline computation.
@@ -424,19 +453,6 @@ TEST(CoefCache, GpmaDeltasInvalidateTheCache) {
   ASSERT_GT(T, 4u);
   for (uint32_t t = 0; t < T; ++t) expect_cache_exact(g.get_graph(t));
   for (uint32_t t = T; t-- > 0;) expect_cache_exact(g.get_graph(t));
-}
-
-TEST(CoefCache, DisableServesNullAndReenableRebuilds) {
-  DtdgEvents ev = window_edge_stream(60, random_stream(60, 1200, 5), 0.05);
-  GpmaGraph g(ev);
-  const uint32_t T = ev.num_timestamps();
-  expect_cache_exact(g.get_graph(0));
-  g.set_coef_cache_enabled(false);
-  EXPECT_EQ(g.get_graph(0).gcn_coef, nullptr);
-  EXPECT_EQ(g.get_graph(T - 1).gcn_coef, nullptr);  // rolls stay null
-  g.set_coef_cache_enabled(true);
-  expect_cache_exact(g.get_graph(T - 1));
-  expect_cache_exact(g.get_graph(0));
 }
 
 TEST(CoefCache, StaticAndNaiveViewsServeExactCaches) {
