@@ -11,6 +11,32 @@
 #include "util/rng.hpp"
 
 namespace stgraph::nn {
+namespace {
+
+// One aggregation launch at the width of `in`: Â·in over the in-neighbor
+// view (forward) or Âᵀ·in over the out-neighbor view (backward). A non-null
+// `bias` is added to every output row as it is stored.
+Tensor aggregate(const compiler::KernelSpec& kernel, const SnapshotView& view,
+                 bool forward, const Tensor& in, const float* edge_weights,
+                 const float* bias = nullptr) {
+  Tensor out = Tensor::empty({in.rows(), in.cols()});
+  compiler::KernelArgs args;
+  args.view = forward ? view.in_view : view.out_view;
+  args.in_degrees = view.in_degrees;
+  args.gcn_coef = view.gcn_coef;
+  const float* inputs[1] = {in.data()};
+  args.inputs = inputs;
+  args.self_features = in.data();
+  args.edge_weights = edge_weights;
+  args.out = out.data();
+  args.num_feats = static_cast<uint32_t>(in.cols());
+  args.producer_is_col = forward;
+  args.epilogue_bias = bias;
+  core::native_backend().launch_aggregation(kernel, args);
+  return out;
+}
+
+}  // namespace
 
 SeastarGCNConv::SeastarGCNConv(int64_t in_features, int64_t out_features,
                                Rng& rng, bool bias)
@@ -42,103 +68,121 @@ SeastarGCNConv::SeastarGCNConv(int64_t in_features, int64_t out_features,
   needs_ = compiler::backward_needs(fwd_weighted_.program);
 }
 
-Tensor SeastarGCNConv::forward(core::TemporalExecutor& exec, const Tensor& x,
-                               const float* edge_weights) const {
+Tensor SeastarGCNConv::forward(
+    core::TemporalExecutor& exec, const Tensor& x, const float* edge_weights,
+    const std::shared_ptr<SharedAggregate>& shared) const {
   const SnapshotView& view = exec.forward_view();
   STG_CHECK(x.dim() == 2 && x.cols() == in_, "SeastarGCNConv(", in_, "→",
             out_, ") got input ", shape_str(x.shape()));
   STG_CHECK(static_cast<uint32_t>(x.rows()) == view.num_nodes,
             "feature rows ", x.rows(), " != snapshot nodes ", view.num_nodes);
-  core::Backend& backend = core::native_backend();
-  const compiler::KernelSpec& fwd_kernel =
-      edge_weights ? fwd_weighted_ : fwd_plain_;
+  const compiler::KernelSpec* fwd = edge_weights ? &fwd_weighted_ : &fwd_plain_;
+  const compiler::KernelSpec* bwd = edge_weights ? &bwd_weighted_ : &bwd_plain_;
+  // Forward-only execution (NoGradGuard or executor inference mode) records
+  // no backward, so X needs no gradient there whatever its flag says. The
+  // backward computes grad_X only when X needs one (a leaf input often does
+  // not): the engine accepts an undefined gradient for a non-differentiable
+  // edge.
+  const bool records = NoGradGuard::grad_enabled() && !exec.inference_mode();
+  const bool x_needs_grad = records && x.requires_grad();
+  const bool agg_first = aggregates_first(x_needs_grad, shared != nullptr);
 
-  Tensor xw, out;
+  // Raw forward computation — autograd history is a single fused node
+  // registered below, not a chain of op nodes.
+  Tensor ax, xw, out;
   {
-    // Raw forward computation — autograd history is a single fused node
-    // registered below, not a chain of op nodes.
     NoGradGuard ng;
-    xw = ops::matmul(x, weight_);
-    out = Tensor::empty({x.rows(), out_});
-    compiler::KernelArgs args;
-    args.view = view.in_view;
-    args.in_degrees = view.in_degrees;
-    args.gcn_coef = view.gcn_coef;
-    const float* inputs[1] = {xw.data()};
-    args.inputs = inputs;
-    args.self_features = xw.data();
-    args.edge_weights = edge_weights;
-    args.out = out.data();
-    args.num_feats = static_cast<uint32_t>(out_);
-    args.producer_is_col = true;
-    // Epilogue fusion: graft the bias add onto the aggregation's accumulator
-    // writeback instead of a second read-modify-write pass over `out`. The
-    // add sees the same two floats either way, so this is bit-identical to
-    // the unfused kernel-then-add_bias sequence.
-    const bool fuse_bias =
-        bias_.defined() && compiler::fusion::fusion_enabled();
-    if (fuse_bias) args.epilogue_bias = bias_.data();
-    backend.launch_aggregation(fwd_kernel, args);
-    if (bias_.defined() && !fuse_bias) out = ops::add_bias(out, bias_);
+    if (agg_first) {
+      if (shared && shared->ax.defined()) {
+        ax = shared->ax;
+        STG_CHECK(ax.rows() == x.rows() && ax.cols() == in_,
+                  "shared aggregate ", shape_str(ax.shape()),
+                  " does not match input ", shape_str(x.shape()));
+      } else {
+        ax = aggregate(*fwd, view, /*forward=*/true, x, edge_weights);
+        if (shared) shared->ax = ax;
+      }
+      out = ops::matmul(ax, weight_);
+      if (bias_.defined()) out = ops::add_bias(out, bias_);
+    } else {
+      xw = ops::matmul(x, weight_);
+      // Epilogue fusion: graft the bias add onto the aggregation's
+      // accumulator writeback instead of a second read-modify-write pass
+      // over `out`. The add sees the same two floats either way, so this is
+      // bit-identical to the unfused kernel-then-add_bias sequence.
+      const bool fuse_bias =
+          bias_.defined() && compiler::fusion::fusion_enabled();
+      out = aggregate(*fwd, view, /*forward=*/true, xw, edge_weights,
+                      fuse_bias ? bias_.data() : nullptr);
+      if (bias_.defined() && !fuse_bias) out = ops::add_bias(out, bias_);
+    }
   }
 
-  if (!NoGradGuard::grad_enabled()) return out;
+  // Forward-only execution retains nothing: no saved set, no node, and no
+  // reference to the shared aggregate.
+  if (!records) return out;
 
   // Saved-state sets: pruned per backward-needs analysis vs conservative.
-  // X always leads the saved set (the weight gradient needs it); the
-  // backward node reads saved.front().
+  // X always leads the saved set; the backward node reads saved.front().
   std::vector<Tensor> pruned = {x};
-  if (needs_.input_features) pruned.push_back(xw);
-  // The conservative set a needs-unaware executor would keep: every
-  // forward intermediate, materialized (detach() copies storage).
-  std::vector<Tensor> unpruned = {x, xw, out.detach()};
+  std::vector<Tensor> unpruned;
+  if (agg_first) {
+    // The aggregation's input is X itself, already saved.
+    unpruned = {x, ax, out.detach()};
+  } else {
+    if (needs_.input_features) pruned.push_back(xw);
+    // The conservative set a needs-unaware executor would keep: every
+    // forward intermediate, materialized (detach() copies storage).
+    unpruned = {x, xw, out.detach()};
+  }
   const core::StateStack::Ticket ticket =
       exec.save_for_backward(std::move(pruned), std::move(unpruned));
 
   const uint32_t t = exec.current_forward_timestamp();
   core::TemporalExecutor* exec_ptr = &exec;
   Tensor weight = weight_;
-  Tensor bias = bias_;
-  const compiler::KernelSpec* bwd = edge_weights ? &bwd_weighted_ : &bwd_plain_;
   const bool has_bias = bias_.defined();
-  const int64_t out_f = out_;
+  std::shared_ptr<SharedAggregate> share = agg_first ? shared : nullptr;
+  if (share) ++share->pending;
 
   auto node = std::make_shared<autograd::LambdaNode>(
       "seastar_gcn",
-      [exec_ptr, t, ticket, weight, bias, bwd, edge_weights, has_bias,
-       out_f](const Tensor& grad_out) -> std::vector<Tensor> {
+      [exec_ptr, t, ticket, weight, fwd, bwd, edge_weights, has_bias,
+       agg_first, x_needs_grad,
+       share](const Tensor& grad_out) -> std::vector<Tensor> {
         NoGradGuard ng;
         // 1. Snapshot for this timestamp via the Graph Stack.
         const SnapshotView& bview = exec_ptr->backward_view(t);
-        // 2. Backward aggregation over out-neighbors (gap-aware for GPMA).
-        Tensor g_xw = Tensor::empty({grad_out.rows(), out_f});
-        compiler::KernelArgs args;
-        args.view = bview.out_view;
-        args.in_degrees = bview.in_degrees;
-        args.gcn_coef = bview.gcn_coef;
-        const float* inputs[1] = {grad_out.data()};
-        args.inputs = inputs;
-        args.self_features = grad_out.data();
-        args.edge_weights = edge_weights;
-        args.out = g_xw.data();
-        args.num_feats = static_cast<uint32_t>(out_f);
-        args.producer_is_col = false;
-        core::native_backend().launch_aggregation(*bwd, args);
-        // 3. Saved forward state from the State Stack (LIFO-checked).
+        // 2. Saved forward state from the State Stack (LIFO-checked).
         std::vector<Tensor> saved = exec_ptr->retrieve_saved(ticket);
         const Tensor& x_saved = saved.front();  // X always leads the set
-        // Weight/bias/input gradients of the fused GEMM.
-        Tensor grad_x = ops::matmul(g_xw, weight, false, true);
-        Tensor grad_w = ops::matmul(x_saved, g_xw, true, false);
+        // 3. Weight/input gradients, aggregating over the backward views
+        //    (gap-aware for GPMA).
+        Tensor grad_x, grad_w;
+        if (agg_first) {
+          Tensor ax = share ? share->ax : Tensor();
+          if (!ax.defined()) {
+            ax = aggregate(*fwd, bview, /*forward=*/true, x_saved,
+                           edge_weights);
+            if (share) share->ax = ax;
+          }
+          grad_w = ops::matmul(ax, grad_out, true, false);
+          if (share && --share->pending == 0) share->ax = Tensor();
+          if (x_needs_grad)
+            grad_x = aggregate(*bwd, bview, /*forward=*/false,
+                               ops::matmul(grad_out, weight, false, true),
+                               edge_weights);
+        } else {
+          Tensor g_xw =
+              aggregate(*bwd, bview, /*forward=*/false, grad_out, edge_weights);
+          grad_w = ops::matmul(x_saved, g_xw, true, false);
+          if (x_needs_grad) grad_x = ops::matmul(g_xw, weight, false, true);
+        }
         Tensor grad_b;
         if (has_bias) {
-          // Column sums of grad_out.
-          grad_b = Tensor::zeros({out_f});
-          const float* pg = grad_out.data();
-          float* pb = grad_b.data();
-          const int64_t rows = grad_out.rows();
-          for (int64_t r = 0; r < rows; ++r)
-            for (int64_t c = 0; c < out_f; ++c) pb[c] += pg[r * out_f + c];
+          grad_b = Tensor::empty({grad_out.cols()});
+          ops::detail::column_sums(grad_out.data(), grad_out.rows(),
+                                   grad_out.cols(), grad_b.data());
         }
         return {grad_x, grad_w, grad_b};
       });

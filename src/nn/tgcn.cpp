@@ -36,22 +36,29 @@ Tensor TGCN::forward(core::TemporalExecutor& exec, const Tensor& x,
 
   using namespace ops;
   namespace fu = compiler::fusion;
+  // All three gates convolve the same X over the same snapshot, so in the
+  // aggregate-first order Â·X is computed once and shared. It is released
+  // as soon as conv_h_ returns, so it is not held through the h-gate's
+  // GEMMs; in backward the gates' nodes recompute it once through the same
+  // handle.
+  auto shared = std::make_shared<SeastarGCNConv::SharedAggregate>();
   // Each gate's bias add + activation is one fused elementwise region
   // (σ(xW + b) / tanh(xW + b)); the matmul stays a tape op. The bias add
   // inside the region sees the same floats as Linear::forward's
   // add_bias-then-activation sequence, so fused and unfused paths agree
   // bitwise.
   Tensor z = fu::bias_sigmoid(
-      matmul(cat_cols(conv_z_.forward(exec, x, edge_weights), h),
+      matmul(cat_cols(conv_z_.forward(exec, x, edge_weights, shared), h),
              linear_z_.weight()),
       linear_z_.bias());
   Tensor r = fu::bias_sigmoid(
-      matmul(cat_cols(conv_r_.forward(exec, x, edge_weights), h),
+      matmul(cat_cols(conv_r_.forward(exec, x, edge_weights, shared), h),
              linear_r_.weight()),
       linear_r_.bias());
+  Tensor conv_h = conv_h_.forward(exec, x, edge_weights, shared);
+  shared->ax = Tensor();
   Tensor h_tilde = fu::bias_tanh(
-      matmul(cat_cols(conv_h_.forward(exec, x, edge_weights), mul(r, h)),
-             linear_h_.weight()),
+      matmul(cat_cols(conv_h, mul(r, h)), linear_h_.weight()),
       linear_h_.bias());
   return fu::gate_combine(z, h, h_tilde);
 }

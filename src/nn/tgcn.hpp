@@ -8,6 +8,11 @@
 //   H~ = tanh(linear_h([conv_h(X) ‖ R⊙H]))     candidate state
 //   H' = Z⊙H + (1-Z)⊙H~
 //
+// The three gate convolutions read the same X over the same snapshot, so
+// when they aggregate first (in ≤ out, see nn/gcn.hpp) one Â·X per step
+// feeds all three: one aggregation launch forward and, when X needs no
+// gradient, one recompute launch backward, instead of three each.
+//
 // The spatial component is the vertex-centric SeastarGCNConv; the temporal
 // component is plain backend ops — exactly the division of labor §V-A1
 // argues for (temporal state needs no spatial information, so it stays in

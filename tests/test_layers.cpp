@@ -1,23 +1,70 @@
 // Layer tests: numerical equivalence between STGraph's fused
 // SeastarGCNConv and the baseline edge-parallel PygGCNConv (forward AND
-// gradients), the TGCN cells, Linear, optimizers, and module plumbing.
+// gradients), finite-difference gradient checks of SeastarGCNConv in both
+// multiplication orders and of the TGCN cell through its shared Â·X, the
+// aggregation launch counts of a TGCN step and of each order, Linear,
+// optimizers, and module plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
 
 #include "baseline/pyg_layers.hpp"
+#include "core/backend.hpp"
 #include "core/executor.hpp"
+#include "gpma/gpma_graph.hpp"
+#include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
 #include "nn/gcn.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
 #include "nn/tgcn.hpp"
+#include "runtime/parallel.hpp"
+#include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace stgraph {
 namespace {
+
+// Device launches made inside aggregation kernels. Every layer in this
+// binary reaches the kernel engine through core::native_backend(); the
+// stand-in registered below under the same name before main() runs the
+// same compiler::run_kernel call and tallies the device::KernelStats
+// launches it makes, so tests can count aggregation launches apart from
+// GEMM and elementwise ones.
+std::atomic<uint64_t> g_aggregation_launches{0};
+
+class CountingBackend final : public core::Backend {
+ public:
+  std::string name() const override { return "native"; }
+  Tensor tensor_from_host(const std::vector<float>& values,
+                          Shape shape) const override {
+    return Tensor::from_vector(values, std::move(shape));
+  }
+  Tensor zeros(Shape shape) const override {
+    return Tensor::zeros(std::move(shape));
+  }
+  void launch_aggregation(const compiler::KernelSpec& spec,
+                          const compiler::KernelArgs& args) const override {
+    auto& launches = device::KernelStats::instance().launches;
+    const uint64_t before = launches.load();
+    compiler::run_kernel(spec, args);
+    g_aggregation_launches += launches.load() - before;
+  }
+  void synchronize() const override { device::synchronize(); }
+};
+
+const bool g_counting_backend_registered = [] {
+  core::BackendRegistry::instance().register_backend(
+      "native", [] { return std::make_unique<CountingBackend>(); });
+  return true;
+}();
 
 EdgeList random_edges(uint32_t n, int count, uint64_t seed) {
   Rng rng(seed);
@@ -226,6 +273,362 @@ TEST(Models, LinkLogitsAreDotProducts) {
   Tensor logits = nn::link_logits(h, {0, 1}, {2, 0});
   // <h0,h2> = 1*5+2*6 = 17; <h1,h0> = 3*1+4*2 = 11.
   EXPECT_EQ(logits.to_vector(), (std::vector<float>{17, 11}));
+}
+
+// ---- finite-difference gradient checks ----------------------------------
+
+// Loss Σ y ⊙ R, accumulated in double so a central difference sees each
+// output entry's float rounding once.
+double weighted_sum(const Tensor& y, const std::vector<float>& r) {
+  double acc = 0.0;
+  for (int64_t i = 0; i < y.numel(); ++i)
+    acc += static_cast<double>(y.at(i)) * r[static_cast<std::size_t>(i)];
+  return acc;
+}
+
+// The autograd loss matching weighted_sum.
+Tensor weighted_sum_op(const Tensor& y, const std::vector<float>& r) {
+  return ops::sum(ops::mul(y, Tensor::from_vector(r, y.shape())));
+}
+
+// Central differences of `loss` over every entry of `t` (perturbed in
+// place) against the analytic gradient. The step actually taken is read
+// back from the float storage, so rounding of v ± eps does not bias it.
+void expect_fd_gradient(Tensor t, const Tensor& analytic,
+                        const std::function<double()>& loss, float eps,
+                        const std::string& what) {
+  ASSERT_TRUE(analytic.defined()) << what << ": no gradient";
+  ASSERT_TRUE(same_shape(t, analytic)) << what;
+  float* p = t.data();
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    const float v = p[i];
+    p[i] = v + eps;
+    const double hi = p[i];
+    const double lp = loss();
+    p[i] = v - eps;
+    const double lo = p[i];
+    const double lm = loss();
+    p[i] = v;
+    const double fd = (lp - lm) / (hi - lo);
+    EXPECT_NEAR(analytic.at(i), fd, 2e-3 + 1e-2 * std::abs(fd))
+        << what << " entry " << i;
+  }
+}
+
+EdgeList random_stream(uint32_t n, int count, uint64_t seed) {
+  Rng rng(seed);
+  EdgeList stream;
+  while (static_cast<int>(stream.size()) < count) {
+    const uint32_t s = rng.next_below(n), d = rng.next_below(n);
+    if (s != d) stream.emplace_back(s, d);
+  }
+  return stream;
+}
+
+// Per-label edge weights for any snapshot of up to `max_edges` edges: a
+// fixed function of the label, so every evaluation at one timestamp binds
+// the same weight to the same edge.
+std::vector<float> label_weights(uint32_t max_edges) {
+  std::vector<float> w(max_edges);
+  for (uint32_t e = 0; e < max_edges; ++e) w[e] = 0.5f + 0.15f * (e % 7);
+  return w;
+}
+
+enum class XKind { kLeafNoGrad, kLeaf, kIntermediate };
+
+const char* x_kind_name(XKind k) {
+  switch (k) {
+    case XKind::kLeafNoGrad: return "leaf without grad";
+    case XKind::kLeaf: return "leaf";
+    case XKind::kIntermediate: return "intermediate";
+  }
+  return "?";
+}
+
+// One SeastarGCNConv at timestamp t of `graph`, checked against central
+// differences for W, b and (when it needs one) X, for every combination of
+// multiplication order, edge weights and kind of X. 3→5 aggregates first
+// and 5→3 last for every kind of X; 4→4 aggregates first only when X needs
+// no gradient.
+void gradcheck_gcn(STGraphBase& graph, uint32_t t) {
+  const uint32_t n = graph.num_nodes();
+  const std::vector<float> ew = label_weights(graph.num_edges_at(t));
+  for (const auto& [in, out] :
+       {std::pair<int64_t, int64_t>{3, 5}, {5, 3}, {4, 4}}) {
+    for (const bool weighted : {false, true}) {
+      for (const XKind kind :
+           {XKind::kLeafNoGrad, XKind::kLeaf, XKind::kIntermediate}) {
+        SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out) +
+                     (weighted ? " weighted " : " unweighted ") +
+                     x_kind_name(kind));
+        Rng rng(in * 100 + out);
+        nn::SeastarGCNConv conv(in, out, rng);
+        const bool x_grad = kind != XKind::kLeafNoGrad;
+        EXPECT_EQ(conv.aggregates_first(x_grad, /*shared=*/false),
+                  x_grad ? 3 * in < 2 * out : in <= out);
+        // A nonzero bias, so a dropped bias term would show.
+        Tensor bias = conv.parameters()[1].tensor;
+        for (int64_t i = 0; i < out; ++i) bias.data()[i] = 0.1f * (i + 1);
+        Tensor x0 = Tensor::randn({n, in}, rng, 1.0f, x_grad);
+        std::vector<float> r(static_cast<std::size_t>(n * out));
+        for (auto& v : r) v = rng.uniform(-1.0f, 1.0f);
+        const float* w = weighted ? ew.data() : nullptr;
+        auto input = [&] {
+          return kind == XKind::kIntermediate ? ops::tanh_op(x0) : x0;
+        };
+
+        core::TemporalExecutor exec(graph);
+        exec.begin_forward_step(t);
+        const SnapshotView& view = exec.forward_view();
+        if (graph.is_dynamic()) {
+          ASSERT_TRUE(view.out_view.has_gaps);
+        }
+        weighted_sum_op(conv.forward(exec, input(), w), r).backward();
+        exec.verify_drained();
+
+        auto loss = [&] {
+          NoGradGuard ng;
+          exec.begin_forward_step(t);
+          return weighted_sum(conv.forward(exec, input(), w), r);
+        };
+        const auto params = conv.parameters();
+        expect_fd_gradient(params[0].tensor, params[0].tensor.grad(), loss,
+                           1e-2f, "W");
+        expect_fd_gradient(params[1].tensor, params[1].tensor.grad(), loss,
+                           1e-2f, "b");
+        if (kind == XKind::kLeafNoGrad) {
+          EXPECT_FALSE(x0.grad().defined());
+        } else {
+          expect_fd_gradient(x0, x0.grad(), loss, 1e-2f, "X");
+        }
+        exec.verify_drained();
+      }
+    }
+  }
+}
+
+TEST(GcnGradcheck, BothOrdersOnStaticGraph) {
+  const uint32_t n = 14;
+  StaticTemporalGraph graph(n, random_edges(n, 50, 61), 1);
+  gradcheck_gcn(graph, 0);
+}
+
+TEST(GcnGradcheck, BothOrdersOnGpmaGappedViews) {
+  DtdgEvents ev = window_edge_stream(16, random_stream(16, 400, 67), 10.0);
+  GpmaGraph graph(ev);
+  ASSERT_GE(graph.num_timestamps(), 3u);
+  gradcheck_gcn(graph, 2);
+}
+
+// A TGCN cell over two timesteps, gradients of all 12 parameters and of both
+// steps' X against central differences — through the one Â·X the three
+// gates share (in ≤ out) and through three separate aggregations (in > out).
+void gradcheck_tgcn(STGraphBase& graph) {
+  const uint32_t n = graph.num_nodes();
+  constexpr uint32_t kSteps = 2;
+  ASSERT_GE(graph.num_timestamps(), kSteps);
+  for (const auto& [in, out] : {std::pair<int64_t, int64_t>{3, 4}, {6, 4}}) {
+    SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out));
+    Rng rng(in * 10 + out);
+    nn::TGCN cell(in, out, rng);
+    const auto params = cell.parameters();
+    ASSERT_EQ(params.size(), 12u);
+    // Nonzero biases, so every bias gradient term matters.
+    for (const auto& p : params) {
+      Tensor t = p.tensor;
+      if (t.dim() != 1) continue;
+      for (int64_t i = 0; i < t.numel(); ++i)
+        t.data()[i] = rng.uniform(-0.3f, 0.3f);
+    }
+    std::vector<Tensor> xs;
+    for (uint32_t s = 0; s < kSteps; ++s)
+      xs.push_back(Tensor::randn({n, in}, rng, 1.0f, true));
+    const Tensor h0 = Tensor::randn({n, out}, rng, 0.5f);
+    std::vector<float> r(static_cast<std::size_t>(n * out));
+    for (auto& v : r) v = rng.uniform(-1.0f, 1.0f);
+    std::vector<std::vector<float>> ew;
+    for (uint32_t s = 0; s < kSteps; ++s)
+      ew.push_back(label_weights(graph.num_edges_at(s)));
+
+    core::TemporalExecutor exec(graph);
+    auto run = [&] {
+      Tensor h = h0;
+      for (uint32_t s = 0; s < kSteps; ++s) {
+        exec.begin_forward_step(s);
+        h = cell.forward(exec, xs[s], h, ew[s].data());
+      }
+      return h;
+    };
+    weighted_sum_op(run(), r).backward();
+    exec.verify_drained();
+
+    auto loss = [&] {
+      NoGradGuard ng;
+      return weighted_sum(run(), r);
+    };
+    for (const auto& p : params)
+      expect_fd_gradient(p.tensor, p.tensor.grad(), loss, 3e-3f, p.name);
+    for (uint32_t s = 0; s < kSteps; ++s)
+      expect_fd_gradient(xs[s], xs[s].grad(), loss, 3e-3f,
+                         "X at step " + std::to_string(s));
+    exec.verify_drained();
+  }
+}
+
+TEST(TgcnGradcheck, SharedAggregateOnStaticGraph) {
+  const uint32_t n = 12;
+  StaticTemporalGraph graph(n, random_edges(n, 40, 71), 2);
+  gradcheck_tgcn(graph);
+}
+
+TEST(TgcnGradcheck, SharedAggregateOnGpmaGraph) {
+  DtdgEvents ev = window_edge_stream(12, random_stream(12, 300, 73), 10.0);
+  GpmaGraph graph(ev);
+  gradcheck_tgcn(graph);
+}
+
+// Three sibling convolutions over one handle compute exactly what three
+// independent ones do, bit for bit; the handle holds one tensor until the
+// last backward node has read it.
+TEST(GcnSharedAggregate, SiblingsMatchUnsharedAndLastNodeFrees) {
+  const uint32_t n = 18;
+  StaticTemporalGraph graph(n, random_edges(n, 60, 79), 1);
+  Rng rng_data(83);
+  const Tensor x = Tensor::randn({n, 4}, rng_data);
+
+  auto run = [&](bool share) {
+    Rng rng(89);
+    std::vector<std::unique_ptr<nn::SeastarGCNConv>> convs;
+    for (int i = 0; i < 3; ++i)
+      convs.push_back(std::make_unique<nn::SeastarGCNConv>(4, 6, rng));
+    core::TemporalExecutor exec(graph);
+    exec.begin_forward_step(0);
+    auto handle = std::make_shared<nn::SeastarGCNConv::SharedAggregate>();
+    Tensor y;
+    for (const auto& c : convs) {
+      Tensor yi = c->forward(exec, x, nullptr, share ? handle : nullptr);
+      y = y.defined() ? ops::add(y, ops::mul(yi, yi)) : ops::mul(yi, yi);
+    }
+    if (share) {
+      EXPECT_TRUE(handle->ax.defined());
+      EXPECT_EQ(handle->pending, 3);
+      handle->ax = Tensor();  // released after the last forward, as TGCN does
+    }
+    ops::sum(y).backward();
+    exec.verify_drained();
+    EXPECT_FALSE(handle->ax.defined());
+    EXPECT_EQ(handle->pending, 0);
+    std::vector<float> out = y.to_vector();
+    for (const auto& c : convs)
+      for (const auto& p : c->parameters()) {
+        const auto g = p.tensor.grad().to_vector();
+        out.insert(out.end(), g.begin(), g.end());
+      }
+    return out;
+  };
+  const std::vector<float> shared = run(true);
+  const std::vector<float> separate = run(false);
+  ASSERT_EQ(shared.size(), separate.size());
+  EXPECT_EQ(0, std::memcmp(shared.data(), separate.data(),
+                           shared.size() * sizeof(float)));
+}
+
+// ---- launch and GEMM counts -------------------------------------------
+
+// The aggregate-first order shares one Â·X across TGCN's three gates: one
+// forward aggregation per timestep, and with a leaf X (no input gradient)
+// one backward launch per timestep, the Â·X recompute. The aggregate-last
+// order made three of each.
+TEST(TgcnLaunches, OneAggregationPerTimestepEachWayWithLeafInput) {
+  const uint32_t n = 40;
+  constexpr uint32_t kSteps = 3;
+  StaticTemporalGraph graph(n, random_edges(n, 160, 97), kSteps);
+  Rng rng(101);
+  nn::TGCN cell(4, 8, rng);
+  core::TemporalExecutor exec(graph);
+  std::vector<Tensor> xs;
+  for (uint32_t s = 0; s < kSteps; ++s)
+    xs.push_back(Tensor::randn({n, 4}, rng));
+
+  const uint64_t start = g_aggregation_launches.load();
+  Tensor h;
+  for (uint32_t s = 0; s < kSteps; ++s) {
+    exec.begin_forward_step(s);
+    h = cell.forward(exec, xs[s], h);
+  }
+  const uint64_t forward = g_aggregation_launches.load() - start;
+  ops::sum(ops::mul(h, h)).backward();
+  const uint64_t backward = g_aggregation_launches.load() - start - forward;
+  exec.verify_drained();
+  EXPECT_EQ(forward, kSteps);
+  EXPECT_EQ(backward, kSteps);
+}
+
+// The order rule counts the backward launches: aggregate first pays a second
+// backward aggregation (Âᵀ·(g·Wᵀ), beside the Â·X recompute) when X needs a
+// gradient, so at in = out such a convolution aggregates last and launches
+// one aggregation each way. A narrow input (3·in < 2·out) still aggregates
+// first, and a shared handle keeps the in ≤ out rule.
+TEST(GcnOrder, InputGradientMovesEqualWidthsToAggregateLast) {
+  const uint32_t n = 20;
+  StaticTemporalGraph graph(n, random_edges(n, 70, 109), 1);
+  struct Case {
+    int64_t in, out;
+    bool x_grad, shared;
+    uint64_t backward_launches;
+  };
+  for (const Case& c : {Case{4, 4, false, false, 1}, Case{4, 4, true, false, 1},
+                        Case{2, 4, true, false, 2}, Case{4, 4, true, true, 2}}) {
+    SCOPED_TRACE(std::to_string(c.in) + "->" + std::to_string(c.out) +
+                 (c.x_grad ? " with" : " without") + " input gradient" +
+                 (c.shared ? ", shared" : ""));
+    Rng rng(113);
+    nn::SeastarGCNConv conv(c.in, c.out, rng);
+    Tensor x = Tensor::randn({n, c.in}, rng, 1.0f, c.x_grad);
+    core::TemporalExecutor exec(graph);
+    exec.begin_forward_step(0);
+    auto handle = c.shared
+                      ? std::make_shared<nn::SeastarGCNConv::SharedAggregate>()
+                      : nullptr;
+    const uint64_t start = g_aggregation_launches.load();
+    Tensor loss = ops::sum(conv.forward(exec, x, nullptr, handle));
+    if (handle) handle->ax = Tensor();
+    const uint64_t forward = g_aggregation_launches.load() - start;
+    loss.backward();
+    exec.verify_drained();
+    EXPECT_EQ(forward, 1u);
+    EXPECT_EQ(g_aggregation_launches.load() - start - forward,
+              c.backward_launches);
+    EXPECT_EQ(x.grad().defined(), c.x_grad);
+  }
+}
+
+// The backward of a convolution whose X needs no gradient runs exactly one
+// GEMM (grad_W) in either order; with an input gradient it runs two.
+TEST(GcnBackward, InputGradientGemmRunsOnlyWhenXNeedsIt) {
+  const uint32_t n = 16;
+  StaticTemporalGraph graph(n, random_edges(n, 50, 103), 1);
+  for (const auto& [in, out] : {std::pair<int64_t, int64_t>{3, 5}, {5, 3}}) {
+    for (const bool x_grad : {false, true}) {
+      SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out) +
+                   (x_grad ? " with" : " without") + " input gradient");
+      Rng rng(107);
+      nn::SeastarGCNConv conv(in, out, rng);
+      Tensor x = Tensor::randn({n, in}, rng, 1.0f, x_grad);
+      core::TemporalExecutor exec(graph);
+      exec.begin_forward_step(0);
+      // sum() seeds the conv's node directly, so every GEMM the backward
+      // runs is the conv's own.
+      Tensor loss = ops::sum(conv.forward(exec, x));
+      const ops::OpProfile before = ops::profile_snapshot();
+      loss.backward();
+      const ops::OpProfile delta = ops::profile_snapshot() - before;
+      exec.verify_drained();
+      EXPECT_EQ(delta.count[static_cast<int>(ops::OpClass::kMatmul)],
+                x_grad ? 2u : 1u);
+      EXPECT_EQ(x.grad().defined(), x_grad);
+    }
+  }
 }
 
 }  // namespace
