@@ -35,7 +35,6 @@ class CountingBackend final : public core::Backend {
     ++launches_;
     inner_->launch_aggregation(spec, args);
   }
-  void synchronize() const override { inner_->synchronize(); }
   uint64_t launches() const { return launches_; }
 
  private:

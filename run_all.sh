@@ -63,7 +63,9 @@
 #                           its sequential reference at 8 lanes
 #                           (gpma_views_oversub), the layer gradient checks
 #                           and aggregation launch counts at 1 and 8 lanes
-#                           (layers_serial, layers_oversub), then a reduced
+#                           (layers_serial, layers_oversub), the launch
+#                           primitives and thread pool at 1 and 8 lanes
+#                           (runtime_serial, runtime_oversub), then a reduced
 #                           bench_scaling sweep on one dataset that asserts
 #                           bit-identical losses across thread counts and a
 #                           best-point speedup floor vs 1 thread (JSON under
@@ -102,9 +104,10 @@ cd "$(dirname "$0")" || exit 1
 if [ "$1" = "scaling-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_scaling \
-    test_gpma_views test_serve test_layers bench_scaling || exit 1
+    test_gpma_views test_serve test_layers test_runtime test_threadpool_mt \
+    bench_scaling || exit 1
   ctest --test-dir build --output-on-failure --no-tests=error \
-    -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|gpma_views_oversub|layers_serial|layers_oversub)$' \
+    -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|gpma_views_oversub|layers_serial|layers_oversub|runtime_serial|runtime_oversub)$' \
     || exit 1
   # One small dataset, two lanes. The floor is a regression guard, not a
   # parallelism proof: on single-core hosts the grid is oversubscribed and

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -18,6 +16,7 @@
 #include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace stgraph::compiler::fusion {
 namespace {
@@ -79,14 +78,7 @@ void attach(Tensor& out, const std::string& name,
 bool fusion_enabled() {
   int v = g_enabled.load(std::memory_order_relaxed);
   if (v < 0) {
-    bool on = true;
-    if (const char* e = std::getenv("STGRAPH_FUSION")) {
-      std::string s(e);
-      std::transform(s.begin(), s.end(), s.begin(),
-                     [](unsigned char ch) { return std::tolower(ch); });
-      on = !(s.empty() || s == "off" || s == "0" || s == "false");
-    }
-    v = on ? 1 : 0;
+    v = env_flag("STGRAPH_FUSION", true) ? 1 : 0;
     g_enabled.store(v, std::memory_order_relaxed);
   }
   return v == 1;

@@ -317,25 +317,15 @@ void run_kernel_reference(const KernelSpec& spec, const KernelArgs& args) {
   const uint32_t F = args.num_feats;
   const uint32_t* order = args.view.node_ids;
 
-  if (F < kFeatureTileThreshold) {
-    // One vertex per work item, degree-sorted order, strided lanes.
-    device::parallel_for_strided(n, [&](std::size_t i) {
-      const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
-      process_row(spec, args, row, 0, F);
-    });
-  } else {
-    // Feature-adaptive: (vertex × feature tile) grid.
-    const uint32_t tiles = (F + kFeatureTile - 1) / kFeatureTile;
-    device::parallel_for_strided(
-        static_cast<std::size_t>(n) * tiles, [&](std::size_t item) {
-          const std::size_t i = item / tiles;
-          const uint32_t tile = static_cast<uint32_t>(item % tiles);
-          const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
-          const uint32_t f0 = tile * kFeatureTile;
-          const uint32_t f1 = std::min(F, f0 + kFeatureTile);
-          process_row(spec, args, row, f0, f1);
-        });
-  }
+  // One vertex per work item below the tiling threshold, else a
+  // (vertex × feature tile) grid; degree-sorted order, strided lanes.
+  const uint32_t tile = F < kFeatureTileThreshold ? F : kFeatureTile;
+  const uint32_t tiles = F == 0 ? 1 : (F + tile - 1) / tile;
+  device::parallel_for_strided(n, tiles, [&](std::size_t i, std::size_t t) {
+    const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
+    const uint32_t f0 = static_cast<uint32_t>(t) * tile;
+    process_row(spec, args, row, f0, std::min(F, f0 + tile));
+  });
 }
 
 void run_kernel(const KernelSpec& spec, const KernelArgs& args) {

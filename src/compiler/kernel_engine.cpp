@@ -584,7 +584,7 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
   // Feature-adaptive work shaping. Tile on wide features as before, but
   // also when the vertex count alone cannot keep the lanes busy (small
   // graphs used to run one item per vertex and leave most lanes idle).
-  uint32_t tile_size = 0;  // 0 = untiled (vertex-per-item)
+  uint32_t tile_size = F;  // F = untiled (vertex-per-item)
   if (F >= kFeatureTileThreshold) {
     tile_size = kFeatureTile;
   } else if (n < 4u * lanes && F > kMinFeatureTile && n > 0) {
@@ -597,21 +597,12 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
     }
   }
 
-  if (tile_size == 0) {
-    device::parallel_for_strided(n, [&](std::size_t i) {
-      const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
-      fn(L, row, 0, F);
-    });
-  } else {
-    const uint32_t tiles = (F + tile_size - 1) / tile_size;
-    device::parallel_for_2d_strided(
-        n, tiles, [&](std::size_t i, std::size_t tile) {
-          const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
-          const uint32_t f0 = static_cast<uint32_t>(tile) * tile_size;
-          const uint32_t f1 = std::min(F, f0 + tile_size);
-          fn(L, row, f0, f1);
-        });
-  }
+  const uint32_t tiles = F == 0 ? 1 : (F + tile_size - 1) / tile_size;
+  device::parallel_for_strided(n, tiles, [&](std::size_t i, std::size_t t) {
+    const uint32_t row = order ? order[i] : static_cast<uint32_t>(i);
+    const uint32_t f0 = static_cast<uint32_t>(t) * tile_size;
+    fn(L, row, f0, std::min(F, f0 + tile_size));
+  });
 }
 
 }  // namespace

@@ -30,8 +30,6 @@ class NativeBackend final : public Backend {
                           const compiler::KernelArgs& args) const override {
     compiler::run_kernel(spec, args);
   }
-
-  void synchronize() const override { device::synchronize(); }
 };
 
 }  // namespace

@@ -39,9 +39,6 @@ class Backend {
   /// encoded in `args`).
   virtual void launch_aggregation(const compiler::KernelSpec& spec,
                                   const compiler::KernelArgs& args) const = 0;
-
-  // ---- synchronization -----------------------------------------------------
-  virtual void synchronize() const = 0;
 };
 
 /// Factory registry (Factory Class Design Pattern per the paper).

@@ -43,73 +43,66 @@ void reverse_gpma(uint32_t num_nodes, const DeviceBuffer<uint32_t>& row_offset,
   uint32_t* re = r_eids.data();
 
   // Lines 4-16: scatter sources into their destinations' lists. Every
-  // per-destination list comes out in ascending source order: lanes own
-  // contiguous source blocks, scan them left to right, and start from a
-  // cursor seeded with the scatter extent of all lower lanes. The output
-  // is therefore identical for any lane count (and matches the sequential
-  // scatter bit for bit) — unlike an atomic fetch_sub cursor, whose list
-  // order depends on thread interleaving.
+  // per-destination list comes out in ascending source order: R ranges
+  // own contiguous source blocks, scan them left to right, and start from
+  // a cursor seeded with the scatter extent of all lower ranges. The
+  // output is therefore identical for any lane count — unlike an atomic
+  // fetch_sub cursor, whose list order depends on thread interleaving.
+  // R = 1 (the sequential scatter) seeds the cursors with the row starts.
   const unsigned lanes = device::lane_count();
   const bool matrix_too_big =
       static_cast<std::size_t>(lanes) * num_nodes >
       4 * static_cast<std::size_t>(num_edges);
-  if (lanes == 1 || num_edges < (1u << 14) || matrix_too_big) {
-    std::vector<uint32_t> cursor(r_row_offset.data(),
-                                 r_row_offset.data() + num_nodes);
-    for (uint32_t v = 0; v < num_nodes; ++v) {
-      for (uint32_t j = ro[v]; j < ro[v + 1]; ++j) {
-        const uint32_t dst = pc[j];
-        if (dst == kSpace) continue;  // line 10: skip gap slots
-        const uint32_t loc = cursor[dst]++;
-        rc[loc] = v;
-        re[loc] = pe[j];
-      }
-    }
-    return;
-  }
-
-  // counts[r * num_nodes + d] = edges into d from lane r's source block.
-  static thread_local std::vector<uint32_t> counts;
-  counts.assign(static_cast<std::size_t>(lanes) * num_nodes, 0);
-  uint32_t* cnt_base = counts.data();
-  const uint32_t chunk = (num_nodes + lanes - 1) / lanes;
-  device::parallel_for_ranges(
-      lanes,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          uint32_t* cnt = cnt_base + r * num_nodes;
-          const uint32_t vb = static_cast<uint32_t>(r) * chunk;
-          const uint32_t ve = std::min<uint32_t>(num_nodes, vb + chunk);
-          for (uint32_t v = vb; v < ve; ++v)
-            for (uint32_t j = ro[v]; j < ro[v + 1]; ++j)
-              if (pc[j] != kSpace) ++cnt[pc[j]];
+  const uint32_t R =
+      num_edges < (1u << 14) || matrix_too_big ? 1u : lanes;
+  const uint32_t chunk = (num_nodes + R - 1) / R;
+  // cursors[r * num_nodes + d]: next slot of d's list for range r.
+  static thread_local std::vector<uint32_t> cursors;
+  if (R == 1) {
+    cursors.assign(r_row_offset.data(), r_row_offset.data() + num_nodes);
+  } else {
+    // Count the edges into d from each range's source block, then turn the
+    // counts into cursors: d's row start + edges into d from lower ranges
+    // (a transposed exclusive scan).
+    cursors.assign(static_cast<std::size_t>(R) * num_nodes, 0);
+    uint32_t* cnt_base = cursors.data();
+    device::parallel_for_ranges(
+        R,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t r = lo; r < hi; ++r) {
+            uint32_t* cnt = cnt_base + r * num_nodes;
+            const uint32_t vb = static_cast<uint32_t>(r) * chunk;
+            const uint32_t ve = std::min<uint32_t>(num_nodes, vb + chunk);
+            for (uint32_t v = vb; v < ve; ++v)
+              for (uint32_t j = ro[v]; j < ro[v + 1]; ++j)
+                if (pc[j] != kSpace) ++cnt[pc[j]];
+          }
+        },
+        /*grain=*/1);
+    const uint32_t* starts = r_row_offset.data();
+    device::parallel_for_ranges(num_nodes, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t d = lo; d < hi; ++d) {
+        uint32_t run = starts[d];
+        for (uint32_t r = 0; r < R; ++r) {
+          const uint32_t c = cnt_base[r * num_nodes + d];
+          cnt_base[r * num_nodes + d] = run;
+          run += c;
         }
-      },
-      /*grain=*/1);
-  // Turn counts into per-lane cursors: cursor[r][d] = start of d's list +
-  // edges into d from lanes < r (a transposed exclusive scan).
-  const uint32_t* starts = r_row_offset.data();
-  device::parallel_for_ranges(num_nodes, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t d = lo; d < hi; ++d) {
-      uint32_t run = starts[d];
-      for (unsigned r = 0; r < lanes; ++r) {
-        const uint32_t c = cnt_base[r * num_nodes + d];
-        cnt_base[r * num_nodes + d] = run;
-        run += c;
       }
-    }
-  });
+    });
+  }
+  uint32_t* cursor_base = cursors.data();
   device::parallel_for_ranges(
-      lanes,
+      R,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) {
-          uint32_t* cursor = cnt_base + r * num_nodes;
+          uint32_t* cursor = cursor_base + r * num_nodes;
           const uint32_t vb = static_cast<uint32_t>(r) * chunk;
           const uint32_t ve = std::min<uint32_t>(num_nodes, vb + chunk);
           for (uint32_t v = vb; v < ve; ++v)
             for (uint32_t j = ro[v]; j < ro[v + 1]; ++j) {
               const uint32_t dst = pc[j];
-              if (dst == kSpace) continue;
+              if (dst == kSpace) continue;  // line 10: skip gap slots
               const uint32_t loc = cursor[dst]++;
               rc[loc] = v;
               re[loc] = pe[j];
@@ -310,31 +303,16 @@ void GpmaGraph::full_rebuild_views(PublishedView& pub) {
   uint32_t* pe = pub.eids.data();
   uint32_t* ro = pub.row_offset.data();
 
-  const unsigned lanes = device::lane_count();
-  if (lanes == 1 || cap < (1u << 14)) {
-    uint32_t next_eid = 0;
-    uint32_t next_row = 0;
-    for (std::size_t i = 0; i < cap; ++i) {
-      if (slots[i] == Pma::kEmptyKey) {
-        pc[i] = kSpace;
-        pe[i] = kSpace;
-        continue;
-      }
-      const uint32_t src = edge_key_src(slots[i]);
-      while (next_row <= src) ro[next_row++] = static_cast<uint32_t>(i);
-      pc[i] = edge_key_dst(slots[i]);
-      pe[i] = next_eid++;
-    }
-    while (next_row <= n) ro[next_row++] = static_cast<uint32_t>(cap);
-    STG_CHECK(next_eid == m, "relabel pass saw ", next_eid,
-              " edges, expected ", m);
-  } else {
-    // Parallel relabel: per-range live counts, a prefix sum into per-range
-    // edge-id bases, then an independent fill per range. The row-offset
-    // boundary writes are disjoint across ranges once each range knows
-    // the last live source before it (per-range carry chain).
-    const std::size_t R = lanes;
-    const std::size_t chunk = (cap + R - 1) / R;
+  // R ranges: per-range live counts, a prefix sum into per-range edge-id
+  // bases, then an independent fill per range. The row-offset boundary
+  // writes are disjoint across ranges once each range knows the last live
+  // source before it (per-range carry chain). R = 1 is the sequential
+  // pass: base 0, carry -1, no count pass.
+  const std::size_t R = cap < (1u << 14) ? 1 : device::lane_count();
+  const std::size_t chunk = (cap + R - 1) / R;
+  std::vector<uint32_t> base(R, 0);
+  std::vector<int64_t> carry(R, -1);  // last live src strictly before range r
+  if (R > 1) {
     std::vector<uint32_t> live(R, 0);
     std::vector<int64_t> last_src(R, -1);
     device::parallel_for_ranges(
@@ -354,41 +332,46 @@ void GpmaGraph::full_rebuild_views(PublishedView& pub) {
           }
         },
         /*grain=*/1);
-    std::vector<uint32_t> base(R + 1, 0);
-    for (std::size_t r = 0; r < R; ++r) base[r + 1] = base[r] + live[r];
-    STG_CHECK(base[R] == m, "relabel pass saw ", base[R], " edges, expected ",
-              m);
-    std::vector<int64_t> carry(R, -1);  // last live src strictly before range r
-    for (std::size_t r = 1; r < R; ++r)
+    for (std::size_t r = 1; r < R; ++r) {
+      base[r] = base[r - 1] + live[r - 1];
       carry[r] = last_src[r - 1] >= 0 ? last_src[r - 1] : carry[r - 1];
-    const int64_t global_last =
-        last_src[R - 1] >= 0 ? last_src[R - 1] : carry[R - 1];
-    device::parallel_for_ranges(
-        R,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t r = lo; r < hi; ++r) {
-            const std::size_t b = r * chunk, e = std::min(cap, b + chunk);
-            uint32_t eid = base[r];
-            int64_t prev = carry[r];
-            for (std::size_t i = b; i < e; ++i) {
-              if (slots[i] == Pma::kEmptyKey) {
-                pc[i] = kSpace;
-                pe[i] = kSpace;
-                continue;
-              }
-              const uint32_t src = edge_key_src(slots[i]);
-              for (int64_t v = prev + 1; v <= src; ++v)
-                ro[v] = static_cast<uint32_t>(i);
-              prev = src;
-              pc[i] = edge_key_dst(slots[i]);
-              pe[i] = eid++;
-            }
-          }
-        },
-        /*grain=*/1);
-    for (int64_t v = global_last + 1; v <= static_cast<int64_t>(n); ++v)
-      ro[v] = static_cast<uint32_t>(cap);
+    }
   }
+  // Bases and carries pass through empty ranges, so the last range's final
+  // eid is the edge count and its final prev the last live source.
+  uint32_t end_eid = 0;
+  int64_t end_src = -1;
+  device::parallel_for_ranges(
+      R,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          const std::size_t b = r * chunk, e = std::min(cap, b + chunk);
+          uint32_t eid = base[r];
+          int64_t prev = carry[r];
+          for (std::size_t i = b; i < e; ++i) {
+            if (slots[i] == Pma::kEmptyKey) {
+              pc[i] = kSpace;
+              pe[i] = kSpace;
+              continue;
+            }
+            const uint32_t src = edge_key_src(slots[i]);
+            for (int64_t v = prev + 1; v <= src; ++v)
+              ro[v] = static_cast<uint32_t>(i);
+            prev = src;
+            pc[i] = edge_key_dst(slots[i]);
+            pe[i] = eid++;
+          }
+          if (r + 1 == R) {
+            end_eid = eid;
+            end_src = prev;
+          }
+        }
+      },
+      /*grain=*/1);
+  STG_CHECK(end_eid == m, "relabel pass saw ", end_eid, " edges, expected ",
+            m);
+  for (int64_t v = end_src + 1; v <= static_cast<int64_t>(n); ++v)
+    ro[v] = static_cast<uint32_t>(cap);
 
   // Degrees at this position (the live ones keep changing under replay)
   // and the degree-sorted processing orders (paper Figure 3 auxiliary

@@ -32,8 +32,9 @@
 // the active one. The staleness bound is 1 — at most one prefetch in
 // flight, into the one standby buffer — and the worker runs every
 // pool-using builder under ThreadPool::ScopedInline (serially), both
-// because run_on_lanes is a single-launcher protocol and because views are
-// bit-identical at any lane count, so overlap changes nothing downstream.
+// because run_on_lanes_raw is a single-launcher protocol and because views
+// are bit-identical at any lane count, so overlap changes nothing
+// downstream.
 // Without prefetch() calls, get_graph builds inline: that is the serial
 // schedule.
 //

@@ -5,13 +5,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
+
+#include "util/env.hpp"
 
 namespace stgraph::analyze {
 
@@ -246,8 +247,7 @@ void exit_check() {
 /// enforcement hook that makes armed runs self-checking.
 struct EnvArm {
   EnvArm() {
-    const char* e = std::getenv("STGRAPH_DEADLOCK");
-    if (e && *e && std::strcmp(e, "0") != 0) {
+    if (env_flag("STGRAPH_DEADLOCK", false)) {
       detail::g_armed.store(true, std::memory_order_relaxed);
       std::atexit(&exit_check);
     }

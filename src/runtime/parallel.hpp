@@ -1,18 +1,20 @@
 // Grid-style parallel primitives — the CPU analogue of CUDA kernel
-// launches. `parallel_for` plays the role of a 1-D grid launch;
-// `KernelStats` counts launches the way the original system counts kernel
-// invocations (used by the fusion ablation bench: fewer launches == fused).
+// launches: `parallel_for_ranges` is a 1-D grid of block tiles,
+// `parallel_for_strided` a warp-interleaved (row, tile) grid and
+// `parallel_reduce_sum` a blocked reduction. `KernelStats` counts launches
+// the way the original system counts kernel invocations (used by the
+// fusion ablation bench: fewer launches == fused).
 //
-// Every launch primitive is a template over the callable: it stays on the
-// caller's stack and reaches the workers through
-// ThreadPool::run_on_lanes_raw, so a launch allocates nothing and
-// constructs no std::function.
+// These templates are the only code that reaches the workers, through
+// ThreadPool::run_on_lanes_raw. The callable stays on the caller's stack
+// and is never type-erased into a heap object. Every call counts one
+// launch, whether it runs across lanes or inline.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "runtime/thread_pool.hpp"
 
@@ -43,10 +45,9 @@ inline unsigned effective_lanes(const ThreadPool& pool) {
 }
 }  // namespace detail
 
-/// Launch `fn(begin, end)` over contiguous index ranges — the analogue of a
-/// thread-block processing a tile. Lower per-element overhead than
-/// parallel_for; preferred in kernels. Non-allocating: `fn` stays on the
-/// caller's stack.
+/// Launch `fn(begin, end)` over contiguous index ranges, one per lane —
+/// the analogue of a thread-block processing a tile. At or below `grain`
+/// elements, or on one lane, `fn(0, n)` runs inline.
 template <typename Fn>
 void parallel_for_ranges(std::size_t n, Fn&& fn, std::size_t grain = 1024) {
   if (n == 0) return;
@@ -71,55 +72,17 @@ void parallel_for_ranges(std::size_t n, Fn&& fn, std::size_t grain = 1024) {
       &ctx);
 }
 
-/// Launch `fn(i)` for i in [0, n). Static block partitioning across lanes;
-/// below `grain` elements the launch runs inline (launch overhead would
-/// dominate, mirroring how tiny kernels are not worth a grid launch).
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 1024) {
-  parallel_for_ranges(
-      n,
-      [&fn](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) fn(i);
-      },
-      grain);
-}
-
-/// Launch `fn(i)` for i in [0, n) with ROUND-ROBIN lane assignment (lane k
-/// processes k, k+L, k+2L, ...). This emulates GPU warp scheduling: when
-/// work items are sorted by descending cost (degree-ordered vertices),
-/// striding balances lanes where contiguous blocks would not.
-template <typename Fn>
-void parallel_for_strided(std::size_t n, Fn&& fn, std::size_t grain = 512) {
-  if (n == 0) return;
-  detail::count_launch();
-  auto& pool = ThreadPool::instance();
-  const unsigned lanes = detail::effective_lanes(pool);
-  if (lanes == 1 || n <= grain) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  struct Ctx {
-    Fn& fn;
-    std::size_t n;
-    unsigned lanes;
-  } ctx{fn, n, lanes};
-  pool.run_on_lanes_raw(
-      [](void* c, unsigned lane) {
-        auto& x = *static_cast<Ctx*>(c);
-        for (std::size_t i = lane; i < x.n; i += x.lanes) x.fn(i);
-      },
-      &ctx);
-}
-
 /// Launch `fn(row, tile)` over the (rows × tiles) grid in row-major item
-/// order with ROUND-ROBIN lane assignment — the 2-D form of
-/// parallel_for_strided. Item coordinates are maintained incrementally
-/// (per-lane start divmod, then a subtractive carry per step) so the grid
-/// loop performs no per-item hardware division; at large rows × tiles the
-/// div/mod pair is measurable against a fused kernel body.
+/// order with ROUND-ROBIN lane assignment: lane k takes items k, k+L,
+/// k+2L, ... This emulates GPU warp scheduling — when rows are sorted by
+/// descending cost (degree-ordered vertices), striding balances lanes
+/// where contiguous blocks would not. With `tiles == 1`, lane k takes rows
+/// k, k+L, ... Item coordinates advance incrementally (per-lane start
+/// divmod, then a subtractive carry per step), so the grid loop performs
+/// no per-item hardware division.
 template <typename Fn>
-void parallel_for_2d_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
-                             std::size_t grain = 512) {
+void parallel_for_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
+                          std::size_t grain = 512) {
   const std::size_t n = rows * tiles;
   if (n == 0) return;
   detail::count_launch();
@@ -132,19 +95,21 @@ void parallel_for_2d_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
   }
   struct Ctx {
     Fn& fn;
-    std::size_t n, tiles;
+    std::size_t rows, tiles;
     unsigned lanes;
-  } ctx{fn, n, tiles, lanes};
+  } ctx{fn, rows, tiles, lanes};
   pool.run_on_lanes_raw(
       [](void* c, unsigned lane) {
         auto& x = *static_cast<Ctx*>(c);
-        if (lane >= x.n) return;
-        // One divmod per lane to find the starting cell, then stride by
-        // `lanes` with a carry loop (lanes/tiles are both small, so the
-        // while rarely iterates more than a few times).
+        if (x.tiles == 1) {
+          for (std::size_t r = lane; r < x.rows; r += x.lanes) x.fn(r, 0);
+          return;
+        }
+        // lanes and tiles are both small, so the carry loop rarely
+        // iterates more than a few times.
         std::size_t r = lane / x.tiles;
         std::size_t t = lane % x.tiles;
-        for (std::size_t i = lane; i < x.n; i += x.lanes) {
+        while (r < x.rows) {
           x.fn(r, t);
           t += x.lanes;
           while (t >= x.tiles) {
@@ -156,19 +121,38 @@ void parallel_for_2d_strided(std::size_t rows, std::size_t tiles, Fn&& fn,
       &ctx);
 }
 
-/// Parallel sum-reduction of fn(i) over [0, n).
-double parallel_reduce_sum(std::size_t n,
-                           const std::function<double(std::size_t)>& fn,
-                           std::size_t grain = 4096);
+/// Elements per partial sum of parallel_reduce_sum. Fixed, so the
+/// association of the sum — and its bits — never depend on the lane count.
+inline constexpr std::size_t kReduceBlock = 4096;
+
+/// Sum of fn(i) over [0, n) in double: each kReduceBlock-element block is
+/// summed left to right on some lane, then the block partials are added in
+/// block order. n ≤ kReduceBlock sums serially, one launch, inline.
+template <typename Fn>
+double parallel_reduce_sum(std::size_t n, Fn&& fn) {
+  if (n == 0) return 0.0;
+  const std::size_t blocks = (n + kReduceBlock - 1) / kReduceBlock;
+  std::vector<double> partial(blocks);
+  parallel_for_ranges(
+      blocks,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = lo; b < hi; ++b) {
+          const std::size_t end = std::min(n, (b + 1) * kReduceBlock);
+          double acc = 0.0;
+          for (std::size_t i = b * kReduceBlock; i < end; ++i) acc += fn(i);
+          partial[b] = acc;
+        }
+      },
+      /*grain=*/1);
+  double total = partial[0];
+  for (std::size_t b = 1; b < blocks; ++b) total += partial[b];
+  return total;
+}
 
 /// Number of parallel lanes available to a launch issued from the current
 /// thread. Inside a pool job (nested use) this is 1 — nested launches run
 /// serially inline over their full range; sizing per-lane scratch with this
 /// value is therefore always consistent with how the launch executes.
 unsigned lane_count();
-
-/// No-op on the CPU substrate (kernels are synchronous) but kept so call
-/// sites read like the CUDA original.
-inline void synchronize() {}
 
 }  // namespace stgraph::device

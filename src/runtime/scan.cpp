@@ -7,52 +7,49 @@
 namespace stgraph::device {
 namespace {
 
-// Three-phase chunked scan (reduce / scan-of-sums / downsweep): the classic
-// work-efficient parallel scan, with each phase a lane-parallel pass.
+// Chunked scan: each of R ranges scans its chunk and records its total,
+// a serial scan of the R totals gives each range its offset, and a second
+// pass adds the offsets. R = 1 (one lane, or too small to pay for the
+// second pass) is the plain serial scan.
 template <typename T>
 void inclusive_scan_impl(const T* in, T* out, std::size_t n) {
   if (n == 0) return;
-  auto& pool = ThreadPool::instance();
-  // Effective lanes: on a pool lane (nested use) the launch below would run
-  // inline on one lane only, so sizing chunks with pool.lanes() would scan
-  // just the first chunk. See detail::effective_lanes.
-  const unsigned lanes = detail::effective_lanes(pool);
-  constexpr std::size_t kSerialCutoff = 1 << 14;
-  if (lanes == 1 || n <= kSerialCutoff) {
-    T acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += in[i];
-      out[i] = acc;
-    }
-    return;
-  }
-  const std::size_t chunk = (n + lanes - 1) / lanes;
-  std::vector<T> sums(lanes, 0);
-  pool.run_on_lanes([&](unsigned lane) {
-    const std::size_t b = static_cast<std::size_t>(lane) * chunk;
-    if (b >= n) return;
-    const std::size_t e = std::min(n, b + chunk);
-    T acc = 0;
-    for (std::size_t i = b; i < e; ++i) {
-      acc += in[i];
-      out[i] = acc;
-    }
-    sums[lane] = acc;
-  });
-  // Scan of per-chunk sums (lanes is small; serial).
+  const unsigned lanes = lane_count();
+  const std::size_t R = n <= (std::size_t{1} << 14) ? 1 : lanes;
+  const std::size_t chunk = (n + R - 1) / R;
+  std::vector<T> sums(R, 0);
+  parallel_for_ranges(
+      R,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          const std::size_t b = r * chunk, e = std::min(n, b + chunk);
+          T acc = 0;
+          for (std::size_t i = b; i < e; ++i) {
+            acc += in[i];
+            out[i] = acc;
+          }
+          sums[r] = acc;
+        }
+      },
+      /*grain=*/1);
+  if (R == 1) return;
   T carry = 0;
-  for (unsigned l = 0; l < lanes; ++l) {
-    T s = sums[l];
-    sums[l] = carry;
+  for (std::size_t r = 0; r < R; ++r) {
+    const T s = sums[r];
+    sums[r] = carry;
     carry += s;
   }
-  pool.run_on_lanes([&](unsigned lane) {
-    const std::size_t b = static_cast<std::size_t>(lane) * chunk;
-    if (b >= n || sums[lane] == 0) return;
-    const std::size_t e = std::min(n, b + chunk);
-    const T offset = sums[lane];
-    for (std::size_t i = b; i < e; ++i) out[i] += offset;
-  });
+  parallel_for_ranges(
+      R,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          const std::size_t b = r * chunk, e = std::min(n, b + chunk);
+          const T offset = sums[r];
+          if (offset == 0) continue;
+          for (std::size_t i = b; i < e; ++i) out[i] += offset;
+        }
+      },
+      /*grain=*/1);
 }
 
 template <typename T>

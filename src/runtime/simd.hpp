@@ -25,7 +25,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -33,6 +32,8 @@
 #elif defined(__ARM_NEON) && defined(__ARM_FEATURE_FMA)
 #include <arm_neon.h>
 #endif
+
+#include "util/env.hpp"
 
 namespace stgraph::simd {
 
@@ -229,15 +230,10 @@ inline constexpr const char* kArchName = "scalar";
 /// Compile-time ISA of the native backend ("avx2", "neon" or "scalar").
 inline const char* arch_name() { return kArchName; }
 
-/// Runtime escape hatch: STGRAPH_SIMD=off|0|false disables the vector
-/// backend for the whole process (read once, first use).
+/// Runtime escape hatch: STGRAPH_SIMD=off (env_flag grammar) disables the
+/// vector backend for the whole process (read once, first use).
 inline bool enabled() {
-  static const bool on = [] {
-    const char* s = std::getenv("STGRAPH_SIMD");
-    if (!s || !*s) return true;
-    return !(std::strcmp(s, "off") == 0 || std::strcmp(s, "OFF") == 0 ||
-             std::strcmp(s, "0") == 0 || std::strcmp(s, "false") == 0);
-  }();
+  static const bool on = env_flag("STGRAPH_SIMD", true);
   return on;
 }
 

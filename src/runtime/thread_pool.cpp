@@ -1,25 +1,39 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "runtime/analyze.hpp"
 
 namespace stgraph {
 
-namespace {
-unsigned default_workers() {
-  if (const char* e = std::getenv("STGRAPH_NUM_THREADS")) {
-    int n = std::atoi(e);
-    if (n >= 1) return static_cast<unsigned>(n - 1);  // n lanes total
+unsigned ThreadPool::lanes_from_env(const char* value, unsigned hardware) {
+  const unsigned fallback = std::clamp(hardware, 1u, kMaxLanes);
+  if (value == nullptr || *value == '\0') return fallback;
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (*value < '0' || *value > '9' || *end != '\0' || n == 0) {
+    std::fprintf(stderr,
+                 "stgraph: ignoring STGRAPH_NUM_THREADS=\"%s\" (want a "
+                 "whole number of lanes >= 1); using %u\n",
+                 value, fallback);
+    return fallback;
   }
-  unsigned hc = std::thread::hardware_concurrency();
-  if (hc <= 1) return 0;
-  return hc - 1;  // caller thread is a lane too
+  if (n > kMaxLanes) {  // strtoull saturates on overflow
+    std::fprintf(stderr,
+                 "stgraph: STGRAPH_NUM_THREADS=%s exceeds %u lanes; using %u\n",
+                 value, kMaxLanes, kMaxLanes);
+    return kMaxLanes;
+  }
+  return static_cast<unsigned>(n);
 }
-}  // namespace
 
 ThreadPool& ThreadPool::instance() {
-  static ThreadPool pool(default_workers());
+  // The caller thread is lane 0, so a pool of L lanes starts L-1 workers.
+  static ThreadPool pool(lanes_from_env(std::getenv("STGRAPH_NUM_THREADS"),
+                                        std::thread::hardware_concurrency()) -
+                         1);
   return pool;
 }
 
@@ -38,14 +52,6 @@ ThreadPool::~ThreadPool() {
   cv_start_.notify_all();
   if (analyze::armed()) analyze::on_blocking_call("thread-join");
   for (auto& t : workers_) t.join();
-}
-
-void ThreadPool::run_on_lanes(const std::function<void(unsigned)>& fn) {
-  run_on_lanes_raw(
-      [](void* ctx, unsigned lane) {
-        (*static_cast<const std::function<void(unsigned)>*>(ctx))(lane);
-      },
-      const_cast<void*>(static_cast<const void*>(&fn)));
 }
 
 void ThreadPool::run_on_lanes_raw(RawJob fn, void* ctx) {

@@ -1,14 +1,15 @@
 // Persistent worker pool backing all "kernel launches" in the CPU device
 // substrate. One pool per process (like one CUDA context); workers park on
-// a condition variable between launches.
+// a condition variable between launches. Only the launch templates in
+// runtime/parallel.hpp call run_on_lanes_raw; everything else launches
+// through them.
 //
-// Thread count comes from STGRAPH_NUM_THREADS if set, otherwise
-// hardware_concurrency. With a single hardware thread the pool degrades to
+// Lane count comes from STGRAPH_NUM_THREADS if set (1..kMaxLanes),
+// otherwise hardware_concurrency. With a single lane the pool degrades to
 // inline execution (zero workers) so tests remain fast on tiny machines.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -35,14 +36,14 @@ class ThreadPool {
   /// including lane 0 on the launching thread). Nested launches from such a
   /// thread run inline on one lane only, so grid math (chunk sizing, stride
   /// counts) MUST use an effective lane count of 1 — see
-  /// device::lane_count() and the parallel_for* primitives, which all check
-  /// this flag. Using lanes() directly for chunk sizing inside a pool job
-  /// silently drops work.
+  /// device::lane_count() and the runtime/parallel.hpp launches, which all
+  /// check this flag. Using lanes() directly for chunk sizing inside a pool
+  /// job silently drops work.
   static bool on_pool_lane() { return in_pool_job_; }
 
   /// Marks the current thread as a pool lane for the guard's lifetime, so
-  /// every parallel_for* it issues runs serially inline (1 effective lane)
-  /// and never touches the pool's launch protocol. run_on_lanes_raw is a
+  /// every launch it issues runs serially inline (1 effective lane) and
+  /// never touches the pool's launch protocol. run_on_lanes_raw is a
   /// single-launcher protocol (generation_/pending_ handshake): two threads
   /// launching concurrently corrupt the rendezvous. Auxiliary threads that
   /// must run pool-using code concurrently with the main thread (the GPMA
@@ -58,17 +59,24 @@ class ThreadPool {
     bool prev_;
   };
 
-  /// Run fn(lane) on every lane (0..lanes-1) and wait for completion.
-  /// The calling thread executes lane 0. Reentrant calls (fn itself calling
-  /// run_on_lanes) execute inline on the calling lane to avoid deadlock.
-  void run_on_lanes(const std::function<void(unsigned)>& fn);
-
-  /// Type-erased launch used by the non-allocating templated parallel
-  /// primitives: `fn(ctx, lane)` runs on every lane with `ctx` pointing at
-  /// a caller-owned callable, so no std::function is constructed per
-  /// launch. Same inline/reentrant semantics as run_on_lanes.
+  /// Runs `fn(ctx, lane)` on every lane (0..lanes-1) and waits for
+  /// completion; `ctx` points at a caller-owned callable, so nothing is
+  /// allocated per launch. The calling thread executes lane 0. Reentrant
+  /// calls (fn itself launching) and zero-worker pools run `fn(ctx, 0)`
+  /// inline on the calling lane to avoid deadlock.
   using RawJob = void (*)(void* ctx, unsigned lane);
   void run_on_lanes_raw(RawJob fn, void* ctx);
+
+  /// Most lanes a process pool starts with, whatever STGRAPH_NUM_THREADS
+  /// asks for: a typo must not ask the OS for thousands of threads.
+  static constexpr unsigned kMaxLanes = 256;
+
+  /// Lane count for an STGRAPH_NUM_THREADS value (nullptr when unset) on a
+  /// host with `hardware` hardware threads. Unset or empty gives `hardware`
+  /// clamped to [1, kMaxLanes]; a whole decimal number ≥ 1 gives itself,
+  /// clamped to kMaxLanes with a warning; anything else warns on stderr
+  /// and gives the unset result.
+  static unsigned lanes_from_env(const char* value, unsigned hardware);
 
  private:
   void worker_loop(unsigned lane);

@@ -1,19 +1,12 @@
 #include "verify/validate.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace stgraph::verify {
 namespace {
-
-bool env_truthy(const char* v) {
-  if (!v || !*v) return false;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "false") != 0 &&
-         std::strcmp(v, "off") != 0;
-}
 
 std::atomic<int>& flag() {
   // -1 = unread, 0 = off, 1 = on. Atomic so serving threads and tests can
@@ -27,7 +20,7 @@ std::atomic<int>& flag() {
 bool validation_enabled() {
   int v = flag().load(std::memory_order_relaxed);
   if (v < 0) {
-    v = env_truthy(std::getenv("STGRAPH_VALIDATE")) ? 1 : 0;
+    v = env_flag("STGRAPH_VALIDATE", false) ? 1 : 0;
     flag().store(v, std::memory_order_relaxed);
   }
   return v != 0;

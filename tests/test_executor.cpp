@@ -263,7 +263,6 @@ TEST(Backend, CustomBackendRegistration) {
     Tensor zeros(Shape s) const override { return Tensor::zeros(std::move(s)); }
     void launch_aggregation(const compiler::KernelSpec&,
                             const compiler::KernelArgs&) const override {}
-    void synchronize() const override {}
   };
   core::BackendRegistry::instance().register_backend(
       "fake", [] { return std::make_unique<FakeBackend>(); });

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "runtime/device_buffer.hpp"
 #include "runtime/memory_tracker.hpp"
@@ -16,34 +19,98 @@
 namespace stgraph {
 namespace {
 
+// Test-local adapter: runs fn(lane) on every lane of `pool` through the
+// pool's one launch entry point.
+template <typename Fn>
+void run_on_lanes(ThreadPool& pool, Fn fn) {
+  pool.run_on_lanes_raw(
+      [](void* ctx, unsigned lane) { (*static_cast<Fn*>(ctx))(lane); }, &fn);
+}
+
 TEST(ThreadPool, RunsEveryLaneExactlyOnce) {
   auto& pool = ThreadPool::instance();
   std::vector<std::atomic<int>> hits(pool.lanes());
-  pool.run_on_lanes([&](unsigned lane) { hits[lane].fetch_add(1); });
+  run_on_lanes(pool, [&](unsigned lane) { hits[lane].fetch_add(1); });
   for (unsigned l = 0; l < pool.lanes(); ++l) EXPECT_EQ(hits[l].load(), 1);
 }
 
 TEST(ThreadPool, ReentrantLaunchDoesNotDeadlock) {
   auto& pool = ThreadPool::instance();
   std::atomic<int> count{0};
-  pool.run_on_lanes([&](unsigned) {
-    pool.run_on_lanes([&](unsigned) { count.fetch_add(1); });
+  run_on_lanes(pool, [&](unsigned) {
+    run_on_lanes(pool, [&](unsigned) { count.fetch_add(1); });
   });
   EXPECT_GE(count.load(), static_cast<int>(pool.lanes()));
 }
 
+TEST(ThreadPool, LanesFromEnvParsesAndClamps) {
+  using TP = ThreadPool;
+  // Unset or empty: the host's hardware threads, at least one lane.
+  EXPECT_EQ(TP::lanes_from_env(nullptr, 4), 4u);
+  EXPECT_EQ(TP::lanes_from_env("", 4), 4u);
+  EXPECT_EQ(TP::lanes_from_env(nullptr, 0), 1u);
+  EXPECT_EQ(TP::lanes_from_env(nullptr, 1000), TP::kMaxLanes);
+  // Whole numbers ≥ 1 are taken as given.
+  EXPECT_EQ(TP::lanes_from_env("1", 4), 1u);
+  EXPECT_EQ(TP::lanes_from_env("8", 4), 8u);
+  EXPECT_EQ(TP::lanes_from_env("256", 4), 256u);
+  // Above the cap: clamped, with a warning.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(TP::lanes_from_env("257", 4), TP::kMaxLanes);
+  EXPECT_EQ(TP::lanes_from_env("40000", 4), TP::kMaxLanes);
+  EXPECT_EQ(TP::lanes_from_env("99999999999999999999999", 4), TP::kMaxLanes);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("STGRAPH_NUM_THREADS=40000"), std::string::npos) << err;
+  // Not a whole number ≥ 1: the unset result, with a warning each.
+  for (const char* bad : {"0", "8x", "x8", "-2", "+4", " 4", "4 ", "2.5", "abc"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(TP::lanes_from_env(bad, 3), 3u) << bad;
+    err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("STGRAPH_NUM_THREADS"), std::string::npos) << bad;
+  }
+}
+
 TEST(Parallel, ForCoversAllIndices) {
-  const std::size_t n = 10001;
-  std::vector<std::atomic<int>> hits(n);
-  device::parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 1);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+  // Sizes below, at and well above the lane count: every index is covered
+  // exactly once, including when some lanes get an empty range.
+  const std::size_t lanes = device::lane_count();
+  for (std::size_t n : {std::size_t{1}, lanes, lanes + 1,
+                        std::size_t{10001}}) {
+    std::vector<std::atomic<int>> hits(n);
+    device::parallel_for_ranges(n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    }, 1);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << n;
+  }
 }
 
 TEST(Parallel, StridedCoversAllIndices) {
-  const std::size_t n = 5000;
-  std::vector<std::atomic<int>> hits(n);
-  device::parallel_for_strided(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 1);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+  // One tile per row (the aggregation engine's untiled schedule) and a
+  // (row × tile) grid whose width is below, equal to and above the lane
+  // count, so the per-lane carry wraps rows at odd offsets.
+  const std::size_t rows = 5000;
+  for (std::size_t tiles : {1, 3, 4, 7}) {
+    std::vector<std::atomic<int>> hits(rows * tiles);
+    device::parallel_for_strided(rows, tiles, [&](std::size_t r, std::size_t t) {
+      ASSERT_LT(t, tiles);
+      hits[r * tiles + t].fetch_add(1);
+    }, 1);
+    for (std::size_t i = 0; i < rows * tiles; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "tiles " << tiles << " item " << i;
+  }
+}
+
+TEST(Parallel, StridedAssignsRowsRoundRobin) {
+  // Lane k takes items k, k+L, k+2L, ...: consecutive items of the
+  // row-major grid land on distinct lanes.
+  const std::size_t lanes = device::lane_count();
+  const std::size_t rows = 4096, tiles = 3;
+  std::vector<std::thread::id> owner(rows * tiles);
+  device::parallel_for_strided(rows, tiles, [&](std::size_t r, std::size_t t) {
+    owner[r * tiles + t] = std::this_thread::get_id();
+  }, 1);
+  for (std::size_t i = 0; i + lanes < owner.size(); ++i)
+    ASSERT_EQ(owner[i], owner[i + lanes]) << i;
 }
 
 TEST(Parallel, RangesPartitionWithoutOverlap) {
@@ -58,9 +125,35 @@ TEST(Parallel, RangesPartitionWithoutOverlap) {
 TEST(Parallel, ReduceSumMatchesSerial) {
   const std::size_t n = 123457;
   const double got =
-      device::parallel_reduce_sum(n, [](std::size_t i) { return double(i); }, 1);
+      device::parallel_reduce_sum(n, [](std::size_t i) { return double(i); });
   const double want = double(n - 1) * double(n) / 2.0;
   EXPECT_DOUBLE_EQ(got, want);
+}
+
+double harmonic(std::size_t n) {
+  return device::parallel_reduce_sum(
+      n, [](std::size_t i) { return 1.0 / static_cast<double>(i + 1); });
+}
+
+TEST(Parallel, ReduceSumSameBitsAtAnyLaneCount) {
+  // Inexact terms, so any change in association shows in the last bits:
+  // one lane (inline) and the full pool must agree bit for bit, and a
+  // single block must be the plain left-to-right sum.
+  const std::size_t n = 3 * device::kReduceBlock + 5;
+  const double pooled = harmonic(n);
+  double inlined = 0.0;
+  {
+    ThreadPool::ScopedInline one_lane;
+    inlined = harmonic(n);
+  }
+  EXPECT_EQ(std::memcmp(&pooled, &inlined, sizeof(double)), 0)
+      << std::hexfloat << pooled << " vs " << inlined;
+  double serial = 0.0;
+  for (std::size_t i = 0; i < device::kReduceBlock; ++i)
+    serial += 1.0 / static_cast<double>(i + 1);
+  const double one_block = harmonic(device::kReduceBlock);
+  EXPECT_EQ(std::memcmp(&one_block, &serial, sizeof(double)), 0)
+      << std::hexfloat << one_block << " vs " << serial;
 }
 
 // Nested-use contract (see detail::effective_lanes): a parallel primitive
@@ -73,8 +166,10 @@ TEST(NestedParallel, InnerForCoversFullRangeFromPoolLane) {
   auto& pool = ThreadPool::instance();
   const std::size_t n = 4096;
   std::vector<std::atomic<uint32_t>> hits(n);
-  pool.run_on_lanes([&](unsigned) {
-    device::parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 1);
+  run_on_lanes(pool, [&](unsigned) {
+    device::parallel_for_strided(n, 1, [&](std::size_t i, std::size_t) {
+      hits[i].fetch_add(1);
+    }, 1);
   });
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(hits[i].load(), pool.lanes()) << "index " << i;
@@ -84,7 +179,7 @@ TEST(NestedParallel, InnerRangesCoverFullRangeFromPoolLane) {
   auto& pool = ThreadPool::instance();
   const std::size_t n = 10001;
   std::vector<std::atomic<uint32_t>> hits(n);
-  pool.run_on_lanes([&](unsigned) {
+  run_on_lanes(pool, [&](unsigned) {
     device::parallel_for_ranges(n, [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
     }, 1);
@@ -96,7 +191,7 @@ TEST(NestedParallel, InnerRangesCoverFullRangeFromPoolLane) {
 TEST(NestedParallel, LaneCountIsOneOnPoolLane) {
   auto& pool = ThreadPool::instance();
   std::vector<unsigned> seen(pool.lanes(), 0);
-  pool.run_on_lanes([&](unsigned lane) { seen[lane] = device::lane_count(); });
+  run_on_lanes(pool, [&](unsigned lane) { seen[lane] = device::lane_count(); });
   for (unsigned lane = 0; lane < pool.lanes(); ++lane)
     EXPECT_EQ(seen[lane], 1u) << "lane " << lane;
   EXPECT_EQ(device::lane_count(), pool.lanes());
@@ -107,9 +202,9 @@ TEST(NestedParallel, NestedReduceSumMatchesSerial) {
   const std::size_t n = 54321;
   const double want = double(n - 1) * double(n) / 2.0;
   std::vector<double> got(pool.lanes(), 0.0);
-  pool.run_on_lanes([&](unsigned lane) {
-    got[lane] = device::parallel_reduce_sum(
-        n, [](std::size_t i) { return double(i); }, 1);
+  run_on_lanes(pool, [&](unsigned lane) {
+    got[lane] =
+        device::parallel_reduce_sum(n, [](std::size_t i) { return double(i); });
   });
   for (unsigned lane = 0; lane < pool.lanes(); ++lane)
     EXPECT_DOUBLE_EQ(got[lane], want) << "lane " << lane;
@@ -123,19 +218,41 @@ TEST(NestedParallel, ScopedInlineForcesSerialFullCoverage) {
   EXPECT_EQ(device::lane_count(), 1u);
   const std::size_t n = 4096;
   std::vector<uint32_t> hits(n, 0);  // serial: plain ints suffice
-  device::parallel_for(n, [&](std::size_t i) { hits[i]++; }, 1);
+  device::parallel_for_ranges(n, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i]++;
+  }, 1);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1u) << i;
   const double got =
-      device::parallel_reduce_sum(n, [](std::size_t i) { return double(i); }, 1);
+      device::parallel_reduce_sum(n, [](std::size_t i) { return double(i); });
   EXPECT_DOUBLE_EQ(got, double(n - 1) * double(n) / 2.0);
 }
 
-TEST(Parallel, KernelStatsCountLaunches) {
+// One call of each primitive counts one launch, whether it runs inline
+// or across lanes. The scan counts one launch per pass: one when it runs
+// as a single range, two when it splits into ranges.
+void expect_launch_counts(bool split_scan) {
   auto& stats = device::KernelStats::instance();
   stats.reset();
-  device::parallel_for(10, [](std::size_t) {}, 1);
-  device::parallel_for_strided(10, [](std::size_t) {}, 1);
+  device::parallel_for_ranges(100000, [](std::size_t, std::size_t) {}, 1);
+  EXPECT_EQ(stats.launches.load(), 1u);
+  device::parallel_for_strided(100000, 1, [](std::size_t, std::size_t) {}, 1);
   EXPECT_EQ(stats.launches.load(), 2u);
+  device::parallel_reduce_sum(100000, [](std::size_t) { return 1.0; });
+  EXPECT_EQ(stats.launches.load(), 3u);
+  device::parallel_reduce_sum(10, [](std::size_t) { return 1.0; });
+  EXPECT_EQ(stats.launches.load(), 4u);
+  std::vector<uint64_t> buf(100000, 1);
+  device::inclusive_scan(buf.data(), buf.data(), buf.size());
+  EXPECT_EQ(stats.launches.load(), split_scan ? 6u : 5u);
+  EXPECT_EQ(buf.back(), buf.size());
+}
+
+TEST(Parallel, KernelStatsCountLaunches) {
+  {
+    ThreadPool::ScopedInline one_lane;
+    expect_launch_counts(/*split_scan=*/false);
+  }
+  expect_launch_counts(/*split_scan=*/device::lane_count() > 1);
 }
 
 class ScanProperty : public ::testing::TestWithParam<std::size_t> {};

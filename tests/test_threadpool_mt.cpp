@@ -14,11 +14,19 @@
 namespace stgraph {
 namespace {
 
+// Test-local adapter: runs fn(lane) on every lane of `pool` through the
+// pool's one launch entry point.
+template <typename Fn>
+void run_on_lanes(ThreadPool& pool, Fn fn) {
+  pool.run_on_lanes_raw(
+      [](void* ctx, unsigned lane) { (*static_cast<Fn*>(ctx))(lane); }, &fn);
+}
+
 TEST(ThreadPoolMt, AllLanesParticipate) {
   ThreadPool pool(3);  // 4 lanes total
   ASSERT_EQ(pool.lanes(), 4u);
   std::vector<std::atomic<int>> hits(4);
-  pool.run_on_lanes([&](unsigned lane) { hits[lane].fetch_add(1); });
+  run_on_lanes(pool, [&](unsigned lane) { hits[lane].fetch_add(1); });
   for (unsigned l = 0; l < 4; ++l) EXPECT_EQ(hits[l].load(), 1) << l;
 }
 
@@ -26,7 +34,7 @@ TEST(ThreadPoolMt, DistinctThreadsBackTheLanes) {
   ThreadPool pool(3);
   std::mutex mu;
   std::set<std::thread::id> ids;
-  pool.run_on_lanes([&](unsigned) {
+  run_on_lanes(pool, [&](unsigned) {
     // Slow the lanes slightly so workers overlap rather than one thread
     // stealing all lanes (not possible here, but keeps the test honest).
     volatile double x = 0;
@@ -41,7 +49,7 @@ TEST(ThreadPoolMt, ManySequentialLaunchesStayConsistent) {
   ThreadPool pool(2);
   std::atomic<long> total{0};
   for (int round = 0; round < 500; ++round) {
-    pool.run_on_lanes([&](unsigned lane) {
+    run_on_lanes(pool, [&](unsigned lane) {
       total.fetch_add(lane + 1, std::memory_order_relaxed);
     });
   }
@@ -52,9 +60,9 @@ TEST(ThreadPoolMt, ManySequentialLaunchesStayConsistent) {
 TEST(ThreadPoolMt, ReentrantLaunchRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> outer{0}, inner{0};
-  pool.run_on_lanes([&](unsigned) {
+  run_on_lanes(pool, [&](unsigned) {
     outer.fetch_add(1);
-    pool.run_on_lanes([&](unsigned inner_lane) {
+    run_on_lanes(pool, [&](unsigned inner_lane) {
       // Reentrant call must degrade to inline single-lane execution.
       EXPECT_EQ(inner_lane, 0u);
       inner.fetch_add(1);
@@ -70,7 +78,7 @@ TEST(ThreadPoolMt, ParallelMutationHasNoLostUpdates) {
   std::vector<int> data(4096, 0);
   const std::size_t chunk = data.size() / pool.lanes();
   for (int round = 0; round < 50; ++round) {
-    pool.run_on_lanes([&](unsigned lane) {
+    run_on_lanes(pool, [&](unsigned lane) {
       const std::size_t b = lane * chunk;
       const std::size_t e = lane + 1 == pool.lanes() ? data.size() : b + chunk;
       for (std::size_t i = b; i < e; ++i) data[i] += 1;
@@ -83,7 +91,7 @@ TEST(ThreadPoolMt, ZeroWorkerPoolRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.lanes(), 1u);
   int runs = 0;
-  pool.run_on_lanes([&](unsigned lane) {
+  run_on_lanes(pool, [&](unsigned lane) {
     EXPECT_EQ(lane, 0u);
     ++runs;
   });
@@ -96,7 +104,7 @@ TEST(ThreadPoolMt, DestructionJoinsCleanly) {
   for (int i = 0; i < 20; ++i) {
     ThreadPool pool(2);
     std::atomic<int> n{0};
-    pool.run_on_lanes([&](unsigned) { n.fetch_add(1); });
+    run_on_lanes(pool, [&](unsigned) { n.fetch_add(1); });
     EXPECT_EQ(n.load(), 3);
   }
 }

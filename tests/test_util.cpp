@@ -1,12 +1,14 @@
 // Unit tests for util/: deterministic RNG, distribution sanity, CSV
-// rendering, check macros, timers.
+// rendering, check macros, timers, the boolean env-switch grammar.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -92,6 +94,36 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+TEST(EnvFlag, UnsetOrEmptyGivesTheDefault) {
+  for (bool dflt : {false, true}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(env_flag("STGRAPH_X", nullptr, dflt), dflt);
+    EXPECT_EQ(env_flag("STGRAPH_X", "", dflt), dflt);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  }
+}
+
+TEST(EnvFlag, WordsInAnyCase) {
+  testing::internal::CaptureStderr();
+  for (const char* on : {"1", "on", "On", "ON", "true", "TRUE", "yes", "Yes"})
+    EXPECT_TRUE(env_flag("STGRAPH_X", on, false)) << on;
+  for (const char* off : {"0", "off", "Off", "OFF", "false", "FALSE", "no", "NO"})
+    EXPECT_FALSE(env_flag("STGRAPH_X", off, true)) << off;
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(EnvFlag, AnythingElseWarnsOnceAndGivesTheDefault) {
+  for (const char* bad : {"2", "of", "disable", " 1", "on ", "y", "-1"}) {
+    for (bool dflt : {false, true}) {
+      testing::internal::CaptureStderr();
+      EXPECT_EQ(env_flag("STGRAPH_DEADLOCK", bad, dflt), dflt) << bad;
+      const std::string err = testing::internal::GetCapturedStderr();
+      EXPECT_NE(err.find("STGRAPH_DEADLOCK"), std::string::npos) << err;
+      EXPECT_EQ(err.find('\n'), err.size() - 1) << "one line: " << err;
+    }
+  }
 }
 
 TEST(Check, ThrowsWithMessage) {
