@@ -11,8 +11,8 @@
 //      1 -> 4) while the full output matrix stays bit-identical to the
 //      single-executor run.
 //   2. open loop — a paced sender pipelines PREDICT frames at a fixed
-//      arrival rate over one connection (a tenant mix cycles across the
-//      configured lanes) while a receiver matches responses by request id.
+//      arrival rate over one connection while a receiver matches
+//      responses by request id.
 //      Run at 1x and 2x the injected service capacity with a default
 //      deadline armed: at 2x the excess must come back as typed sheds, and
 //      no ACCEPTED request may complete later than deadline + one batch
@@ -183,12 +183,8 @@ struct OpenLoopResult {
 
 /// Paced sender + request-id-matching receiver on ONE pipelined
 /// connection: the arrival process never waits for service (open loop).
-/// `tenant_cycle` spreads the stream across lanes in proportion to how
-/// often each id appears.
 OpenLoopResult run_open_loop(uint16_t port, double rate_hz, uint32_t total,
-                             double deadline_ms,
-                             const std::vector<uint16_t>& tenant_cycle,
-                             uint64_t seed) {
+                             double deadline_ms, uint64_t seed) {
   OpenLoopResult res;
   res.issued = total;
   net::Client conn("127.0.0.1", port, 60000.0);
@@ -257,7 +253,6 @@ OpenLoopResult run_open_loop(uint16_t port, double rate_hz, uint32_t total,
     while (now_ns() < due) std::this_thread::yield();
     net::Frame req;
     req.verb = net::Verb::kPredict;
-    req.tenant = tenant_cycle[i % tenant_cycle.size()];
     req.request_id = i + 1;
     req.payload = net::build_predict_request(
         {static_cast<uint32_t>(prng.next_below(kNodes))});
@@ -371,8 +366,7 @@ int main(int argc, char** argv) {
 
   // ---- phase 2: open loop at 1x and 2x capacity --------------------------
   // Capacity with 2 readers and max_batch=4 under the 50 ms floor:
-  // 2 * 4 / 50ms = 160 req/s. The tenant mix sends 3 parts tenant 1 to
-  // 1 part tenant 2, matching the lanes' 3:1 WRR weights.
+  // 2 * 4 / 50ms = 160 req/s.
   const double capacity_rps =
       2.0 * 4.0 * 1000.0 / kBatchIntervalMs;
   std::vector<OpenLoopResult> open_loop;
@@ -381,15 +375,14 @@ int main(int argc, char** argv) {
     serve::ServeConfig cfg;
     cfg.num_readers = 2;
     cfg.max_batch = 4;
-    cfg.queue_capacity = 16;  // shallow lanes: overload sheds fast, typed
+    cfg.queue_capacity = 32;  // shallow queue: overload sheds fast, typed
     cfg.default_deadline_ms = deadline_ms;
-    cfg.tenants = {{1, 3, 0}, {2, 1, 0}};
     Stack stack(ckpt, cfg);
     failpoint::enable("serve.batch.delay", failpoint::Spec::always());
     open_loop.push_back(run_open_loop(stack.frontend.port(),
                                       capacity_rps * factor,
                                       open_loop_requests, deadline_ms,
-                                      {1, 1, 1, 2}, seed));
+                                      seed));
     failpoint::disable_all();
     const OpenLoopResult& r = open_loop.back();
     if (r.accepted + r.shed_total() + r.errors != r.issued) {

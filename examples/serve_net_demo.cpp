@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   nn::TGCNEncoder model(kFeat, kHidden, rng);
 
   serve::ServeConfig cfg;
-  cfg.num_readers = 2;                  // replicated snapshot readers
-  cfg.tenants = {{1, 3, 0}, {2, 1, 0}};  // two lanes, 3:1 WRR weights
+  cfg.num_readers = 2;  // replicated snapshot readers
   serve::Server server(graph, model, cfg);
   Tensor x0 = Tensor::zeros({kNodes, kFeat});
   for (int64_t i = 0; i < x0.numel(); ++i)
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
 
   // ---- binary protocol ----------------------------------------------------
   net::Client client("127.0.0.1", frontend.port());
-  const net::PredictWire full = client.predict({}, /*tenant=*/1);
+  const net::PredictWire full = client.predict();
   std::cout << "PREDICT (all nodes): [" << full.outputs.rows() << " x "
             << full.outputs.cols() << "] at t=" << full.time << " v"
             << full.version << "\n";
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
   std::cout << "INGEST  (+2 edges): now t=" << ing.time << " v" << ing.version
             << ", " << ing.num_edges << " edges\n";
 
-  const net::PredictWire rows = client.predict({0, 8}, /*tenant=*/2);
+  const net::PredictWire rows = client.predict({0, 8});
   std::cout << "PREDICT (nodes 0,8): first value " << rows.outputs.data()[0]
             << " at t=" << rows.time << "\n";
   std::cout << "STATS: " << client.stats_json().substr(0, 120) << "...\n\n";

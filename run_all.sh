@@ -15,7 +15,10 @@
 #                           (test_scaling: background view preparation +
 #                           strided aggregation parity; test_gpma_views:
 #                           prefetch hints against the view reference),
-#                           and the row-block-parallel GEMM (test_gemm)
+#                           the row-block-parallel GEMM (test_gemm), and
+#                           the launch primitives (test_runtime: multi-lane
+#                           parallel_reduce_sum, the split scan, strided
+#                           coverage, nested launches)
 #   ./run_all.sh lint       clang-tidy over src/ + a clang syntax-only pass
 #                           of EVERY .cpp under src/ and tools/ with
 #                           -Wthread-safety -Werror (the annotations in
@@ -49,7 +52,7 @@
 #   ./run_all.sh serve-net-smoke
 #                           network serving smoke test: bring up the TCP
 #                           front-end, drive the closed/open-loop load
-#                           generator over loopback, assert the per-tenant
+#                           generator over loopback, assert the
 #                           accounting identity, reader-scaling and
 #                           no-late-accepts contracts, emit
 #                           BENCH_serve_net.json
@@ -59,7 +62,9 @@
 #                           (test_scaling, plus its STGRAPH_NUM_THREADS=1
 #                           and STGRAPH_NUM_THREADS=8 ctest variants), serve
 #                           parity at 1 and 8 lanes (serve_serial,
-#                           serve_oversub), the GPMA view builder against
+#                           serve_oversub) and the concurrent and socket
+#                           serve suites at 8 lanes (serve_mt_oversub,
+#                           serve_net_oversub), the GPMA view builder against
 #                           its sequential reference at 8 lanes
 #                           (gpma_views_oversub), the layer gradient checks
 #                           and aggregation launch counts at 1 and 8 lanes
@@ -104,10 +109,10 @@ cd "$(dirname "$0")" || exit 1
 if [ "$1" = "scaling-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_scaling \
-    test_gpma_views test_serve test_layers test_runtime test_threadpool_mt \
-    bench_scaling || exit 1
+    test_gpma_views test_serve test_serve_mt test_serve_net test_layers \
+    test_runtime test_threadpool_mt bench_scaling || exit 1
   ctest --test-dir build --output-on-failure --no-tests=error \
-    -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|gpma_views_oversub|layers_serial|layers_oversub|runtime_serial|runtime_oversub)$' \
+    -R '^(Scaling(Parity|Pipeline)\..*|scaling_serial|scaling_oversub|serve_serial|serve_oversub|serve_mt_oversub|serve_net_oversub|gpma_views_oversub|layers_serial|layers_oversub|runtime_serial|runtime_oversub)$' \
     || exit 1
   # One small dataset, two lanes. The floor is a regression guard, not a
   # parallelism proof: on single-core hosts the grid is oversubscribed and
@@ -225,9 +230,9 @@ if [ "$1" = "tsan" ]; then
     -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-    test_gpma_views test_fusion test_gemm || exit 1
+    test_gpma_views test_fusion test_gemm test_runtime || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-           test_gpma_views test_fusion test_gemm; do
+           test_gpma_views test_fusion test_gemm test_runtime; do
     echo "===== $t (tsan) ====="
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1

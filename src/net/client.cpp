@@ -101,11 +101,9 @@ Frame Client::read_frame(uint64_t expect_request_id) {
   }
 }
 
-Frame Client::round_trip(Verb verb, uint16_t tenant,
-                         std::vector<uint8_t> payload) {
+Frame Client::round_trip(Verb verb, std::vector<uint8_t> payload) {
   Frame req;
   req.verb = verb;
-  req.tenant = tenant;
   req.request_id = next_request_id_++;
   req.payload = std::move(payload);
   const std::vector<uint8_t> bytes = encode_frame(req);
@@ -124,27 +122,24 @@ Frame Client::round_trip(Verb verb, uint16_t tenant,
   return resp;
 }
 
-PredictWire Client::predict(const std::vector<uint32_t>& nodes,
-                            uint16_t tenant) {
-  Frame resp =
-      round_trip(Verb::kPredict, tenant, build_predict_request(nodes));
+PredictWire Client::predict(const std::vector<uint32_t>& nodes) {
+  Frame resp = round_trip(Verb::kPredict, build_predict_request(nodes));
   return parse_predict_response(resp.payload);
 }
 
-IngestWire Client::ingest(const EdgeDelta& delta, const Tensor& next_features,
-                          uint16_t tenant) {
-  Frame resp = round_trip(Verb::kIngest, tenant,
-                          build_ingest_request(delta, next_features));
+IngestWire Client::ingest(const EdgeDelta& delta, const Tensor& next_features) {
+  Frame resp =
+      round_trip(Verb::kIngest, build_ingest_request(delta, next_features));
   return parse_ingest_response(resp.payload);
 }
 
 std::string Client::stats_json() {
-  Frame resp = round_trip(Verb::kStats, 0, {});
+  Frame resp = round_trip(Verb::kStats, {});
   return std::string(resp.payload.begin(), resp.payload.end());
 }
 
 std::string Client::health_json() {
-  Frame resp = round_trip(Verb::kHealth, 0, {});
+  Frame resp = round_trip(Verb::kHealth, {});
   return std::string(resp.payload.begin(), resp.payload.end());
 }
 

@@ -29,10 +29,8 @@ class Client {
 
   /// Throws NetError (typed wire code) on a kError response, StgError on
   /// transport failure.
-  PredictWire predict(const std::vector<uint32_t>& nodes = {},
-                      uint16_t tenant = 0);
-  IngestWire ingest(const EdgeDelta& delta, const Tensor& next_features,
-                    uint16_t tenant = 0);
+  PredictWire predict(const std::vector<uint32_t>& nodes = {});
+  IngestWire ingest(const EdgeDelta& delta, const Tensor& next_features);
   std::string stats_json();
   std::string health_json();
 
@@ -49,7 +47,7 @@ class Client {
   int fd() const { return fd_; }
 
  private:
-  Frame round_trip(Verb verb, uint16_t tenant, std::vector<uint8_t> payload);
+  Frame round_trip(Verb verb, std::vector<uint8_t> payload);
   Frame read_frame(uint64_t expect_request_id);
   std::string read_line();
 

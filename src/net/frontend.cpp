@@ -347,19 +347,16 @@ ErrorCode Frontend::map_exception(const std::exception_ptr& ep,
 }
 
 void Frontend::submit_predict(Connection& conn, uint64_t request_id,
-                              uint16_t tenant, std::vector<uint32_t> nodes,
-                              bool as_json) {
+                              std::vector<uint32_t> nodes, bool as_json) {
   const uint64_t conn_id = conn.id();
   inflight_predicts_.fetch_add(1, std::memory_order_acq_rel);
-  serve::PredictOptions opts;
-  opts.tenant = tenant;
   // The completion callback runs on whichever server thread finishes the
   // request (a reader, or this loop thread on an admission shed). It
   // encodes the response HERE — off the loop when possible — and posts
   // only the socket write back.
   server_.predict_async(
-      std::move(nodes), opts,
-      [this, conn_id, request_id, tenant, as_json](
+      std::move(nodes),
+      [this, conn_id, request_id, as_json](
           std::exception_ptr ep, serve::PredictResult&& res) {
         std::vector<uint8_t> bytes;
         if (ep) {
@@ -370,7 +367,6 @@ void Frontend::submit_predict(Connection& conn, uint64_t request_id,
           } else {
             Frame f;
             f.verb = Verb::kError;
-            f.tenant = tenant;
             f.request_id = request_id;
             f.payload = build_error(code, message);
             bytes = encode_frame(f);
@@ -386,7 +382,6 @@ void Frontend::submit_predict(Connection& conn, uint64_t request_id,
           } else {
             Frame f;
             f.verb = Verb::kPredictResp;
-            f.tenant = tenant;
             f.request_id = request_id;
             f.payload = build_predict_response(wire);
             bytes = encode_frame(f);
@@ -410,7 +405,7 @@ void Frontend::handle_frame(Connection& conn, Frame&& frame) {
         send_error(conn, frame.request_id, e.code(), e.what());
         return;
       }
-      submit_predict(conn, frame.request_id, frame.tenant, std::move(nodes),
+      submit_predict(conn, frame.request_id, std::move(nodes),
                      /*as_json=*/false);
       return;
     }
@@ -418,7 +413,6 @@ void Frontend::handle_frame(Connection& conn, Frame&& frame) {
       PendingIngest job;
       job.conn_id = conn.id();
       job.request_id = frame.request_id;
-      job.tenant = frame.tenant;
       try {
         parse_ingest_request(frame.payload, &job.delta, &job.features);
       } catch (const NetError& e) {
@@ -501,7 +495,7 @@ void Frontend::handle_json_line(Connection& conn, const std::string& line) {
     return;
   }
   if (req.op == "predict") {
-    submit_predict(conn, /*request_id=*/0, req.tenant, std::move(req.nodes),
+    submit_predict(conn, /*request_id=*/0, std::move(req.nodes),
                    /*as_json=*/true);
     return;
   }
@@ -551,7 +545,6 @@ void Frontend::ingest_loop() {
       wire.num_edges = view.num_edges;
       Frame f;
       f.verb = Verb::kIngestResp;
-      f.tenant = job.tenant;
       f.request_id = job.request_id;
       f.payload = build_ingest_response(wire);
       bytes = encode_frame(f);
@@ -560,7 +553,6 @@ void Frontend::ingest_loop() {
       const ErrorCode code = map_exception(std::current_exception(), &message);
       Frame f;
       f.verb = Verb::kError;
-      f.tenant = job.tenant;
       f.request_id = job.request_id;
       f.payload = build_error(code, message);
       bytes = encode_frame(f);

@@ -91,7 +91,6 @@ class Frontend {
   struct PendingIngest {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
-    uint16_t tenant = 0;
     EdgeDelta delta;
     Tensor features;
   };
@@ -109,7 +108,7 @@ class Frontend {
   void close_conn(uint64_t conn_id);
   void update_write_interest(Connection& conn);
 
-  void submit_predict(Connection& conn, uint64_t request_id, uint16_t tenant,
+  void submit_predict(Connection& conn, uint64_t request_id,
                       std::vector<uint32_t> nodes, bool as_json);
   static ErrorCode map_exception(const std::exception_ptr& ep,
                                  std::string* message);

@@ -120,8 +120,7 @@ std::vector<uint8_t> encode_frame(const Frame& f) {
   put<uint32_t>(out, kMagic);
   put<uint32_t>(out, static_cast<uint32_t>(f.payload.size()));
   put<uint8_t>(out, static_cast<uint8_t>(f.verb));
-  put<uint8_t>(out, f.flags);
-  put<uint16_t>(out, f.tenant);
+  out.insert(out.end(), 3, uint8_t{0});  // reserved
   put<uint64_t>(out, f.request_id);
   out.insert(out.end(), f.payload.begin(), f.payload.end());
   // CRC over verb..payload — everything the length prefix frames.
@@ -212,8 +211,6 @@ FrameDecoder::Status FrameDecoder::next(Frame* frame, std::string* json_line) {
   }
 
   frame->verb = static_cast<Verb>(p[8]);
-  frame->flags = p[9];
-  std::memcpy(&frame->tenant, p + 10, 2);
   std::memcpy(&frame->request_id, p + 12, 8);
   frame->payload.assign(p + kHeaderSize, p + kHeaderSize + payload_len);
   consumed_ += total;
@@ -385,16 +382,6 @@ JsonRequest parse_json_request(const std::string& line) {
                        "' — the JSON fallback speaks predict|stats|health "
                        "(ingest requires the binary protocol)");
 
-  at = find_value(line, "tenant");
-  if (at != std::string::npos) {
-    char* parse_end = nullptr;
-    const unsigned long v = std::strtoul(line.c_str() + at, &parse_end, 10);
-    if (parse_end == line.c_str() + at || v > 0xFFFF)
-      throw NetError(ErrorCode::kBadRequest,
-                     "net: \"tenant\" must be an integer in [0, 65535]");
-    req.tenant = static_cast<uint16_t>(v);
-  }
-
   at = find_value(line, "nodes");
   if (at != std::string::npos) {
     if (at >= line.size() || line[at] != '[')
@@ -410,8 +397,7 @@ JsonRequest parse_json_request(const std::string& line) {
                        "net: unterminated \"nodes\" array");
       if (line[i] == ']') break;
       // strtoul happily wraps negatives ("-1" parses as ULONG_MAX), so
-      // reject a leading '-' explicitly, then range-check the result the
-      // same way the tenant field does.
+      // reject a leading '-' explicitly, then range-check the result.
       char* parse_end = nullptr;
       const unsigned long v = std::strtoul(line.c_str() + i, &parse_end, 10);
       if (parse_end == line.c_str() + i || line[i] == '-' ||

@@ -9,8 +9,7 @@
 //   0       4     magic "STGN"
 //   4       4     payload_len           (payload bytes only, <= kMaxPayload)
 //   8       1     verb
-//   9       1     flags                 (reserved, must be 0)
-//   10      2     tenant id
+//   9       3     reserved              (written as 0, ignored on read)
 //   12      8     request id            (echoed verbatim in the response)
 //   20      len   payload
 //   20+len  4     crc32 over bytes [8, 20+len)  — verb through payload
@@ -89,8 +88,6 @@ class NetError : public StgError {
 /// One decoded (or to-be-encoded) frame.
 struct Frame {
   Verb verb = Verb::kError;
-  uint8_t flags = 0;
-  uint16_t tenant = 0;
   uint64_t request_id = 0;
   std::vector<uint8_t> payload;
 };
@@ -167,7 +164,6 @@ ErrorCode parse_error(const std::vector<uint8_t>& p, std::string* message);
 struct JsonRequest {
   std::string op;               ///< "predict" | "stats" | "health"
   std::vector<uint32_t> nodes;  ///< optional "nodes": [..]
-  uint16_t tenant = 0;          ///< optional "tenant": n
 };
 JsonRequest parse_json_request(const std::string& line);
 

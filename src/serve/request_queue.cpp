@@ -1,92 +1,46 @@
 #include "serve/request_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace stgraph::serve {
 
-TenantQueueSet::TenantQueueSet(std::vector<TenantLane> lanes,
-                               std::size_t default_capacity) {
-  if (lanes.empty()) lanes.push_back(TenantLane{});
-  lanes_.reserve(lanes.size());
-  for (TenantLane spec : lanes) {
-    if (spec.capacity == 0) spec.capacity = default_capacity;
-    if (spec.weight == 0) spec.weight = 1;
-    lanes_.emplace_back(spec);
-  }
-}
-
-std::size_t TenantQueueSet::lane_of(uint16_t tenant) const {
-  // Linear scan: lane counts are small (a handful of tenants) and the
-  // layout is immutable, so this is a cache-resident loop, not a map.
-  for (std::size_t i = 0; i < lanes_.size(); ++i)
-    if (lanes_[i].spec.id == tenant) return i;
-  return 0;
-}
-
-TenantQueueSet::PushResult TenantQueueSet::push(PredictRequest&& req) {
+RequestQueue::PushResult RequestQueue::push(PredictRequest&& req) {
   {
     MutexLock lk(mu_);
     if (closed_) return PushResult::kClosed;
-    Lane& lane = lanes_[req.tenant_slot];
-    if (lane.q.size() >= lane.spec.capacity) return PushResult::kFull;
-    lane.q.push_back(std::move(req));
-    ++total_;
-    max_depth_ = std::max(max_depth_, total_);
+    if (q_.size() >= capacity_) return PushResult::kFull;
+    q_.push_back(std::move(req));
+    max_depth_ = std::max(max_depth_, q_.size());
   }
   cv_.notify_one();
   return PushResult::kOk;
 }
 
-std::vector<PredictRequest> TenantQueueSet::pop_batch(std::size_t max_batch) {
+std::vector<PredictRequest> RequestQueue::pop_batch(std::size_t max_batch) {
   MutexLock lk(mu_);
-  while (!closed_ && total_ == 0) cv_.wait(lk);
+  while (!closed_ && q_.empty()) cv_.wait(lk);
+  const std::size_t take = std::min(max_batch, q_.size());
   std::vector<PredictRequest> batch;
-  if (total_ == 0) return batch;  // closed and drained
-  batch.reserve(std::min(max_batch, total_));
-  // Weighted round-robin: visit lanes cyclically from the rotating cursor,
-  // taking up to `weight` requests per visit, until the batch is full or
-  // everything is empty. The cursor advances to where the scan stopped so
-  // successive batches (and concurrent readers) keep rotating the start
-  // lane — no lane is systematically first.
-  std::size_t lane = cursor_ % lanes_.size();
-  std::size_t empty_streak = 0;
-  while (batch.size() < max_batch && empty_streak < lanes_.size()) {
-    Lane& l = lanes_[lane];
-    std::size_t take = std::min<std::size_t>(l.spec.weight, l.q.size());
-    take = std::min(take, max_batch - batch.size());
-    if (take == 0) {
-      ++empty_streak;
-    } else {
-      empty_streak = 0;
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(l.q.front()));
-        l.q.pop_front();
-      }
-      total_ -= take;
-    }
-    lane = (lane + 1) % lanes_.size();
+  batch.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    batch.push_back(std::move(q_.front()));
+    q_.pop_front();
   }
-  cursor_ = lane;
   // More work left and other readers may be parked: pass the baton.
-  if (total_ > 0) cv_.notify_one();
+  if (!q_.empty()) cv_.notify_one();
   return batch;
 }
 
-std::vector<PredictRequest> TenantQueueSet::drain_all() {
+std::vector<PredictRequest> RequestQueue::drain_all() {
   MutexLock lk(mu_);
-  std::vector<PredictRequest> all;
-  all.reserve(total_);
-  for (Lane& l : lanes_) {
-    while (!l.q.empty()) {
-      all.push_back(std::move(l.q.front()));
-      l.q.pop_front();
-    }
-  }
-  total_ = 0;
+  std::vector<PredictRequest> all(std::make_move_iterator(q_.begin()),
+                                  std::make_move_iterator(q_.end()));
+  q_.clear();
   return all;
 }
 
-void TenantQueueSet::close() {
+void RequestQueue::close() {
   {
     MutexLock lk(mu_);
     closed_ = true;
@@ -94,24 +48,19 @@ void TenantQueueSet::close() {
   cv_.notify_all();
 }
 
-void TenantQueueSet::reopen() {
+void RequestQueue::reopen() {
   MutexLock lk(mu_);
   closed_ = false;
 }
 
-std::size_t TenantQueueSet::depth() const {
+std::size_t RequestQueue::depth() const {
   MutexLock lk(mu_);
-  return total_;
+  return q_.size();
 }
 
-std::size_t TenantQueueSet::max_depth() const {
+std::size_t RequestQueue::max_depth() const {
   MutexLock lk(mu_);
   return max_depth_;
-}
-
-std::size_t TenantQueueSet::lane_depth(std::size_t lane) const {
-  MutexLock lk(mu_);
-  return lanes_[lane].q.size();
 }
 
 }  // namespace stgraph::serve

@@ -1,10 +1,8 @@
-// Bounded, tenant-partitioned MPMC request queue for the serving runtime:
-// many client (or network) threads push predict requests into per-tenant
-// lanes; N replicated reader threads pop them in micro-batches assembled
-// by weighted round-robin across the lanes. Each lane's bound turns
-// overload into explicit per-tenant load shedding (push() reports kFull,
-// the server sheds the request as queue_full) instead of unbounded memory
-// growth — one noisy tenant fills its own lane, not the server.
+// Bounded MPMC FIFO request queue for the serving runtime: many client (or
+// network) threads push predict requests; N replicated reader threads pop
+// them in arrival order, in micro-batches. The bound turns overload into
+// explicit load shedding (push() reports kFull, the server sheds the
+// request as queue_full) instead of unbounded memory growth.
 //
 // Completion model: a request resolves through its `done` callback,
 // invoked EXACTLY ONCE from whichever thread finishes it (a reader thread
@@ -47,8 +45,6 @@ using PredictCallback =
 
 struct PredictRequest {
   std::vector<uint32_t> nodes;  ///< empty = all nodes
-  uint16_t tenant = 0;          ///< wire-level tenant id
-  std::size_t tenant_slot = 0;  ///< dense stats/queue lane index
   PredictCallback done;
   std::chrono::steady_clock::time_point enqueued;
   /// Absolute deadline; time_point::max() = none. Enforced at dequeue
@@ -74,47 +70,23 @@ inline void fail_request(PredictRequest& req, const std::exception_ptr& ep) {
   }
 }
 
-/// Static description of one tenant lane.
-struct TenantLane {
-  uint16_t id = 0;           ///< tenant id requests carry on the wire
-  uint32_t weight = 1;       ///< WRR share: max requests taken per visit
-  std::size_t capacity = 0;  ///< per-lane bound; 0 = use the set default
-};
-
-class TenantQueueSet {
+class RequestQueue {
  public:
   enum class PushResult : uint8_t {
     kOk,
-    kFull,    ///< lane at capacity — load shed (queue_full)
+    kFull,    ///< at capacity — load shed (queue_full)
     kClosed,  ///< close()d — server draining (draining)
   };
 
-  /// `lanes` empty configures a single default lane {id 0, weight 1}.
-  /// Lane capacities of 0 fall back to `default_capacity`.
-  TenantQueueSet(std::vector<TenantLane> lanes, std::size_t default_capacity);
+  explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  std::size_t num_lanes() const { return lanes_.size(); }
-  uint16_t lane_id(std::size_t lane) const { return lanes_[lane].spec.id; }
-  uint32_t lane_weight(std::size_t lane) const {
-    return lanes_[lane].spec.weight;
-  }
-  /// Dense lane index for a tenant id; unknown tenants map to lane 0 (the
-  /// default tenant) so a client with a bogus id is rate-shared, not
-  /// crashed.
-  std::size_t lane_of(uint16_t tenant) const;
-
-  /// Request is untouched unless kOk is returned. The lane is
-  /// req.tenant_slot (resolve with lane_of first).
+  /// Request is untouched unless kOk is returned.
   PushResult push(PredictRequest&& req);
 
   /// Blocks until at least one request is available or the queue is
-  /// closed, then assembles up to `max_batch` requests by weighted
-  /// round-robin: starting from a rotating cursor, each non-empty lane
-  /// contributes up to its weight per visit, cycling until the batch is
-  /// full or every lane is empty. Under saturation each tenant's share of
-  /// dequeued requests converges to weight / sum(weights). An empty result
-  /// means closed-and-drained: the reader loop should exit. Safe for many
-  /// concurrent poppers (the replicated readers).
+  /// closed, then takes up to `max_batch` requests in arrival order. An
+  /// empty result means closed-and-drained: the reader loop should exit.
+  /// Safe for many concurrent poppers (the replicated readers).
   std::vector<PredictRequest> pop_batch(std::size_t max_batch);
 
   /// Move out everything queued right now without blocking (watchdog
@@ -129,21 +101,13 @@ class TenantQueueSet {
 
   std::size_t depth() const;
   std::size_t max_depth() const;
-  std::size_t lane_depth(std::size_t lane) const;
 
  private:
-  struct Lane {
-    explicit Lane(TenantLane s) : spec(s) {}
-    TenantLane spec;
-    std::deque<PredictRequest> q;
-  };
-
-  std::vector<Lane> lanes_;  // layout fixed after construction
-  mutable Mutex mu_{"serve::TenantQueueSet::mu_"};
+  const std::size_t capacity_;
+  mutable Mutex mu_{"serve::RequestQueue::mu_"};
   ConditionVariable cv_;
-  std::size_t total_ STG_GUARDED_BY(mu_) = 0;
+  std::deque<PredictRequest> q_ STG_GUARDED_BY(mu_);
   std::size_t max_depth_ STG_GUARDED_BY(mu_) = 0;
-  std::size_t cursor_ STG_GUARDED_BY(mu_) = 0;
   bool closed_ STG_GUARDED_BY(mu_) = false;
 };
 

@@ -40,33 +40,19 @@ std::exception_ptr make_shed(ShedReason reason, const std::string& what) {
 
 }  // namespace
 
-std::vector<TenantLane> Server::make_lanes(const ServeConfig& cfg) {
-  std::vector<TenantLane> lanes = cfg.tenants;
-  if (lanes.empty()) lanes.push_back(TenantLane{});
-  std::unordered_set<uint16_t> seen;
-  for (const TenantLane& l : lanes)
-    STG_CHECK(seen.insert(l.id).second, "serve: duplicate tenant id ", l.id,
-              " in ServeConfig::tenants");
-  return lanes;
-}
-
 Server::Server(STGraphBase& graph, nn::TemporalModel& model, ServeConfig cfg)
     : graph_(graph),
       model_(model),
       cfg_(std::move(cfg)),
       executor_(graph),
-      queue_(make_lanes(cfg_), cfg_.queue_capacity),
+      queue_(cfg_.queue_capacity),
       admission_(cfg_.max_inflight_ingests) {
   STG_CHECK(cfg_.max_batch > 0, "serve: max_batch must be positive");
   STG_CHECK(cfg_.queue_capacity > 0, "serve: queue_capacity must be positive");
   STG_CHECK(cfg_.num_readers > 0, "serve: num_readers must be positive");
   STG_CHECK(cfg_.circuit_failure_threshold > 0,
             "serve: circuit_failure_threshold must be positive");
-  std::vector<uint16_t> tenant_ids;
-  tenant_ids.reserve(queue_.num_lanes());
-  for (std::size_t i = 0; i < queue_.num_lanes(); ++i)
-    tenant_ids.push_back(queue_.lane_id(i));
-  stats_.configure(std::move(tenant_ids), cfg_.num_readers);
+  stats_.configure(cfg_.num_readers);
   readers_.reserve(cfg_.num_readers);
   for (std::size_t i = 0; i < cfg_.num_readers; ++i)
     readers_.push_back(std::make_unique<ReaderContext>(graph_));
@@ -188,7 +174,7 @@ void Server::start(Tensor features) {
   STG_LOG_INFO << "serve: started at t=" << time_ << " ("
                << graph_.format_name() << ", " << view.num_edges
                << " edges, max_batch=" << cfg_.max_batch << ", readers="
-               << readers_.size() << ", tenants=" << queue_.num_lanes()
+               << readers_.size()
                << (wal_ ? ", wal=" + cfg_.wal_path : std::string()) << ")";
 }
 
@@ -214,7 +200,7 @@ void Server::stop() {
     const std::exception_ptr ep =
         make_shed(ShedReason::kDraining, "serve: server draining");
     for (auto& req : leftovers) {
-      stats_.record_shed(ShedReason::kDraining, 1, req.tenant_slot);
+      stats_.record_shed(ShedReason::kDraining);
       fail_request(req, ep);
     }
   }
@@ -295,31 +281,22 @@ void Server::recover(const std::string& checkpoint_path,
 }
 
 PredictResult Server::predict(std::vector<uint32_t> nodes) {
-  return predict_blocking(std::move(nodes), /*tenant=*/0,
-                          default_deadline_ns());
+  return predict_blocking(std::move(nodes), default_deadline_ns());
 }
 
 PredictResult Server::predict(std::vector<uint32_t> nodes,
                               std::chrono::nanoseconds deadline) {
-  return predict_blocking(std::move(nodes), /*tenant=*/0, deadline.count());
-}
-
-PredictResult Server::predict(std::vector<uint32_t> nodes,
-                              const PredictOptions& opts) {
-  const int64_t budget = opts.deadline_ms < 0
-                             ? default_deadline_ns()
-                             : static_cast<int64_t>(opts.deadline_ms * 1e6);
-  return predict_blocking(std::move(nodes), opts.tenant, budget);
+  return predict_blocking(std::move(nodes), deadline.count());
 }
 
 PredictResult Server::predict_blocking(std::vector<uint32_t> nodes,
-                                       uint16_t tenant, int64_t budget_ns) {
+                                       int64_t budget_ns) {
   // The blocking API is the async one with a promise behind the callback.
   // The callback fires exactly once (possibly on this thread, on an
   // admission shed) before fut.get() returns, so the stack storage is safe.
   std::promise<PredictResult> prom;
   std::future<PredictResult> fut = prom.get_future();
-  submit_predict(std::move(nodes), tenant, budget_ns,
+  submit_predict(std::move(nodes), budget_ns,
                  [&prom](std::exception_ptr ep, PredictResult&& res) {
                    if (ep)
                      prom.set_exception(ep);
@@ -330,30 +307,25 @@ PredictResult Server::predict_blocking(std::vector<uint32_t> nodes,
 }
 
 void Server::predict_async(std::vector<uint32_t> nodes,
-                           const PredictOptions& opts, PredictCallback done) {
-  const int64_t budget = opts.deadline_ms < 0
-                             ? default_deadline_ns()
-                             : static_cast<int64_t>(opts.deadline_ms * 1e6);
-  submit_predict(std::move(nodes), opts.tenant, budget, std::move(done));
+                           PredictCallback done) {
+  submit_predict(std::move(nodes), default_deadline_ns(), std::move(done));
 }
 
-void Server::submit_predict(std::vector<uint32_t> nodes, uint16_t tenant,
-                            int64_t budget_ns, PredictCallback done) {
+void Server::submit_predict(std::vector<uint32_t> nodes, int64_t budget_ns,
+                            PredictCallback done) {
   PredictRequest req;
   req.nodes = std::move(nodes);
-  req.tenant = tenant;
-  req.tenant_slot = queue_.lane_of(tenant);
   req.done = std::move(done);
   req.enqueued = clock::now();
   if (budget_ns > 0)
     req.deadline = req.enqueued + std::chrono::nanoseconds(budget_ns);
   // Every submission is `issued` exactly once, and every exit below —
-  // fulfil, stale, fail, shed — records exactly once against the same
-  // tenant slot: the accounting identity the chaos harness asserts.
-  stats_.record_issued(req.tenant_slot);
+  // fulfil, stale, fail, shed — records exactly once: the accounting
+  // identity the serve tests assert.
+  stats_.record_issued();
 
   if (!running()) {
-    stats_.record_shed(ShedReason::kDraining, 1, req.tenant_slot);
+    stats_.record_shed(ShedReason::kDraining);
     fail_request(req, make_shed(ShedReason::kDraining,
                                 "serve: predict() on a stopped server"));
     return;
@@ -369,7 +341,7 @@ void Server::submit_predict(std::vector<uint32_t> nodes, uint16_t tenant,
   ShedReason reason = ShedReason::kQueueFull;
   if (admission_.admit_predict(budget_ns, &reason) ==
       AdmissionController::Decision::kShed) {
-    stats_.record_shed(reason, 1, req.tenant_slot);
+    stats_.record_shed(reason);
     fail_request(
         req,
         make_shed(reason,
@@ -382,17 +354,16 @@ void Server::submit_predict(std::vector<uint32_t> nodes, uint16_t tenant,
   }
 
   switch (queue_.push(std::move(req))) {
-    case TenantQueueSet::PushResult::kOk:
+    case RequestQueue::PushResult::kOk:
       return;
-    case TenantQueueSet::PushResult::kFull:
-      stats_.record_shed(ShedReason::kQueueFull, 1, req.tenant_slot);
+    case RequestQueue::PushResult::kFull:
+      stats_.record_shed(ShedReason::kQueueFull);
       fail_request(req,
                    make_shed(ShedReason::kQueueFull,
-                             "serve: tenant " + std::to_string(tenant) +
-                                 " queue full — request shed"));
+                             "serve: queue full — request shed"));
       return;
-    case TenantQueueSet::PushResult::kClosed:
-      stats_.record_shed(ShedReason::kDraining, 1, req.tenant_slot);
+    case RequestQueue::PushResult::kClosed:
+      stats_.record_shed(ShedReason::kDraining);
       fail_request(req, make_shed(ShedReason::kDraining,
                                   "serve: server draining — request rejected"));
       return;
@@ -402,7 +373,7 @@ void Server::submit_predict(std::vector<uint32_t> nodes, uint16_t tenant,
 void Server::serve_stale(PredictRequest& req) {
   MutexLock lk(stale_mu_);
   if (!last_good_out_.defined()) {
-    stats_.record_shed(ShedReason::kCircuitOpen, 1, req.tenant_slot);
+    stats_.record_shed(ShedReason::kCircuitOpen);
     fail_request(req,
                  make_shed(ShedReason::kCircuitOpen,
                            "serve: circuit open and no last-good step to "
@@ -412,7 +383,7 @@ void Server::serve_stale(PredictRequest& req) {
   const auto n = static_cast<uint32_t>(last_good_out_.rows());
   for (uint32_t node : req.nodes) {
     if (node >= n) {
-      stats_.record_failed(1, req.tenant_slot);
+      stats_.record_failed();
       fail_request(req, std::make_exception_ptr(StgError(
                             "serve: predict node " + std::to_string(node) +
                             " outside the " + std::to_string(n) +
@@ -429,8 +400,7 @@ void Server::serve_stale(PredictRequest& req) {
   res.queue_micros = 0.0;
   res.total_micros = micros_between(req.enqueued, clock::now());
   stats_.record_stale_served(res.total_micros,
-                             static_cast<uint64_t>(res.outputs.rows()),
-                             req.tenant_slot);
+                             static_cast<uint64_t>(res.outputs.rows()));
   complete_request(req, std::move(res));
 }
 
@@ -446,14 +416,14 @@ void Server::ingest(const EdgeDelta& delta, Tensor next_features,
 void Server::ingest_with_deadline(const EdgeDelta& delta, Tensor next_features,
                                   int64_t budget_ns) {
   if (!running()) {
-    stats_.record_shed(ShedReason::kDraining);
+    stats_.record_ingest_shed(ShedReason::kDraining);
     throw ShedError(ShedReason::kDraining,
                     "serve: ingest() on a stopped server");
   }
   ShedReason reason = ShedReason::kQueueFull;
   if (admission_.admit_ingest(&reason) ==
       AdmissionController::Decision::kShed) {
-    stats_.record_shed(reason);
+    stats_.record_ingest_shed(reason);
     throw ShedError(reason, "serve: ingest quota exhausted (" +
                                 std::to_string(admission_.inflight_ingests()) +
                                 " in flight)");
@@ -467,7 +437,7 @@ void Server::ingest_with_deadline(const EdgeDelta& delta, Tensor next_features,
   if (budget_ns > 0) {
     MutexTimedLock lk(exec_mu_, std::chrono::nanoseconds(budget_ns));
     if (!lk.owns()) {
-      stats_.record_shed(ShedReason::kDeadlineExpired);
+      stats_.record_ingest_shed(ShedReason::kDeadlineExpired);
       throw ShedError(ShedReason::kDeadlineExpired,
                       "serve: ingest could not acquire the execution lock "
                       "within its " +
@@ -740,7 +710,7 @@ void Server::process_batch(std::size_t reader_idx,
     const std::exception_ptr ep =
         make_shed(ShedReason::kDraining, "serve: server draining");
     for (auto& req : batch) {
-      stats_.record_shed(ShedReason::kDraining, 1, req.tenant_slot);
+      stats_.record_shed(ShedReason::kDraining);
       fail_request(req, ep);
     }
     return;
@@ -754,7 +724,7 @@ void Server::process_batch(std::size_t reader_idx,
   for (auto& req : batch) {
     admission_.observe_queue_delay(ns_between(req.enqueued, dequeued));
     if (dequeued > req.deadline) {
-      stats_.record_shed(ShedReason::kDeadlineExpired, 1, req.tenant_slot);
+      stats_.record_shed(ShedReason::kDeadlineExpired);
       fail_request(req, make_shed(
           ShedReason::kDeadlineExpired,
           "serve: deadline expired after " +
@@ -800,7 +770,7 @@ void Server::process_batch(std::size_t reader_idx,
       // whose budget elapsed mid-batch still gets the typed shed (it may
       // already have moved on).
       if (fulfilled > req.deadline) {
-        stats_.record_shed(ShedReason::kDeadlineExpired, 1, req.tenant_slot);
+        stats_.record_shed(ShedReason::kDeadlineExpired);
         fail_request(req, make_shed(
             ShedReason::kDeadlineExpired,
             "serve: request completed past its deadline"));
@@ -808,12 +778,12 @@ void Server::process_batch(std::size_t reader_idx,
       }
       // A bad node id is that client's problem, not an execution fault:
       // fail only this request, like serve_stale does. Throwing here would
-      // fail the rest of the batch (other tenants included) and tick the
+      // fail the rest of the batch (other clients' requests) and tick the
       // circuit breaker toward stale-serving for everyone.
       bool bad_node = false;
       for (uint32_t node : req.nodes) {
         if (node >= num_nodes) {
-          stats_.record_failed(1, req.tenant_slot);
+          stats_.record_failed();
           fail_request(req, std::make_exception_ptr(StgError(
                                 "serve: predict node " +
                                 std::to_string(node) + " outside the " +
@@ -832,7 +802,7 @@ void Server::process_batch(std::size_t reader_idx,
       res.total_micros = micros_between(req.enqueued, clock::now());
       stats_.record_request(res.total_micros,
                             static_cast<uint64_t>(res.outputs.rows()),
-                            req.tenant_slot, reader_idx);
+                            reader_idx);
       complete_request(req, std::move(res));
     }
   } catch (...) {
@@ -843,7 +813,7 @@ void Server::process_batch(std::size_t reader_idx,
     note_batch_failure();
     const std::exception_ptr ep = std::current_exception();
     for (; done < live.size(); ++done) {
-      stats_.record_failed(1, live[done].tenant_slot);
+      stats_.record_failed();
       fail_request(live[done], ep);
     }
   }
@@ -876,7 +846,7 @@ void Server::watchdog_loop() {
           ShedReason::kCircuitOpen,
           "serve: reader thread stalled — request flushed by watchdog");
       for (auto& req : waiting) {
-        stats_.record_shed(ShedReason::kCircuitOpen, 1, req.tenant_slot);
+        stats_.record_shed(ShedReason::kCircuitOpen);
         fail_request(req, ep);
       }
     }

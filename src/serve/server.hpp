@@ -4,9 +4,9 @@
 //
 //   predict(nodes)  — micro-batched inference, sync (blocking) or async
 //                     (predict_async, completion callback — what the
-//                     network front-end uses). Requests land in bounded
-//                     per-tenant queues; N replicated READER threads pop
-//                     them in weighted-round-robin micro-batches of up to
+//                     network front-end uses). Requests land in one
+//                     bounded FIFO queue; N replicated READER threads pop
+//                     them in arrival-order micro-batches of up to
 //                     ServeConfig::max_batch and serve an entire batch
 //                     from at most ONE forward pass. The step output for
 //                     the current server version is computed once (by
@@ -34,10 +34,10 @@
 //   * every request carries a deadline (ServeConfig::default_deadline_ms,
 //     per-call override) enforced at admission (queue-delay early shed),
 //     at dequeue (expired requests never execute) and at completion;
-//   * per-tenant bounded lanes + an AdmissionController shed with a typed
+//   * the bounded queue + an AdmissionController shed with a typed
 //     ShedReason taxonomy (queue_full / deadline_expired / draining /
-//     circuit_open) counted per reason AND per tenant in ServerStats — no
-//     request is ever silently dropped;
+//     circuit_open) counted per reason in ServerStats — no request is ever
+//     silently dropped;
 //   * a circuit breaker trips after consecutive batch failures or
 //     non-finite outputs; while open, predict() serves the last-good
 //     cached step (version-tagged stale) instead of erroring, and a
@@ -86,7 +86,7 @@ namespace stgraph::serve {
 
 struct ServeConfig {
   std::size_t max_batch = 16;       ///< micro-batch ceiling per dispatch
-  std::size_t queue_capacity = 1024;///< per-lane bound before load shedding
+  std::size_t queue_capacity = 1024;///< queue bound before load shedding
   uint32_t start_time = 0;          ///< timestamp start() positions at
   bool resume_hidden = false;       ///< seed h from the snapshot's carried
                                     ///< hidden state instead of initial_state
@@ -97,12 +97,6 @@ struct ServeConfig {
   /// inference-mode TemporalExecutor and latency histogram; all serve the
   /// same published step, so outputs are reader-count-invariant.
   std::size_t num_readers = 1;
-
-  // ---- tenants -----------------------------------------------------------
-  /// Tenant lanes (id, WRR weight, per-lane capacity). Empty = a single
-  /// default tenant {id 0, weight 1, queue_capacity}. Requests carrying an
-  /// unknown tenant id share the first lane.
-  std::vector<TenantLane> tenants;
 
   // ---- deadlines & admission control ------------------------------------
   /// Default per-request deadline for predict() and ingest(); 0 = none.
@@ -155,14 +149,6 @@ struct PublishedStep {
   uint64_t version = 0;
 };
 
-/// Per-call options for the async predict path.
-struct PredictOptions {
-  uint16_t tenant = 0;
-  /// < 0: use ServeConfig::default_deadline_ms; 0: no deadline; > 0: this
-  /// many milliseconds of budget.
-  double deadline_ms = -1.0;
-};
-
 class Server {
  public:
   /// The graph and model outlive the server; the server owns its own
@@ -211,17 +197,14 @@ class Server {
   /// predict() with a per-call deadline override (<= 0 disables).
   PredictResult predict(std::vector<uint32_t> nodes,
                         std::chrono::nanoseconds deadline);
-  /// Blocking predict with full per-call options (tenant + deadline).
-  PredictResult predict(std::vector<uint32_t> nodes,
-                        const PredictOptions& opts);
 
-  /// Non-blocking submission: `done` is invoked exactly once — with the
-  /// result, or with the typed exception a blocking predict() would have
-  /// thrown — from whichever thread completes the request (possibly the
-  /// calling thread, on an admission shed). The network front-end's
-  /// request path; never parks a thread per in-flight request.
-  void predict_async(std::vector<uint32_t> nodes, const PredictOptions& opts,
-                     PredictCallback done);
+  /// Non-blocking submission under the config's default deadline: `done`
+  /// is invoked exactly once — with the result, or with the typed
+  /// exception a blocking predict() would have thrown — from whichever
+  /// thread completes the request (possibly the calling thread, on an
+  /// admission shed). The network front-end's request path; never parks a
+  /// thread per in-flight request.
+  void predict_async(std::vector<uint32_t> nodes, PredictCallback done);
 
   /// Advance the served timeline by one timestep (synchronous, called from
   /// any thread) under the config's default deadline. For appendable
@@ -254,15 +237,13 @@ class Server {
     core::TemporalExecutor executor;
   };
 
-  static std::vector<TenantLane> make_lanes(const ServeConfig& cfg);
-
   void reader_loop(std::size_t reader_idx);
   void process_batch(std::size_t reader_idx,
                      std::vector<PredictRequest> batch);
   void watchdog_loop();
-  void submit_predict(std::vector<uint32_t> nodes, uint16_t tenant,
-                      int64_t budget_ns, PredictCallback done);
-  PredictResult predict_blocking(std::vector<uint32_t> nodes, uint16_t tenant,
+  void submit_predict(std::vector<uint32_t> nodes, int64_t budget_ns,
+                      PredictCallback done);
+  PredictResult predict_blocking(std::vector<uint32_t> nodes,
                                  int64_t budget_ns);
   void serve_stale(PredictRequest& req) STG_EXCLUDES(stale_mu_);
   void ingest_with_deadline(const EdgeDelta& delta, Tensor next_features,
@@ -311,7 +292,7 @@ class Server {
   ServeConfig cfg_;
   /// Writer-path executor (ingest/recover compute h_{t+1} on it).
   core::TemporalExecutor executor_ STG_GUARDED_BY(exec_mu_);
-  TenantQueueSet queue_;
+  RequestQueue queue_;
   AdmissionController admission_;
   ServerStats stats_;
   /// Replicated reader contexts — sized at construction, immutable after.

@@ -78,29 +78,24 @@ void LatencyHistogram::reset() {
   max_us_.store(0, std::memory_order_relaxed);
 }
 
-void ServerStats::configure(std::vector<uint16_t> tenant_ids,
-                            std::size_t num_readers) {
-  if (tenant_ids.empty()) tenant_ids.push_back(0);
+void ServerStats::configure(std::size_t num_readers) {
   if (num_readers == 0) num_readers = 1;
-  tenant_ids_ = std::move(tenant_ids);
-  tenant_ = std::vector<TenantCounters>(tenant_ids_.size());
   reader_hist_ = std::vector<LatencyHistogram>(num_readers);
   reader_ = std::vector<ReaderCounters>(num_readers);
 }
 
-void ServerStats::record_issued(std::size_t tenant_slot) {
-  tenant_[tenant_slot].issued.fetch_add(1, std::memory_order_relaxed);
+void ServerStats::record_issued() {
+  issued_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerStats::record_request(double total_micros, uint64_t output_rows,
-                                 std::size_t tenant_slot, std::size_t reader) {
+                                 std::size_t reader) {
   if (reader == kNoReader)
     latency_.record(total_micros);
   else
     reader_hist_[reader].record(total_micros);
   requests_.fetch_add(1, std::memory_order_relaxed);
   rows_.fetch_add(output_rows, std::memory_order_relaxed);
-  tenant_[tenant_slot].requests.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerStats::record_batch(std::size_t occupancy) {
@@ -118,28 +113,25 @@ void ServerStats::record_cache_hit() {
   cache_hits_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerStats::record_failed(uint64_t n, std::size_t tenant_slot) {
-  failed_.fetch_add(n, std::memory_order_relaxed);
-  if (tenant_slot != kNoTenant)
-    tenant_[tenant_slot].failed.fetch_add(n, std::memory_order_relaxed);
+void ServerStats::record_failed() {
+  failed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerStats::record_shed(ShedReason reason, uint64_t n,
-                              std::size_t tenant_slot) {
-  shed_[static_cast<std::size_t>(reason)].fetch_add(n,
+void ServerStats::record_shed(ShedReason reason) {
+  shed_[static_cast<std::size_t>(reason)].fetch_add(1,
                                                     std::memory_order_relaxed);
-  if (tenant_slot != kNoTenant)
-    tenant_[tenant_slot].shed[static_cast<std::size_t>(reason)].fetch_add(
-        n, std::memory_order_relaxed);
+}
+
+void ServerStats::record_ingest_shed(ShedReason reason) {
+  record_shed(reason);
+  ingest_shed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerStats::record_stale_served(double total_micros,
-                                      uint64_t output_rows,
-                                      std::size_t tenant_slot) {
+                                      uint64_t output_rows) {
   latency_.record(total_micros);
   stale_served_.fetch_add(1, std::memory_order_relaxed);
   rows_.fetch_add(output_rows, std::memory_order_relaxed);
-  tenant_[tenant_slot].stale.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServerStats::record_circuit_trip() {
@@ -185,6 +177,7 @@ StatsReport ServerStats::report(std::size_t max_queue_depth,
                                 HealthState health,
                                 int64_t steady_now_ns) const {
   StatsReport r;
+  r.issued = issued_.load(std::memory_order_relaxed);
   r.requests = requests_.load(std::memory_order_relaxed);
   r.rows = rows_.load(std::memory_order_relaxed);
   r.failed = failed_.load(std::memory_order_relaxed);
@@ -194,7 +187,7 @@ StatsReport ServerStats::report(std::size_t max_queue_depth,
   r.shed_circuit_open = shed(ShedReason::kCircuitOpen);
   r.shed_total = r.shed_queue_full + r.shed_deadline_expired +
                  r.shed_draining + r.shed_circuit_open;
-  r.rejected = r.shed_total;
+  r.ingest_shed = ingest_shed_.load(std::memory_order_relaxed);
   r.stale_served = stale_served_.load(std::memory_order_relaxed);
   r.circuit_trips = circuit_trips_.load(std::memory_order_relaxed);
   r.watchdog_stalls = watchdog_stalls_.load(std::memory_order_relaxed);
@@ -212,24 +205,6 @@ StatsReport ServerStats::report(std::size_t max_queue_depth,
   r.p999_us = merged.percentile(99.9);
   r.mean_us = merged.mean_micros();
   r.max_us = merged.max_micros();
-
-  r.tenants.reserve(tenant_ids_.size());
-  for (std::size_t s = 0; s < tenant_ids_.size(); ++s) {
-    const TenantCounters& c = tenant_[s];
-    TenantReport t;
-    t.id = tenant_ids_[s];
-    t.issued = c.issued.load(std::memory_order_relaxed);
-    t.requests = c.requests.load(std::memory_order_relaxed);
-    t.stale_served = c.stale.load(std::memory_order_relaxed);
-    t.failed = c.failed.load(std::memory_order_relaxed);
-    t.shed_queue_full = c.shed[0].load(std::memory_order_relaxed);
-    t.shed_deadline_expired = c.shed[1].load(std::memory_order_relaxed);
-    t.shed_draining = c.shed[2].load(std::memory_order_relaxed);
-    t.shed_circuit_open = c.shed[3].load(std::memory_order_relaxed);
-    t.shed_total = t.shed_queue_full + t.shed_deadline_expired +
-                   t.shed_draining + t.shed_circuit_open;
-    r.tenants.push_back(t);
-  }
 
   r.reader_threads = reader_.size();
   const int64_t started = serving_started_ns_.load(std::memory_order_relaxed);
@@ -275,30 +250,16 @@ StatsReport ServerStats::report(std::size_t max_queue_depth,
 std::string StatsReport::to_json() const {
   std::ostringstream os;
   os << "{\n";
+  os << "  \"issued\": " << issued << ",\n";
   os << "  \"requests\": " << requests << ",\n";
   os << "  \"rows\": " << rows << ",\n";
   os << "  \"failed\": " << failed << ",\n";
-  os << "  \"rejected\": " << rejected << ",\n";
   os << "  \"shed\": {\"queue_full\": " << shed_queue_full
      << ", \"deadline_expired\": " << shed_deadline_expired
      << ", \"draining\": " << shed_draining
      << ", \"circuit_open\": " << shed_circuit_open
      << ", \"total\": " << shed_total << "},\n";
-  os << "  \"tenants\": [";
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const TenantReport& t = tenants[i];
-    if (i) os << ", ";
-    os << "{\"id\": " << t.id << ", \"issued\": " << t.issued
-       << ", \"requests\": " << t.requests
-       << ", \"stale_served\": " << t.stale_served
-       << ", \"failed\": " << t.failed
-       << ", \"shed\": {\"queue_full\": " << t.shed_queue_full
-       << ", \"deadline_expired\": " << t.shed_deadline_expired
-       << ", \"draining\": " << t.shed_draining
-       << ", \"circuit_open\": " << t.shed_circuit_open
-       << ", \"total\": " << t.shed_total << "}}";
-  }
-  os << "],\n";
+  os << "  \"ingest_shed\": " << ingest_shed << ",\n";
   os << "  \"stale_served\": " << stale_served << ",\n";
   os << "  \"circuit_trips\": " << circuit_trips << ",\n";
   os << "  \"watchdog_stalls\": " << watchdog_stalls << ",\n";

@@ -17,12 +17,15 @@
 // Merge is associative and order-independent — bucket-wise addition — so
 // the aggregate percentiles are independent of reader count.
 //
-// Accounting invariant (asserted by the chaos harness, per tenant AND in
-// aggregate): every predict the server ever accepted a call for lands in
-// exactly one of
+// Accounting invariant (asserted from a StatsReport alone by the serve,
+// serve_mt, serve_net and chaos tests): every predict the server ever
+// accepted a call for lands in exactly one of
 //   requests (fulfilled) | stale_served | failed | shed[reason],
-// so `issued == requests + stale_served + failed + shed_total` — nothing
-// is silently dropped.
+// and the shed counters also count ingests shed on the writer path, which
+// `ingest_shed` reports on its own, so once the server is quiescent
+//   issued == requests + stale_served + failed + (shed_total - ingest_shed)
+// — nothing is silently dropped. (`failed` counts predicts only: a failed
+// ingest throws to its caller and is not counted.)
 #pragma once
 
 #include <array>
@@ -85,30 +88,14 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_us_{0};
 };
 
-/// Per-tenant slice of the request accounting, reported per tenant id so
-/// the identity `issued == requests + stale_served + failed + shed_total`
-/// can be asserted for every tenant independently.
-struct TenantReport {
-  uint16_t id = 0;
-  uint64_t issued = 0;        ///< predicts submitted under this tenant
-  uint64_t requests = 0;      ///< fulfilled from a fresh step
-  uint64_t stale_served = 0;  ///< answered from the last-good step
-  uint64_t failed = 0;
-  uint64_t shed_queue_full = 0;
-  uint64_t shed_deadline_expired = 0;
-  uint64_t shed_draining = 0;
-  uint64_t shed_circuit_open = 0;
-  uint64_t shed_total = 0;
-};
-
 /// One coherent read of the counters (values are sampled independently —
 /// a report taken mid-flight can be off by in-flight requests, never torn).
 struct StatsReport {
   // ---- request path ----------------------------------------------------
+  uint64_t issued = 0;          ///< predict calls submitted
   uint64_t requests = 0;        ///< fulfilled predict() calls (fresh step)
   uint64_t rows = 0;            ///< output rows served across all requests
   uint64_t failed = 0;          ///< requests failed (dispatch fault, bad node)
-  uint64_t rejected = 0;        ///< total shed requests (= shed_total)
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0, p999_us = 0.0;
   double mean_us = 0.0, max_us = 0.0;
   // ---- load shedding (typed rejection taxonomy) ------------------------
@@ -116,9 +103,8 @@ struct StatsReport {
   uint64_t shed_deadline_expired = 0; ///< at admission, dequeue or completion
   uint64_t shed_draining = 0;         ///< rejected during stop()
   uint64_t shed_circuit_open = 0;     ///< circuit open, no stale step
-  uint64_t shed_total = 0;
-  // ---- per-tenant breakdown --------------------------------------------
-  std::vector<TenantReport> tenants;
+  uint64_t shed_total = 0;            ///< predict and ingest sheds
+  uint64_t ingest_shed = 0;           ///< the ingests among shed_total
   // ---- degraded mode ---------------------------------------------------
   uint64_t stale_served = 0;    ///< predicts answered from the last-good step
   uint64_t circuit_trips = 0;   ///< circuit open transitions
@@ -156,39 +142,33 @@ struct StatsReport {
 
 /// Thread-safe counter bundle owned by serve::Server.
 ///
-/// Tenant slots and reader histograms are sized once by configure()
-/// (called from the Server constructor, before any thread can record) and
-/// never resized, so every record_* stays lock-free. `tenant_slot` is the
-/// dense index the server resolves from a tenant id at admission; slot 0
-/// is the default tenant. `reader` selects the per-reader histogram;
+/// Reader histograms are sized once by configure() (called from the Server
+/// constructor, before any thread can record) and never resized, so every
+/// record_* stays lock-free. `reader` selects the per-reader histogram;
 /// kNoReader records into the shared histogram (stale reads, which are
 /// served from client threads).
 class ServerStats {
  public:
   static constexpr std::size_t kNoReader = ~std::size_t{0};
-  /// record_shed / record_failed with kNoTenant update only the global
-  /// counters — used by the ingest path, whose sheds are not part of any
-  /// tenant's predict accounting identity.
-  static constexpr std::size_t kNoTenant = ~std::size_t{0};
 
-  ServerStats() { configure({0}, 1); }
+  ServerStats() { configure(1); }
 
-  /// Size the per-tenant and per-reader slots. Must be called before any
-  /// recording thread exists (Server constructor).
-  void configure(std::vector<uint16_t> tenant_ids, std::size_t num_readers);
+  /// Size the per-reader slots. Must be called before any recording
+  /// thread exists (Server constructor).
+  void configure(std::size_t num_readers);
 
-  void record_issued(std::size_t tenant_slot);
+  void record_issued();
   void record_request(double total_micros, uint64_t output_rows,
-                      std::size_t tenant_slot = 0,
                       std::size_t reader = kNoReader);
   void record_batch(std::size_t occupancy);
   void record_forward(double seconds);
   void record_cache_hit();
-  void record_failed(uint64_t n, std::size_t tenant_slot = kNoTenant);
-  void record_shed(ShedReason reason, uint64_t n = 1,
-                   std::size_t tenant_slot = kNoTenant);
-  void record_stale_served(double total_micros, uint64_t output_rows,
-                           std::size_t tenant_slot = 0);
+  void record_failed();
+  /// A shed predict.
+  void record_shed(ShedReason reason);
+  /// A shed ingest: counted under its reason and in ingest_shed.
+  void record_ingest_shed(ShedReason reason);
+  void record_stale_served(double total_micros, uint64_t output_rows);
   void record_circuit_trip();
   void record_watchdog_stall();
   void record_ingest(uint64_t edges, double seconds);
@@ -217,27 +197,20 @@ class ServerStats {
                      int64_t steady_now_ns = 0) const;
 
  private:
-  struct TenantCounters {
-    std::atomic<uint64_t> issued{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> stale{0};
-    std::atomic<uint64_t> failed{0};
-    std::array<std::atomic<uint64_t>, 4> shed{};
-  };
   struct ReaderCounters {
     std::atomic<uint64_t> busy_ns{0};
   };
 
   LatencyHistogram latency_;
-  std::vector<uint16_t> tenant_ids_;
-  std::vector<TenantCounters> tenant_;
   std::vector<LatencyHistogram> reader_hist_;
   std::vector<ReaderCounters> reader_;
   std::atomic<int64_t> serving_started_ns_{0};
+  std::atomic<uint64_t> issued_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> failed_{0};
   std::array<std::atomic<uint64_t>, 4> shed_{};
+  std::atomic<uint64_t> ingest_shed_{0};
   std::atomic<uint64_t> stale_served_{0};
   std::atomic<uint64_t> circuit_trips_{0};
   std::atomic<uint64_t> watchdog_stalls_{0};

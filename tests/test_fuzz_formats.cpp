@@ -30,6 +30,7 @@
 #include "serve/wal.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
+#include "util/crc32.hpp"
 
 namespace stgraph {
 namespace {
@@ -142,16 +143,20 @@ std::vector<uint8_t> read_file(const std::string& path) {
 
 std::vector<uint8_t> valid_frame_stream() {
   std::vector<uint8_t> bytes;
-  const auto add = [&](net::Verb verb, uint16_t tenant, uint64_t rid,
+  // `reserved` fills header bytes 9..11, which a peer may set and the
+  // decoder ignores; the CRC is recomputed so the frame stays valid.
+  const auto add = [&](net::Verb verb, uint8_t reserved, uint64_t rid,
                        std::size_t payload_len) {
     net::Frame f;
     f.verb = verb;
-    f.tenant = tenant;
     f.request_id = rid;
     f.payload.resize(payload_len);
     for (std::size_t i = 0; i < payload_len; ++i)
       f.payload[i] = static_cast<uint8_t>(i * 31 + 7);
-    const std::vector<uint8_t> enc = net::encode_frame(f);
+    std::vector<uint8_t> enc = net::encode_frame(f);
+    std::memset(enc.data() + 9, reserved, 3);
+    const uint32_t crc = crc32(enc.data() + 8, enc.size() - 8 - 4);
+    std::memcpy(enc.data() + enc.size() - 4, &crc, 4);
     bytes.insert(bytes.end(), enc.begin(), enc.end());
   };
   add(net::Verb::kPredict, 0, 1, 16);

@@ -1,9 +1,9 @@
 // Layer tests: numerical equivalence between STGraph's fused
 // SeastarGCNConv and the baseline edge-parallel PygGCNConv (forward AND
 // gradients), finite-difference gradient checks of SeastarGCNConv in both
-// multiplication orders and of the TGCN cell through its shared Â·X, the
-// aggregation launch counts of a TGCN step and of each order, Linear,
-// optimizers, and module plumbing.
+// multiplication orders and of the TGCN (through its shared Â·X), GConvGRU
+// and GConvLSTM cells, the aggregation launch counts of a TGCN step and of
+// each order, Linear, optimizers, and module plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,8 @@
 #include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
 #include "nn/gcn.hpp"
+#include "nn/gconv_gru.hpp"
+#include "nn/gconv_lstm.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
@@ -419,19 +421,62 @@ TEST(GcnGradcheck, BothOrdersOnGpmaGappedViews) {
   gradcheck_gcn(graph, 2);
 }
 
-// A TGCN cell over two timesteps, gradients of all 12 parameters and of both
-// steps' X against central differences — through the one Â·X the three
-// gates share (in ≤ out) and through three separate aggregations (in > out).
-void gradcheck_tgcn(STGraphBase& graph) {
+// One recurrent cell under test: its parameters and one step of its state.
+// The state is {h} for TGCN and GConvGRU and {h, c} for GConvLSTM.
+struct CellUnderTest {
+  std::shared_ptr<const nn::Module> module;
+  std::function<std::vector<Tensor>(core::TemporalExecutor&, const Tensor& x,
+                                    const std::vector<Tensor>& state,
+                                    const float* edge_weights)>
+      step;
+  std::size_t state_tensors = 1;
+};
+using MakeCell = std::function<CellUnderTest(int64_t in, int64_t out, Rng&)>;
+
+// A cell whose whole state is h (TGCN, GConvGRU).
+template <typename Cell>
+CellUnderTest h_cell(std::shared_ptr<Cell> cell) {
+  return {cell,
+          [cell](core::TemporalExecutor& exec, const Tensor& x,
+                 const std::vector<Tensor>& st, const float* ew) {
+            return std::vector<Tensor>{cell->forward(exec, x, st[0], ew)};
+          }};
+}
+
+CellUnderTest make_tgcn(int64_t in, int64_t out, Rng& rng) {
+  return h_cell(std::make_shared<nn::TGCN>(in, out, rng));
+}
+
+CellUnderTest make_gconv_gru_k2(int64_t in, int64_t out, Rng& rng) {
+  return h_cell(std::make_shared<nn::GConvGRU>(in, out, /*k=*/2, rng));
+}
+
+CellUnderTest make_gconv_lstm_k2(int64_t in, int64_t out, Rng& rng) {
+  auto cell = std::make_shared<nn::GConvLSTM>(in, out, /*k=*/2, rng);
+  return {cell,
+          [cell](core::TemporalExecutor& exec, const Tensor& x,
+                 const std::vector<Tensor>& st, const float* ew) {
+            auto [h, c] = cell->forward(exec, x, st[0], st[1], ew);
+            return std::vector<Tensor>{h, c};
+          },
+          /*state_tensors=*/2};
+}
+
+// A recurrent cell over two timesteps: gradients of every parameter and of
+// both steps' X against central differences, with the loss a random
+// weighting of every final state tensor. Each cell runs at in ≤ out and at
+// in > out, so its convolutions take both multiplication orders (TGCN: the
+// one Â·X its three gates share, then three separate aggregations).
+void gradcheck_cell(STGraphBase& graph, const MakeCell& make_cell) {
   const uint32_t n = graph.num_nodes();
   constexpr uint32_t kSteps = 2;
   ASSERT_GE(graph.num_timestamps(), kSteps);
   for (const auto& [in, out] : {std::pair<int64_t, int64_t>{3, 4}, {6, 4}}) {
     SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out));
     Rng rng(in * 10 + out);
-    nn::TGCN cell(in, out, rng);
-    const auto params = cell.parameters();
-    ASSERT_EQ(params.size(), 12u);
+    const CellUnderTest cell = make_cell(in, out, rng);
+    const auto params = cell.module->parameters();
+    ASSERT_FALSE(params.empty());
     // Nonzero biases, so every bias gradient term matters.
     for (const auto& p : params) {
       Tensor t = p.tensor;
@@ -442,28 +487,40 @@ void gradcheck_tgcn(STGraphBase& graph) {
     std::vector<Tensor> xs;
     for (uint32_t s = 0; s < kSteps; ++s)
       xs.push_back(Tensor::randn({n, in}, rng, 1.0f, true));
-    const Tensor h0 = Tensor::randn({n, out}, rng, 0.5f);
-    std::vector<float> r(static_cast<std::size_t>(n * out));
-    for (auto& v : r) v = rng.uniform(-1.0f, 1.0f);
+    std::vector<Tensor> state0;
+    std::vector<std::vector<float>> r(cell.state_tensors);
+    for (std::size_t k = 0; k < cell.state_tensors; ++k) {
+      state0.push_back(Tensor::randn({n, out}, rng, 0.5f));
+      r[k].resize(static_cast<std::size_t>(n * out));
+      for (auto& v : r[k]) v = rng.uniform(-1.0f, 1.0f);
+    }
     std::vector<std::vector<float>> ew;
     for (uint32_t s = 0; s < kSteps; ++s)
       ew.push_back(label_weights(graph.num_edges_at(s)));
 
     core::TemporalExecutor exec(graph);
     auto run = [&] {
-      Tensor h = h0;
+      std::vector<Tensor> state = state0;
       for (uint32_t s = 0; s < kSteps; ++s) {
         exec.begin_forward_step(s);
-        h = cell.forward(exec, xs[s], h, ew[s].data());
+        state = cell.step(exec, xs[s], state, ew[s].data());
       }
-      return h;
+      return state;
     };
-    weighted_sum_op(run(), r).backward();
+    const std::vector<Tensor> final_state = run();
+    Tensor total = weighted_sum_op(final_state[0], r[0]);
+    for (std::size_t k = 1; k < cell.state_tensors; ++k)
+      total = ops::add(total, weighted_sum_op(final_state[k], r[k]));
+    total.backward();
     exec.verify_drained();
 
     auto loss = [&] {
       NoGradGuard ng;
-      return weighted_sum(run(), r);
+      const std::vector<Tensor> st = run();
+      double acc = 0.0;
+      for (std::size_t k = 0; k < cell.state_tensors; ++k)
+        acc += weighted_sum(st[k], r[k]);
+      return acc;
     };
     for (const auto& p : params)
       expect_fd_gradient(p.tensor, p.tensor.grad(), loss, 3e-3f, p.name);
@@ -474,16 +531,44 @@ void gradcheck_tgcn(STGraphBase& graph) {
   }
 }
 
-TEST(TgcnGradcheck, SharedAggregateOnStaticGraph) {
+StaticTemporalGraph gradcheck_static_graph() {
   const uint32_t n = 12;
-  StaticTemporalGraph graph(n, random_edges(n, 40, 71), 2);
-  gradcheck_tgcn(graph);
+  return StaticTemporalGraph(n, random_edges(n, 40, 71), 2);
+}
+
+GpmaGraph gradcheck_gpma_graph() {
+  return GpmaGraph(
+      window_edge_stream(12, random_stream(12, 300, 73), 10.0));
+}
+
+TEST(TgcnGradcheck, SharedAggregateOnStaticGraph) {
+  StaticTemporalGraph graph = gradcheck_static_graph();
+  gradcheck_cell(graph, make_tgcn);
 }
 
 TEST(TgcnGradcheck, SharedAggregateOnGpmaGraph) {
-  DtdgEvents ev = window_edge_stream(12, random_stream(12, 300, 73), 10.0);
-  GpmaGraph graph(ev);
-  gradcheck_tgcn(graph);
+  GpmaGraph graph = gradcheck_gpma_graph();
+  gradcheck_cell(graph, make_tgcn);
+}
+
+TEST(GConvGruGradcheck, K2OnStaticGraph) {
+  StaticTemporalGraph graph = gradcheck_static_graph();
+  gradcheck_cell(graph, make_gconv_gru_k2);
+}
+
+TEST(GConvGruGradcheck, K2OnGpmaGraph) {
+  GpmaGraph graph = gradcheck_gpma_graph();
+  gradcheck_cell(graph, make_gconv_gru_k2);
+}
+
+TEST(GConvLstmGradcheck, K2WithCellStateOnStaticGraph) {
+  StaticTemporalGraph graph = gradcheck_static_graph();
+  gradcheck_cell(graph, make_gconv_lstm_k2);
+}
+
+TEST(GConvLstmGradcheck, K2WithCellStateOnGpmaGraph) {
+  GpmaGraph graph = gradcheck_gpma_graph();
+  gradcheck_cell(graph, make_gconv_lstm_k2);
 }
 
 // Three sibling convolutions over one handle compute exactly what three

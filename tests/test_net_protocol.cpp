@@ -9,6 +9,7 @@
 
 #include "net/protocol.hpp"
 #include "serve/health.hpp"
+#include "util/crc32.hpp"
 
 namespace stgraph {
 namespace {
@@ -22,7 +23,6 @@ using net::Verb;
 Frame make_predict_frame() {
   Frame f;
   f.verb = Verb::kPredict;
-  f.tenant = 42;
   f.request_id = 0xDEADBEEFCAFEull;
   f.payload = net::build_predict_request({3, 1, 4, 1, 5});
   return f;
@@ -33,6 +33,10 @@ TEST(NetProtocol, FrameRoundTripsThroughTheDecoder) {
   const std::vector<uint8_t> bytes = net::encode_frame(f);
   ASSERT_EQ(bytes.size(),
             net::kHeaderSize + f.payload.size() + net::kTrailerSize);
+  // Bytes 9..11 are the reserved field, written as zero.
+  EXPECT_EQ(bytes[9], 0);
+  EXPECT_EQ(bytes[10], 0);
+  EXPECT_EQ(bytes[11], 0);
 
   FrameDecoder dec;
   dec.feed(bytes.data(), bytes.size());
@@ -40,12 +44,33 @@ TEST(NetProtocol, FrameRoundTripsThroughTheDecoder) {
   std::string line;
   ASSERT_EQ(dec.next(&out, &line), FrameDecoder::Status::kFrame);
   EXPECT_EQ(out.verb, Verb::kPredict);
-  EXPECT_EQ(out.tenant, 42);
   EXPECT_EQ(out.request_id, 0xDEADBEEFCAFEull);
   EXPECT_EQ(net::parse_predict_request(out.payload),
             (std::vector<uint32_t>{3, 1, 4, 1, 5}));
   EXPECT_EQ(dec.next(&out, &line), FrameDecoder::Status::kNeedMore);
   EXPECT_EQ(dec.buffered(), 0u);
+}
+
+TEST(NetProtocol, ReservedHeaderBytesAreIgnoredOnRead) {
+  // A peer that sets the reserved field (under a CRC that covers it) still
+  // gets its frame decoded unchanged.
+  const Frame f = make_predict_frame();
+  std::vector<uint8_t> bytes = net::encode_frame(f);
+  bytes[9] = 0x01;
+  bytes[10] = 0x2A;
+  bytes[11] = 0xFF;
+  const uint32_t crc =
+      crc32(bytes.data() + 8, bytes.size() - 8 - net::kTrailerSize);
+  std::memcpy(bytes.data() + bytes.size() - net::kTrailerSize, &crc, 4);
+
+  FrameDecoder dec;
+  dec.feed(bytes.data(), bytes.size());
+  Frame out;
+  std::string line;
+  ASSERT_EQ(dec.next(&out, &line), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(out.verb, f.verb);
+  EXPECT_EQ(out.request_id, f.request_id);
+  EXPECT_EQ(out.payload, f.payload);
 }
 
 TEST(NetProtocol, TornStreamReassemblesAtEverySplitPoint) {
@@ -240,11 +265,11 @@ TEST(NetProtocol, JsonLinesInterleaveWithBinaryFrames) {
 }
 
 TEST(NetProtocol, JsonRequestScannerExtractsTheSupportedKeys) {
+  // Keys the fallback does not know ("id" here) are ignored.
   net::JsonRequest req = net::parse_json_request(
-      "{\"op\": \"predict\", \"nodes\": [4, 2 , 9], \"tenant\": 3}");
+      "{\"op\": \"predict\", \"nodes\": [4, 2 , 9], \"id\": 3}");
   EXPECT_EQ(req.op, "predict");
   EXPECT_EQ(req.nodes, (std::vector<uint32_t>{4, 2, 9}));
-  EXPECT_EQ(req.tenant, 3);
 
   req = net::parse_json_request("{\"op\": \"stats\"}");
   EXPECT_EQ(req.op, "stats");
@@ -252,9 +277,6 @@ TEST(NetProtocol, JsonRequestScannerExtractsTheSupportedKeys) {
 
   EXPECT_THROW(net::parse_json_request("{\"nodes\": [1]}"), NetError);
   EXPECT_THROW(net::parse_json_request("{\"op\": \"ingest\"}"), NetError);
-  EXPECT_THROW(net::parse_json_request("{\"op\": \"predict\", \"tenant\": "
-                                       "999999}"),
-               NetError);
   EXPECT_THROW(
       net::parse_json_request("{\"op\": \"predict\", \"nodes\": [1,"),
       NetError);

@@ -458,8 +458,12 @@ TEST_F(ServeTest, ShedsAreTypedCountedAndAccountedInTheReport) {
   const serve::StatsReport report = server.stats();
   EXPECT_EQ(report.shed_draining, 3u);
   EXPECT_EQ(report.shed_total, 3u);
-  EXPECT_EQ(report.rejected, report.shed_total);  // back-compat alias
+  EXPECT_EQ(report.ingest_shed, 1u);
   EXPECT_EQ(report.requests, 1u);
+  EXPECT_EQ(report.issued, 3u);
+  EXPECT_EQ(report.issued, report.requests + report.stale_served +
+                               report.failed +
+                               (report.shed_total - report.ingest_shed));
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"shed\""), std::string::npos);
   EXPECT_NE(json.find("\"deadline_expired\""), std::string::npos);
@@ -469,59 +473,41 @@ TEST_F(ServeTest, ShedsAreTypedCountedAndAccountedInTheReport) {
 
 // ---- building blocks ------------------------------------------------------
 
-TEST(TenantQueueSet, BoundedPushPopAndClose) {
-  using Push = serve::TenantQueueSet::PushResult;
-  serve::TenantQueueSet q({}, 2);  // single default lane, capacity 2
-  EXPECT_EQ(q.num_lanes(), 1u);
-  serve::PredictRequest a, b, c;
-  EXPECT_EQ(q.push(std::move(a)), Push::kOk);
-  EXPECT_EQ(q.push(std::move(b)), Push::kOk);
-  EXPECT_EQ(q.push(std::move(c)), Push::kFull);  // full: load shed
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.max_depth(), 2u);
-
-  EXPECT_EQ(q.pop_batch(8).size(), 2u);  // drains up to max_batch
-  q.close();
-  EXPECT_TRUE(q.pop_batch(8).empty());  // closed and drained
-  serve::PredictRequest d;
-  EXPECT_EQ(q.push(std::move(d)), Push::kClosed);  // draining
-  q.reopen();
-  serve::PredictRequest e;
-  EXPECT_EQ(q.push(std::move(e)), Push::kOk);
-}
-
-TEST(TenantQueueSet, WeightedRoundRobinSharesDequeues) {
-  // Tenant 7 has 3× the weight of tenant 9: under saturation a batch
-  // alternates 3-from-7, 1-from-9.
-  serve::TenantQueueSet q(
-      {serve::TenantLane{7, 3, 0}, serve::TenantLane{9, 1, 0}}, 16);
-  EXPECT_EQ(q.num_lanes(), 2u);
-  EXPECT_EQ(q.lane_of(7), 0u);
-  EXPECT_EQ(q.lane_of(9), 1u);
-  EXPECT_EQ(q.lane_of(12345), 0u);  // unknown tenants share the first lane
-  for (int i = 0; i < 8; ++i) {
+TEST(RequestQueue, BoundedFifoPushPopAndClose) {
+  using Push = serve::RequestQueue::PushResult;
+  serve::RequestQueue q(3);
+  for (uint32_t i = 0; i < 3; ++i) {
     serve::PredictRequest r;
-    r.tenant = (i % 2) ? 9 : 7;
-    r.tenant_slot = q.lane_of(r.tenant);
-    ASSERT_EQ(q.push(std::move(r)), serve::TenantQueueSet::PushResult::kOk);
+    r.nodes = {i};
+    EXPECT_EQ(q.push(std::move(r)), Push::kOk);
   }
-  EXPECT_EQ(q.lane_depth(0), 4u);
-  EXPECT_EQ(q.lane_depth(1), 4u);
-  const std::vector<serve::PredictRequest> batch = q.pop_batch(4);
-  ASSERT_EQ(batch.size(), 4u);
-  int from7 = 0, from9 = 0;
-  for (const auto& r : batch) (r.tenant == 7 ? from7 : from9)++;
-  EXPECT_EQ(from7, 3);
-  EXPECT_EQ(from9, 1);
-  // Second batch drains the remainder, still interleaving by weight: one
-  // leftover from tenant 7, then tenant 9's backlog — the low-weight lane
-  // is never starved once the heavy lane empties.
-  const std::vector<serve::PredictRequest> rest = q.pop_batch(16);
-  ASSERT_EQ(rest.size(), 4u);
-  from7 = from9 = 0;
-  for (const auto& r : rest) (r.tenant == 7 ? from7 : from9)++;
-  EXPECT_EQ(from7, 1);
-  EXPECT_EQ(from9, 3);
+  serve::PredictRequest over;
+  EXPECT_EQ(q.push(std::move(over)), Push::kFull);  // full: load shed
+  EXPECT_EQ(q.depth(), 3u);
+  EXPECT_EQ(q.max_depth(), 3u);
+
+  // Batches come out in arrival order, up to max_batch each.
+  const std::vector<serve::PredictRequest> first = q.pop_batch(2);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].nodes, std::vector<uint32_t>{0});
+  EXPECT_EQ(first[1].nodes, std::vector<uint32_t>{1});
+  const std::vector<serve::PredictRequest> rest = q.pop_batch(8);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].nodes, std::vector<uint32_t>{2});
+  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_EQ(q.max_depth(), 3u);
+
+  serve::PredictRequest queued;
+  EXPECT_EQ(q.push(std::move(queued)), Push::kOk);
+  q.close();
+  serve::PredictRequest late;
+  EXPECT_EQ(q.push(std::move(late)), Push::kClosed);  // draining
+  EXPECT_EQ(q.pop_batch(8).size(), 1u);  // queued work still drains
+  EXPECT_TRUE(q.pop_batch(8).empty());   // closed and drained
+  q.reopen();
+  serve::PredictRequest again;
+  EXPECT_EQ(q.push(std::move(again)), Push::kOk);
+  EXPECT_EQ(q.drain_all().size(), 1u);
   EXPECT_EQ(q.depth(), 0u);
 }
 
@@ -558,38 +544,31 @@ TEST(LatencyHistogram, MergeIsAssociativeAndQuantileStable) {
   }
 }
 
-TEST(ServerStats, PerTenantAccountingIdentityHolds) {
+TEST(ServerStats, AccountingIdentityHoldsFromTheReport) {
   serve::ServerStats stats;
-  stats.configure({1, 2}, 2);
-  // Tenant slot 0 (id 1): 3 issued = 1 fulfilled + 1 stale + 1 shed.
-  stats.record_issued(0);
-  stats.record_issued(0);
-  stats.record_issued(0);
-  stats.record_request(10.0, 1, 0, /*reader=*/0);
-  stats.record_stale_served(10.0, 1, 0);
-  stats.record_shed(serve::ShedReason::kQueueFull, 1, 0);
-  // Tenant slot 1 (id 2): 2 issued = 1 failed + 1 shed.
-  stats.record_issued(1);
-  stats.record_issued(1);
-  stats.record_failed(1, 1);
-  stats.record_shed(serve::ShedReason::kDeadlineExpired, 1, 1);
-  // Ingest-path sheds are global-only: no tenant identity is polluted.
-  stats.record_shed(serve::ShedReason::kQueueFull, 1,
-                    serve::ServerStats::kNoTenant);
+  stats.configure(2);
+  // 5 predicts issued = 1 fulfilled + 1 stale + 1 failed + 2 shed.
+  for (int i = 0; i < 5; ++i) stats.record_issued();
+  stats.record_request(10.0, 1, /*reader=*/0);
+  stats.record_stale_served(10.0, 1);
+  stats.record_failed();
+  stats.record_shed(serve::ShedReason::kQueueFull);
+  stats.record_shed(serve::ShedReason::kDeadlineExpired);
+  // An ingest-path shed counts under its reason and in ingest_shed, not
+  // against the predicts issued.
+  stats.record_ingest_shed(serve::ShedReason::kQueueFull);
 
   const serve::StatsReport r = stats.report(0);
-  ASSERT_EQ(r.tenants.size(), 2u);
-  for (const auto& t : r.tenants)
-    EXPECT_EQ(t.issued, t.requests + t.stale_served + t.failed + t.shed_total)
-        << "tenant " << t.id;
-  EXPECT_EQ(r.tenants[0].id, 1u);
-  EXPECT_EQ(r.tenants[0].issued, 3u);
-  EXPECT_EQ(r.tenants[1].failed, 1u);
-  EXPECT_EQ(r.tenants[1].shed_deadline_expired, 1u);
-  EXPECT_EQ(r.shed_queue_full, 2u);  // tenant + ingest-path shed
+  EXPECT_EQ(r.issued, 5u);
+  EXPECT_EQ(r.shed_queue_full, 2u);  // predict + ingest-path shed
+  EXPECT_EQ(r.shed_total, 3u);
+  EXPECT_EQ(r.ingest_shed, 1u);
+  EXPECT_EQ(r.issued, r.requests + r.stale_served + r.failed +
+                          (r.shed_total - r.ingest_shed));
   EXPECT_EQ(r.reader_threads, 2u);
   const std::string json = r.to_json();
-  EXPECT_NE(json.find("\"tenants\""), std::string::npos);
+  EXPECT_NE(json.find("\"issued\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"ingest_shed\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"reader_utilization\""), std::string::npos);
 }
 

@@ -322,10 +322,9 @@ TEST_F(ChaosTest, NetFaultScheduleNeverWedgesTheFrontend) {
   // Every predict the server accepted resolved into exactly one bucket —
   // connection chaos loses requests at the socket, never inside the server.
   const serve::StatsReport rep = server.stats();
-  for (const auto& tr : rep.tenants)
-    EXPECT_EQ(tr.issued,
-              tr.requests + tr.stale_served + tr.failed + tr.shed_total)
-        << "tenant " << tr.id;
+  EXPECT_GT(rep.issued, 0u);
+  EXPECT_EQ(rep.issued, rep.requests + rep.stale_served + rep.failed +
+                            (rep.shed_total - rep.ingest_shed));
 }
 
 // ---- phase 2: forced kill + recovery parity --------------------------------

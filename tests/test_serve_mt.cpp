@@ -7,7 +7,8 @@
 //   * outputs are finite and correctly shaped throughout the churn,
 //   * the final read view reflects every applied delta,
 //   * deadline expiry under slow batches is a typed shed and the stats
-//     classify every request exactly once,
+//     classify every request exactly once (the accounting identity, read
+//     from the StatsReport alone),
 //   * stop() promptly rejects parked waiters with the draining error.
 #include <gtest/gtest.h>
 
@@ -27,6 +28,13 @@
 
 namespace stgraph {
 namespace {
+
+/// Every predict issued landed in exactly one bucket; ingest sheds are
+/// reported apart. Holds once the server is stopped.
+void expect_accounted(const serve::StatsReport& r) {
+  EXPECT_EQ(r.issued, r.requests + r.stale_served + r.failed +
+                          (r.shed_total - r.ingest_shed));
+}
 
 TEST(ServeMt, ConcurrentPredictAndIngestStaysConsistent) {
   datasets::DynamicLoadOptions opts;
@@ -101,6 +109,7 @@ TEST(ServeMt, ConcurrentPredictAndIngestStaysConsistent) {
   EXPECT_EQ(report.requests, kThreads * kPerThread);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.deltas_applied, deltas);
+  expect_accounted(report);
   // Micro-batching must have actually batched or cached: the number of
   // forward passes cannot exceed one per (version) plus one per ingest.
   EXPECT_LE(report.forward_passes, 2u * (deltas + 1));
@@ -179,8 +188,9 @@ TEST(ServeMt, DeadlineExpiryUnderConcurrencyClassifiesEveryRequestOnce) {
             expired.load() + other_shed.load());
   EXPECT_EQ(report.failed, errored.load());
   // Full accounting: everything issued landed in exactly one bucket.
-  EXPECT_EQ(kThreads * kOps + ok, report.requests + report.stale_served +
-                                      report.failed + report.shed_total);
+  EXPECT_EQ(report.issued, kThreads * kOps + ok);
+  EXPECT_EQ(report.ingest_shed, 0u);
+  expect_accounted(report);
 }
 
 TEST(ServeMt, StopRejectsParkedWaitersPromptlyWithTypedDrainingError) {
@@ -236,6 +246,8 @@ TEST(ServeMt, StopRejectsParkedWaitersPromptlyWithTypedDrainingError) {
   EXPECT_LT(stop_seconds, 5.0);
   const serve::StatsReport report = server.stats();
   EXPECT_EQ(report.shed_draining, draining_errs.load());
+  EXPECT_EQ(report.issued, kThreads * kOps);
+  expect_accounted(report);
   EXPECT_EQ(report.health, "starting");  // back to cold after a full stop
 }
 
@@ -272,6 +284,9 @@ TEST(ServeMt, StopWhileClientsAreInFlightDrainsGracefully) {
   server.stop();
   for (auto& th : threads) th.join();
   EXPECT_EQ(answered.load(), 600u);
+  const serve::StatsReport report = server.stats();
+  EXPECT_EQ(report.issued, 601u);
+  expect_accounted(report);
 }
 
 }  // namespace
