@@ -82,21 +82,16 @@ void BM_ReverseAlgorithm3(benchmark::State& state) {
   GpmaGraph g(ev);
   SnapshotView v = g.get_graph(0);
   // Re-run Algorithm 3 against the gapped arrays the graph exposes.
-  DeviceBuffer<uint32_t> ro(std::vector<uint32_t>(
-                                v.out_view.row_offset,
-                                v.out_view.row_offset + v.num_nodes + 1),
-                            MemCategory::kGraph);
+  auto upload = [](const uint32_t* host, std::size_t n) {
+    DeviceBuffer<uint32_t> b(n, MemCategory::kGraph);
+    std::copy(host, host + n, b.data());
+    return b;
+  };
+  DeviceBuffer<uint32_t> ro = upload(v.out_view.row_offset, v.num_nodes + 1);
   const std::size_t cap = ro[v.num_nodes];
-  DeviceBuffer<uint32_t> col(
-      std::vector<uint32_t>(v.out_view.col_indices,
-                            v.out_view.col_indices + cap),
-      MemCategory::kGraph);
-  DeviceBuffer<uint32_t> eids(
-      std::vector<uint32_t>(v.out_view.eids, v.out_view.eids + cap),
-      MemCategory::kGraph);
-  DeviceBuffer<uint32_t> in_deg(
-      std::vector<uint32_t>(v.in_degrees, v.in_degrees + v.num_nodes),
-      MemCategory::kGraph);
+  DeviceBuffer<uint32_t> col = upload(v.out_view.col_indices, cap);
+  DeviceBuffer<uint32_t> eids = upload(v.out_view.eids, cap);
+  DeviceBuffer<uint32_t> in_deg = upload(v.in_degrees, v.num_nodes);
   for (auto _ : state) {
     DeviceBuffer<uint32_t> r1, r2, r3;
     reverse_gpma(v.num_nodes, ro, col, eids, in_deg, v.num_edges, r1, r2, r3);

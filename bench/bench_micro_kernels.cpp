@@ -29,7 +29,9 @@
 
 #include "baseline/edge_ops.hpp"
 #include "compiler/fusion.hpp"
+#include "compiler/fusion_replay.hpp"
 #include "compiler/kernel.hpp"
+#include "compiler/kernel_reference.hpp"
 #include "compiler/trace.hpp"
 #include "core/trainer.hpp"
 #include "datasets/synthetic.hpp"
@@ -353,7 +355,7 @@ int run_json_ablation(const std::string& path) {
   f << "{\n"
     << "  \"bench\": \"micro_kernels\",\n"
     << "  \"device\": \"" << core::native_backend().device_info() << "\",\n"
-    << "  \"simd\": \"" << simd::active_arch() << "\",\n"
+    << "  \"simd\": \"" << simd::arch_name() << "\",\n"
     << "  \"threads\": 1,\n"
     << "  \"config\": {\"num_nodes\": " << n << ", \"num_edges\": " << m
     << ", \"feature_size\": " << F
@@ -381,7 +383,7 @@ int run_json_ablation(const std::string& path) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
-  std::cout << "micro_kernels ablation (" << simd::active_arch()
+  std::cout << "micro_kernels ablation (" << simd::arch_name()
             << ", 1 thread, n=" << n << " m=" << m << " F=" << F << "):\n"
             << "  scalar reference " << scalar_s * 1e3 << " ms\n"
             << "  simd inline      " << simd_inline_s * 1e3 << " ms  ("
@@ -410,7 +412,7 @@ struct FusionModelResult {
   }
 };
 
-// Train `epochs` measured epochs with fusion forced on vs off. The two
+// Train `epochs` measured epochs fused vs with the unfused replay installed. The two
 // trainers run interleaved (one on-epoch, one off-epoch, back to back) and
 // each mode reports its BEST epoch — ambient machine load hits both modes
 // alike and the min sheds the noise spikes.
@@ -436,12 +438,9 @@ FusionModelResult measure_fusion_model(
   core::STGraphTrainer tr_on(graph_on, *model_on, ds.signal, cfg);
   core::STGraphTrainer tr_off(graph_off, *model_off, ds.signal, cfg);
 
-  auto on_epoch = [&] {
-    compiler::fusion::set_fusion_enabled(true);
-    return tr_on.train_epoch();
-  };
+  auto on_epoch = [&] { return tr_on.train_epoch(); };
   auto off_epoch = [&] {
-    compiler::fusion::set_fusion_enabled(false);
+    compiler::fusion::ReplayScope replay;
     return tr_off.train_epoch();
   };
   on_epoch();  // warmup
@@ -461,7 +460,6 @@ FusionModelResult measure_fusion_model(
     r.tape_ops_off = off.tape_op_count;
     r.tape_bytes_off = off.tape_bytes;
   }
-  compiler::fusion::set_fusion_enabled(true);
   return r;
 }
 
@@ -552,7 +550,7 @@ int run_fusion_ablation(const std::string& path) {
   f << "{\n"
     << "  \"bench\": \"fusion\",\n"
     << "  \"device\": \"" << core::native_backend().device_info() << "\",\n"
-    << "  \"simd\": \"" << simd::active_arch() << "\",\n"
+    << "  \"simd\": \"" << simd::arch_name() << "\",\n"
     << "  \"epilogue\": {\"num_nodes\": " << fx.n
     << ", \"feature_size\": " << F << ", \"fused_s\": " << epi_fused_s
     << ", \"unfused_s\": " << epi_unfused_s

@@ -4,8 +4,7 @@
 // batches through ingest(). Emits the server's stats report (p50/p99
 // latency, batch occupancy, delta-apply throughput) as BENCH_serve.json.
 //
-//   ./build/bench/bench_serve --out=BENCH_serve.json \
-//       --requests=1000 --deltas=50 --threads=4
+//   ./build/bench/bench_serve --out=BENCH_serve.json --requests=1000 --deltas=50 --threads=4
 #include <atomic>
 #include <cstdio>
 #include <fstream>

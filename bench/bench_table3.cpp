@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
   emit("table3_improvements", csv, opts);
 
   // Tape-vs-fused launch profile over the same sweeps (per-epoch counters
-  // summed across all STGraph runs). With STGRAPH_FUSION=off the fused
-  // rows go to zero and the tape rows absorb the regions.
+  // summed across all STGraph runs). bench_micro_kernels' fusion ablation
+  // shows the same counters with the unfused replay installed.
   CsvWriter pcsv({"Counter", "Tape", "Fused"});
   pcsv.add_row({"Elementwise launches / epoch", std::to_string(tape_ops),
                 std::to_string(fused_ops)});

@@ -77,20 +77,28 @@
 #                           build/)
 #   ./run_all.sh fusion-smoke
 #                           fusing tape compiler smoke test: the fusion
-#                           bit-parity suite (test_fusion, plus its serial,
-#                           SIMD-off and oversubscribed variants, the
-#                           ewmath accuracy suite, plus the whole training
-#                           suite rerun with STGRAPH_FUSION=off), then the
-#                           fused-vs-
-#                           unfused ablation (epilogue micro + end-to-end
+#                           bit-parity suite (test_fusion, fused vs the
+#                           oracle library's unfused replay, plus its serial
+#                           and oversubscribed variants), the ewmath
+#                           accuracy suite, the whole training suite rerun
+#                           with the replay installed for the binary
+#                           (training_fusion_off), then the fused-vs-unfused
+#                           ablation (epilogue micro + end-to-end
 #                           TGCN/GConvGRU epochs, bitwise loss equality
 #                           asserted, JSON under build/)
+#   ./run_all.sh portable   the full ctest suite on a separate
+#                           -DSTGRAPH_NATIVE_ARCH=OFF build (build-portable/):
+#                           no vector ISA, so every SIMD primitive (kernel
+#                           engine, fused interpreter, GEMM, column sums,
+#                           ewmath) runs its ScalarOps instantiation and is
+#                           held to the same oracles as the native build
 #   ./run_all.sh bench      graph-update benches only: bench_fig9 (GNN/
 #                           update time split with the per-phase counters,
 #                           emitted as BENCH_fig9.json) +
 #                           bench_micro_gpma + the kernel-engine ablation
-#                           (scalar vs SIMD, coef cache on/off, fused vs
-#                           unfused, emitted as BENCH_kernels.json) +
+#                           (interpreted reference vs SIMD engine, coef
+#                           cache on/off, fused vs unfused, emitted as
+#                           BENCH_kernels.json) +
 #                           bench_serve_robust (2x overload with deadlines,
 #                           fault schedules, WAL recovery cost, emitted as
 #                           BENCH_serve_robust.json) + bench_serve_net
@@ -130,12 +138,12 @@ fi
 if [ "$1" = "fusion-smoke" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target test_fusion test_ewmath \
-    test_training bench_micro_kernels || exit 1
+    test_training test_training_fusion_off bench_micro_kernels || exit 1
   ctest --test-dir build --output-on-failure --no-tests=error \
-    -R '^(FusionParity|FusionSimd|FusionEmpty|FusionGradcheck|FusionLaunch|FusionScratch|TrainingParity|EwPasses|EwAutodiff|EwMath)\.' \
+    -R '^(FusionParity|FusionEmpty|FusionGradcheck|FusionLaunch|FusionScratch|TrainingParity|EwPasses|EwAutodiff|EwMath)\.' \
     || exit 1
   ctest --test-dir build --output-on-failure --no-tests=error \
-    -R '^(fusion_serial|fusion_scalar|fusion_oversub|training_fusion_off)$' \
+    -R '^(fusion_serial|fusion_oversub|training_fusion_off)$' \
     || exit 1
   # The ablation bench doubles as a contract check: it exits non-zero if
   # the fused epilogue is not bitwise equal to kernel-then-add-bias or if
@@ -206,6 +214,18 @@ if [ "$1" = "serve-net-smoke" ]; then
   ./build/bench/bench_serve_net --out=BENCH_serve_net.json \
     --connections=8 --ops=6 --requests=200 || exit 1
   cat BENCH_serve_net.json
+  exit 0
+fi
+
+if [ "$1" = "portable" ]; then
+  # The scalar backend's only gate: with no vector ISA, simd::NativeOps is
+  # ScalarOps, and the same suite (kernel engine vs reference, fused vs
+  # replay, GEMM vs its fmaf oracle, ewmath bounds) must pass on it.
+  cmake -B build-portable -S . -DSTGRAPH_NATIVE_ARCH=OFF \
+    -DSTGRAPH_BUILD_BENCH=OFF -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
+  cmake --build build-portable -j "$(nproc)" || exit 1
+  ctest --test-dir build-portable --output-on-failure -j "$(nproc)" \
+    || exit 1
   exit 0
 fi
 

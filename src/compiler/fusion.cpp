@@ -16,14 +16,11 @@
 #include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace stgraph::compiler::fusion {
 namespace {
 
-// ---- switch ---------------------------------------------------------------
-
-std::atomic<int> g_enabled{-1};  // -1 = environment not read yet
+std::atomic<ReplayFn> g_replay{nullptr};
 
 // ---- bias-grad scratch arena ---------------------------------------------
 
@@ -73,19 +70,10 @@ void attach(Tensor& out, const std::string& name,
 
 }  // namespace
 
-// ---- switch API -----------------------------------------------------------
+ReplayFn replay() { return g_replay.load(std::memory_order_relaxed); }
 
-bool fusion_enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = env_flag("STGRAPH_FUSION", true) ? 1 : 0;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void set_fusion_enabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+void set_replay(ReplayFn fn) {
+  g_replay.store(fn, std::memory_order_relaxed);
 }
 
 // ---- blocked interpreter --------------------------------------------------
@@ -114,7 +102,7 @@ void map2(float* r, const float* a, const float* b, int len, F f) {
 
 /// Evaluate elements [lo, hi) in kEwBlock blocks. `in` holds one pointer
 /// per input slot; a kBias slot points at the bias tiled past cols +
-/// kEwBlock (see run_program), so every input is read in place.
+/// kEwBlock (see run_ew_program), so every input is read in place.
 template <class O>
 void run_range(const EwProgram& p, const float* const* in, int64_t cols,
                float* const* outputs, std::size_t lo, std::size_t hi) {
@@ -232,9 +220,10 @@ void run_range(const EwProgram& p, const float* const* in, int64_t cols,
   }
 }
 
-template <class O>
-void run_program(const EwProgram& p, const float* const* inputs, int64_t rows,
-                 int64_t cols, float* const* outputs) {
+}  // namespace
+
+void run_ew_program(const EwProgram& p, const float* const* inputs,
+                    int64_t rows, int64_t cols, float* const* outputs) {
   const int nn = static_cast<int>(p.nodes.size());
   STG_CHECK(nn <= kMaxEwNodes, "elementwise program too large: ", nn,
             " nodes (max ", kMaxEwNodes, ")");
@@ -258,69 +247,8 @@ void run_program(const EwProgram& p, const float* const* inputs, int64_t rows,
     t += tile;
   }
   device::parallel_for_ranges(total, [&](std::size_t lo, std::size_t hi) {
-    run_range<O>(p, in.data(), cols, outputs, lo, hi);
+    run_range<simd::NativeOps>(p, in.data(), cols, outputs, lo, hi);
   });
-}
-
-}  // namespace
-
-namespace detail {
-
-void run_ew_program_native(const EwProgram& p, const float* const* inputs,
-                           int64_t rows, int64_t cols, float* const* outputs) {
-  run_program<simd::NativeOps>(p, inputs, rows, cols, outputs);
-}
-
-void run_ew_program_scalar(const EwProgram& p, const float* const* inputs,
-                           int64_t rows, int64_t cols, float* const* outputs) {
-  run_program<simd::ScalarOps>(p, inputs, rows, cols, outputs);
-}
-
-}  // namespace detail
-
-void run_ew_program(const EwProgram& p, const float* const* inputs,
-                    int64_t rows, int64_t cols, float* const* outputs) {
-  if (simd::enabled()) {
-    detail::run_ew_program_native(p, inputs, rows, cols, outputs);
-  } else {
-    detail::run_ew_program_scalar(p, inputs, rows, cols, outputs);
-  }
-}
-
-// ---- unfused replay (STGRAPH_FUSION=off) ----------------------------------
-
-Tensor replay_unfused(const EwProgram& p, const std::vector<Tensor>& inputs) {
-  STG_CHECK(p.outputs.size() == 1,
-            "replay_unfused expects a single-output forward program");
-  std::vector<Tensor> vals(p.nodes.size());
-  for (std::size_t i = 0; i < p.nodes.size(); ++i) {
-    const EwNode& n = p.nodes[i];
-    const Tensor& a = n.a >= 0 ? vals[static_cast<std::size_t>(n.a)] : vals[0];
-    const Tensor& b = n.b >= 0 ? vals[static_cast<std::size_t>(n.b)] : vals[0];
-    switch (n.op) {
-      case EwOp::kInput:
-        vals[i] = inputs[static_cast<std::size_t>(n.input)];
-        break;
-      case EwOp::kAdd: vals[i] = ops::add(a, b); break;
-      case EwOp::kSub: vals[i] = ops::sub(a, b); break;
-      case EwOp::kMul: vals[i] = ops::mul(a, b); break;
-      case EwOp::kDiv: vals[i] = ops::div(a, b); break;
-      case EwOp::kAddS: vals[i] = ops::add_scalar(a, n.imm); break;
-      case EwOp::kMulS: vals[i] = ops::mul_scalar(a, n.imm); break;
-      case EwOp::kOneMinus: vals[i] = ops::one_minus(a); break;
-      case EwOp::kSigmoid: vals[i] = ops::sigmoid(a); break;
-      case EwOp::kTanh: vals[i] = ops::tanh_op(a); break;
-      case EwOp::kRelu: vals[i] = ops::relu(a); break;
-      case EwOp::kLeakyRelu: vals[i] = ops::leaky_relu(a, n.imm); break;
-      case EwOp::kExp: vals[i] = ops::exp_op(a); break;
-      case EwOp::kAddBias: vals[i] = ops::add_bias(a, b); break;
-      case EwOp::kNeg:
-      case EwOp::kReluGrad:
-      case EwOp::kLeakyGrad:
-        STG_CHECK(false, "gradient-only op in a forward replay");
-    }
-  }
-  return vals[static_cast<std::size_t>(p.outputs[0])];
 }
 
 // ---- FusedOp ---------------------------------------------------------------
@@ -373,7 +301,7 @@ Tensor FusedOp::operator()(const std::vector<Tensor>& inputs) const {
                 "fused op ", name_, ": bias input ", i, " must be [", cols,
                 "]");
 
-  if (!fusion_enabled()) return replay_unfused(fwd_, inputs);
+  if (const ReplayFn r = replay()) return r(fwd_, inputs);
 
   if (rows == 0 || cols == 0) {
     // Nothing to evaluate: an empty output, and zero gradients (an empty

@@ -8,16 +8,17 @@
 // kEwBlock-element blocks with a register file of kEwBlock floats per
 // node, each node's loop stepping one native vector (runtime/simd.hpp) and
 // the block's tail running the same code through ScalarOps. Input arrays
-// are read in place. It dispatches on simd::enabled() as run_kernel does,
-// so STGRAPH_SIMD=off runs the ScalarOps instantiation throughout.
+// are read in place. It has one instantiation, against simd::NativeOps; a
+// -DSTGRAPH_NATIVE_ARCH=OFF build makes that ScalarOps throughout.
 //
 // Bit-parity contract (tests/test_fusion.cpp):
 //
-//   * STGRAPH_FUSION=off replays the SAME optimized program node-by-node
-//     through the ops:: tape — losses, parameters, and gradients are
-//     memcmp-equal against the fused path. Both paths call the one
-//     sigmoid/tanh definition in tensor/ewmath.cpp, every other node is a
-//     single lane-exact IEEE op, and both TUs compile with
+//   * The unfused replay (oracles/compiler/fusion_replay.hpp, installed in
+//     test binaries through the replay seam below) runs the SAME optimized
+//     program node-by-node through the ops:: tape — losses, parameters,
+//     and gradients are memcmp-equal against the fused path. Both paths
+//     call the one sigmoid/tanh definition in tensor/ewmath.cpp, every
+//     other node is a single lane-exact IEEE op, and both TUs compile with
 //     -ffp-contract=off so no path gains an FMA the other lacks.
 //   * The bits do not depend on the SIMD width, the thread count, or
 //     where a block's vector/tail split lands: every lane computes what
@@ -66,20 +67,23 @@ namespace stgraph::compiler::fusion {
 inline constexpr int kMaxEwNodes = 64;
 inline constexpr int kEwBlock = 64;
 
-/// True unless STGRAPH_FUSION is set to a falsy value ("off", "0",
-/// "false", ""). Read once and cached; set_fusion_enabled overrides.
-bool fusion_enabled();
-void set_fusion_enabled(bool on);
+/// The test seam, null in production: while the oracle library's
+/// ReplayScope installs a replay, FusedOp::operator() returns
+/// `replay(forward_program(), inputs)` and SeastarGCNConv adds its bias in
+/// a separate pass instead of in the aggregation's epilogue.
+using ReplayFn = Tensor (*)(const EwProgram&, const std::vector<Tensor>&);
+ReplayFn replay();
+void set_replay(ReplayFn fn);
 
 /// One traced region. Construction traces, optimizes, and differentiates
-/// the program once; operator() dispatches per call on fusion_enabled().
+/// the program once; operator() runs the fused program.
 class FusedOp {
  public:
   FusedOp(std::string name, const std::function<EwExpr(EwTracer&)>& build);
 
   /// Execute on `inputs` (kMat inputs [N,F], kBias inputs [F], in program
-  /// input-slot order). Fused: one pass + one autograd node. Unfused: the
-  /// same program replayed through ops::.
+  /// input-slot order). Fused: one pass + one autograd node. With a replay
+  /// installed: the same program replayed through ops::.
   Tensor operator()(const std::vector<Tensor>& inputs) const;
 
   const std::string& name() const { return name_; }
@@ -97,7 +101,7 @@ class FusedOp {
   };
 
   std::string name_;
-  EwProgram fwd_;  // single-output program (replay / parity oracle)
+  EwProgram fwd_;  // single-output program (what a replay evaluates)
   std::shared_ptr<const Exec> exec_;
 };
 
@@ -106,19 +110,6 @@ class FusedOp {
 /// on an empty view). Exposed for the parity fuzz tests.
 void run_ew_program(const EwProgram& p, const float* const* inputs,
                     int64_t rows, int64_t cols, float* const* outputs);
-
-namespace detail {
-/// The two instantiations run_ew_program picks between on
-/// simd::enabled(); exposed so one test process can memcmp them.
-void run_ew_program_native(const EwProgram& p, const float* const* inputs,
-                           int64_t rows, int64_t cols, float* const* outputs);
-void run_ew_program_scalar(const EwProgram& p, const float* const* inputs,
-                           int64_t rows, int64_t cols, float* const* outputs);
-}  // namespace detail
-
-/// Replay an optimized single-output program node-by-node through the
-/// ops:: tape (the STGRAPH_FUSION=off path and the parity oracle).
-Tensor replay_unfused(const EwProgram& p, const std::vector<Tensor>& inputs);
 
 // ---- the cell regions the nn/ layers route through the compiler ----------
 // Each is a static FusedOp traced at first use. Single leftover ops

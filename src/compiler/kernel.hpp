@@ -14,8 +14,10 @@
 //     kSpace slots, so GPMAGraph's backward pass needs no compaction.
 //
 // One launch performs gather + coefficient product + aggregate + self loop
-// + output scaling — the operator fusion Seastar's codegen performs (the
-// unfused path exists only as an ablation baseline in bench/).
+// + output scaling — the operator fusion Seastar's codegen performs. The
+// interpreted reference kernel this engine is held to bit for bit lives in
+// the oracle library (oracles/compiler/kernel_reference.hpp), which only
+// tests and benches link.
 #pragma once
 
 #include "compiler/ir.hpp"
@@ -35,8 +37,8 @@ namespace stgraph::compiler {
 ///   * edge_w        — per-edge weight lookup.
 /// Factor multiplication order is canonical (const, inv-degree, inv-degree+1,
 /// gcn-norm, edge-weight, then out_scale) and compile() reorders the coef
-/// lists of the stored program to match, so the retained reference kernel and
-/// the specialized engine perform bit-identical float sequences.
+/// lists of the stored program to match, so the interpreted reference kernel
+/// and the specialized engine perform bit-identical float sequences.
 struct TermPlan {
   int input = 0;
   float c0 = 1.0f;          // folded constant prefix
@@ -52,7 +54,6 @@ struct KernelSpec {
   Program program;              // optimized (mean-lowered, folded)
   bool uses_edge_weight = false;
   bool uses_degrees = false;
-  int num_inputs = 1;
   std::vector<TermPlan> plans;  // one per program.terms entry
   TermPlan self_plan;           // valid when program.include_self
 };
@@ -98,12 +99,15 @@ struct KernelArgs {
   const float* epilogue_bias = nullptr;
 };
 
-void run_kernel(const KernelSpec& spec, const KernelArgs& args);
+/// Throws StgError unless `args` binds every buffer `spec` reads or writes
+/// (an epilogue bias only on a sum aggregation). run_kernel and the
+/// reference kernel (oracles/compiler/kernel_reference.hpp) both call it.
+void validate_args(const KernelSpec& spec, const KernelArgs& args);
 
-/// The retained interpreted kernel: per-edge coef re-evaluation, scalar
-/// feature loops, original work shaping. Kept as the bit-parity oracle for
-/// the fuzz suite and the ablation baseline for bench_micro_kernels.
-void run_kernel_reference(const KernelSpec& spec, const KernelArgs& args);
+/// Launch `spec` on the specialized engine (kernel_engine.cpp), whose one
+/// instantiation is against simd::NativeOps. Arguments go through
+/// validate_args; the spec must come from compile().
+void run_kernel(const KernelSpec& spec, const KernelArgs& args);
 
 /// Feature-size threshold at which the scheduler switches from
 /// vertex-per-item to (vertex × feature-tile) work shaping.

@@ -1,7 +1,8 @@
 // The specialized kernel engine — what Seastar's CUDA codegen emits per
 // program, reproduced as a C++ template grid. Where the interpreted
-// reference path (kernel.cpp) re-evaluates a coef-kind switch on every edge
-// and walks features scalar-by-scalar, this engine:
+// reference kernel (oracles/compiler/kernel_reference.cpp) re-evaluates a
+// coef-kind switch on every edge and walks features scalar-by-scalar, this
+// engine:
 //
 //   * instantiates one row function per (mode, has-edge-weight, has-gaps,
 //     has-eids, include-self) combination, so every per-edge branch of the
@@ -23,7 +24,7 @@
 // left-to-right product; simd::Ops::madd is unfused; this translation unit
 // is built with -ffp-contract=off. The fuzz suite (test_kernel_simd)
 // asserts bitwise identity on every grid cell.
-#include "compiler/kernel_engine.hpp"
+#include "compiler/kernel.hpp"
 
 #include <algorithm>
 #include <array>
@@ -33,7 +34,7 @@
 #include "runtime/parallel.hpp"
 #include "runtime/simd.hpp"
 
-namespace stgraph::compiler::detail {
+namespace stgraph::compiler {
 namespace {
 
 enum class Mode { kSumFwd, kSumBwd, kMaxFwd, kMaxBwd };
@@ -607,12 +608,9 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
 
 }  // namespace
 
-void run_engine_native(const KernelSpec& spec, const KernelArgs& args) {
+void run_kernel(const KernelSpec& spec, const KernelArgs& args) {
+  validate_args(spec, args);
   run_engine<simd::NativeOps>(spec, args);
 }
 
-void run_engine_scalar(const KernelSpec& spec, const KernelArgs& args) {
-  run_engine<simd::ScalarOps>(spec, args);
-}
-
-}  // namespace stgraph::compiler::detail
+}  // namespace stgraph::compiler

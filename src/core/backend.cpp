@@ -12,9 +12,8 @@ class NativeBackend final : public Backend {
   std::string name() const override { return "native"; }
 
   std::string device_info() const override {
-    return "native cpu, simd=" + std::string(simd::active_arch()) +
-           " (built for " + simd::arch_name() + "), lanes=" +
-           std::to_string(device::lane_count());
+    return "native cpu, simd=" + std::string(simd::arch_name()) +
+           ", lanes=" + std::to_string(device::lane_count());
   }
 
   Tensor tensor_from_host(const std::vector<float>& values,

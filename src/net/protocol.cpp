@@ -329,6 +329,7 @@ IngestWire parse_ingest_response(const std::vector<uint8_t>& p) {
 
 std::vector<uint8_t> build_error(ErrorCode code, const std::string& message) {
   std::vector<uint8_t> out;
+  out.reserve(1 + message.size());
   put<uint8_t>(out, static_cast<uint8_t>(code));
   out.insert(out.end(), message.begin(), message.end());
   return out;

@@ -109,9 +109,10 @@ Tensor SeastarGCNConv::forward(
       // Epilogue fusion: graft the bias add onto the aggregation's
       // accumulator writeback instead of a second read-modify-write pass
       // over `out`. The add sees the same two floats either way, so this is
-      // bit-identical to the unfused kernel-then-add_bias sequence.
+      // bit-identical to the unfused kernel-then-add_bias sequence, which
+      // runs when a test has installed the fusion replay seam.
       const bool fuse_bias =
-          bias_.defined() && compiler::fusion::fusion_enabled();
+          bias_.defined() && compiler::fusion::replay() == nullptr;
       out = aggregate(*fwd, view, /*forward=*/true, xw, edge_weights,
                       fuse_bias ? bias_.data() : nullptr);
       if (bias_.defined() && !fuse_bias) out = ops::add_bias(out, bias_);

@@ -53,8 +53,7 @@ Tensor GConvGRU::forward(core::TemporalExecutor& exec, const Tensor& x,
   using namespace ops;
   namespace fu = compiler::fusion;
   // Gate elementwise regions run through the fusing tape compiler: each
-  // helper replays the same optimized program fused (one blocked pass) or
-  // unfused (node-by-node through ops::) depending on STGRAPH_FUSION.
+  // helper runs its optimized program as one blocked pass.
   Tensor z = fu::sigmoid_add(conv_xz_.forward(exec, x, edge_weights),
                              conv_hz_.forward(exec, h, edge_weights));
   Tensor r = fu::sigmoid_add(conv_xr_.forward(exec, x, edge_weights),

@@ -41,7 +41,7 @@ std::pair<Tensor, Tensor> GConvLSTM::forward(core::TemporalExecutor& exec,
   Tensor c = c_in.defined() ? c_in : initial_state(x.rows());
   namespace fu = compiler::fusion;
   // Gate regions run through the fusing tape compiler (fused single-pass
-  // interpreter, or node-by-node ops:: replay under STGRAPH_FUSION=off).
+  // interpreter).
   Tensor i = fu::sigmoid_add(conv_xi_.forward(exec, x, edge_weights),
                              conv_hi_.forward(exec, h, edge_weights));
   Tensor f = fu::sigmoid_add(conv_xf_.forward(exec, x, edge_weights),

@@ -1,10 +1,10 @@
 // Portable SIMD layer for the specialized kernel engine — the CPU analogue
 // of the CUDA vector width the paper's generated kernels get for free from
 // warp lanes. One instruction-set backend is selected at compile time
-// (AVX2+FMA on x86-64, NEON on arm64, a width-1 scalar fallback elsewhere);
-// the runtime escape hatch STGRAPH_SIMD=off routes every launch through
-// the scalar-specialized engine instead, so SIMD codegen can be excluded
-// when debugging numerical issues without rebuilding.
+// (AVX2+FMA on x86-64, NEON on arm64, a width-1 scalar fallback elsewhere),
+// and each primitive has one instantiation, against NativeOps. A
+// -DSTGRAPH_NATIVE_ARCH=OFF build has no vector ISA, so NativeOps is
+// ScalarOps there: that build is the scalar backend.
 //
 // Parity contract: `madd` is REQUIRED to be an unfused multiply-then-add
 // (never an FMA) so that every lane of the aggregation engine performs
@@ -33,13 +33,12 @@
 #include <arm_neon.h>
 #endif
 
-#include "util/env.hpp"
-
 namespace stgraph::simd {
 
 /// Width-1 backend: the specialization grid compiled against plain floats.
-/// Used when no vector ISA is available and for the STGRAPH_SIMD=off
-/// escape hatch (it exercises the same engine code paths minus the ISA).
+/// It is NativeOps when no vector ISA is available. On every build it is
+/// also the one-lane step inside the templates: ewmath's scalar sigmoid/tanh
+/// entry points and the fused interpreter's block tails.
 struct ScalarOps {
   static constexpr uint32_t kWidth = 1;
   using vf = float;
@@ -229,17 +228,5 @@ inline constexpr const char* kArchName = "scalar";
 
 /// Compile-time ISA of the native backend ("avx2", "neon" or "scalar").
 inline const char* arch_name() { return kArchName; }
-
-/// Runtime escape hatch: STGRAPH_SIMD=off (env_flag grammar) disables the
-/// vector backend for the whole process (read once, first use).
-inline bool enabled() {
-  static const bool on = env_flag("STGRAPH_SIMD", true);
-  return on;
-}
-
-/// The ISA launches actually run with (arch_name() unless disabled).
-inline const char* active_arch() {
-  return enabled() ? arch_name() : "scalar";
-}
 
 }  // namespace stgraph::simd

@@ -135,11 +135,7 @@ Tensor gemm(const Tensor& a, const Tensor& b, bool ta, bool tb) {
     op.b = packed.data();
     op.ldb = n;
   }
-  if (simd::enabled()) {
-    run<simd::NativeOps>(op);
-  } else {
-    run<simd::ScalarOps>(op);
-  }
+  run<simd::NativeOps>(op);
   return out;
 }
 

@@ -1,9 +1,9 @@
 // Raw GEMM, no autograd: a register-blocked kernel over runtime/simd.hpp.
 // Every C element is one fused-multiply-add chain, k ascending from +0,
 // written with explicit fma (simd `fma`, scalar std::fmaf), so its bits do
-// not depend on the vector width, the lane count, STGRAPH_SIMD or the
-// compiler's FP contraction — this TU builds with -ffp-contract=off like
-// every other numeric TU. The fused and unfused training paths both call
+// not depend on the vector width, the lane count or the compiler's FP
+// contraction — this TU builds with -ffp-contract=off like every other
+// numeric TU. The fused and unfused training paths both call
 // this one kernel, so GEMM cannot break their bit-parity either.
 #pragma once
 

@@ -55,9 +55,26 @@ Tensor binary_map(const Tensor& a, const Tensor& b, F f,
   return out;
 }
 
-template <class O>
-void column_sums_impl(const float* src, std::size_t rows, std::size_t cols,
-                      float* dst) {
+// Attach a lambda-backed autograd node consuming `inputs`.
+template <typename Fn>
+void attach(Tensor& out, const char* name,
+            std::initializer_list<Tensor> inputs, Fn&& fn) {
+  if (!NoGradGuard::grad_enabled()) return;
+  auto node = std::make_shared<LambdaNode>(name, std::forward<Fn>(fn));
+  bool any = false;
+  for (const Tensor& t : inputs) any = node->add_input(t) || any;
+  if (any) node->set_output(out);
+}
+
+}  // namespace
+
+namespace detail {
+
+void column_sums(const float* src, int64_t rows_in, int64_t cols_in,
+                 float* dst) {
+  using O = simd::NativeOps;
+  const std::size_t rows = static_cast<std::size_t>(rows_in);
+  const std::size_t cols = static_cast<std::size_t>(cols_in);
   // Up to kTile vectors of columns accumulate in registers while the rows
   // stream past in order; the scalar tail columns do the same one by one.
   constexpr std::size_t W = O::kWidth, kTile = 8;
@@ -81,31 +98,6 @@ void column_sums_impl(const float* src, std::size_t rows, std::size_t cols,
     float acc = 0.0f;
     for (std::size_t r = 0; r < rows; ++r) acc += src[r * cols + c];
     dst[c] = acc;
-  }
-}
-
-// Attach a lambda-backed autograd node consuming `inputs`.
-template <typename Fn>
-void attach(Tensor& out, const char* name,
-            std::initializer_list<Tensor> inputs, Fn&& fn) {
-  if (!NoGradGuard::grad_enabled()) return;
-  auto node = std::make_shared<LambdaNode>(name, std::forward<Fn>(fn));
-  bool any = false;
-  for (const Tensor& t : inputs) any = node->add_input(t) || any;
-  if (any) node->set_output(out);
-}
-
-}  // namespace
-
-namespace detail {
-
-void column_sums(const float* src, int64_t rows, int64_t cols, float* dst) {
-  const std::size_t r = static_cast<std::size_t>(rows);
-  const std::size_t c = static_cast<std::size_t>(cols);
-  if (simd::enabled()) {
-    column_sums_impl<simd::NativeOps>(src, r, c, dst);
-  } else {
-    column_sums_impl<simd::ScalarOps>(src, r, c, dst);
   }
 }
 

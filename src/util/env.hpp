@@ -1,5 +1,5 @@
-// The one grammar for boolean STGRAPH_* switches (STGRAPH_SIMD,
-// STGRAPH_FUSION, STGRAPH_VALIDATE, STGRAPH_DEADLOCK).
+// The one grammar for boolean STGRAPH_* switches (STGRAPH_VALIDATE,
+// STGRAPH_DEADLOCK).
 #pragma once
 
 namespace stgraph {

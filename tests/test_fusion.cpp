@@ -1,21 +1,21 @@
 // Fusing tape compiler tests: elementwise-IR passes, derived backward
 // programs (saved transcendental intermediates), and — the heart of the
-// PR's contract — randomized bit-parity fuzzing between the fused
-// single-pass interpreter and the STGRAPH_FUSION=off replay through the
-// ops:: tape. "Parity" here is memcmp over raw float bits, not tolerance:
-// losses, outputs, parameters, and gradients must be IDENTICAL, including
-// through NaN/Inf-salted inputs and odd feature widths that leave SIMD
-// remainder lanes. Also covered: the SIMD interpreter against its ScalarOps
-// instantiation (memcmp), empty regions, finite-difference gradients
-// through every fused cell region, one FusedOp serving interleaved shapes,
-// fused launches counted by the op profile in both directions, the fused
-// GCN bias epilogue, and the bias-grad scratch arena.
+// contract — randomized bit-parity fuzzing between the fused single-pass
+// interpreter and the unfused replay through the ops:: tape (the oracle
+// library's replay_unfused, installed by fu::ReplayScope). "Parity" here is
+// memcmp over raw float bits, not tolerance: losses, outputs, parameters,
+// and gradients must be IDENTICAL, including through NaN/Inf-salted inputs,
+// odd feature widths that leave SIMD remainder lanes, and element counts
+// past the parallel grain that split blocks at odd offsets. Also covered:
+// empty regions, finite-difference gradients through every fused cell
+// region, one FusedOp serving interleaved shapes, fused launches counted by
+// the op profile in both directions, the fused GCN bias epilogue, and the
+// bias-grad scratch arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -25,6 +25,7 @@
 
 #include "compiler/autodiff.hpp"
 #include "compiler/fusion.hpp"
+#include "compiler/fusion_replay.hpp"
 #include "compiler/ir.hpp"
 #include "compiler/passes.hpp"
 #include "compiler/trace.hpp"
@@ -50,12 +51,6 @@ namespace fu = compiler::fusion;
 using compiler::EwOp;
 using compiler::EwProgram;
 using compiler::EwTracer;
-
-/// Restore the global fusion toggle on scope exit (tests flip it freely).
-struct FusionGuard {
-  bool prev = fu::fusion_enabled();
-  ~FusionGuard() { fu::set_fusion_enabled(prev); }
-};
 
 void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_TRUE(a.defined()) << what << ": lhs undefined";
@@ -269,45 +264,47 @@ const Salt kSalts[] = {Salt::kNone, Salt::kNan, Salt::kInf};
 
 // Odd widths leave SIMD remainder lanes and straddle the interpreter's
 // block size (kEwBlock = 64); 64/65 hit the exact-block and block+1 edges.
-const int64_t kWidths[] = {1, 7, 13, 64, 65};
+// The last four shapes have element counts that are multiples of neither 8
+// nor 64: one smaller than a vector, and one past the parallel grain, so
+// lane chunks split blocks at odd offsets too.
+const std::pair<int64_t, int64_t> kShapes[] = {
+    {33, 1}, {33, 7}, {33, 13}, {33, 64}, {33, 65},
+    {1, 3},  {5, 13}, {19, 17}, {301, 11}};
 
 TEST(FusionParity, ForwardFuzzNanInfSalted) {
-  FusionGuard guard;
   for (size_t ri = 0; ri < std::size(kRegions); ++ri) {
     const Region& r = kRegions[ri];
-    for (int64_t f : kWidths) {
+    for (auto [n, f] : kShapes) {
       for (Salt mode : kSalts) {
-        Rng rng(0x5EED0000u + static_cast<uint64_t>(f) * 131 + ri * 17 +
-                static_cast<uint64_t>(mode));
-        std::vector<Tensor> in = make_inputs(r, 33, f, rng, mode);
-        fu::set_fusion_enabled(true);
+        Rng rng(0x5EED0000u + static_cast<uint64_t>(n * 1009 + f) * 131 +
+                ri * 17 + static_cast<uint64_t>(mode));
+        std::vector<Tensor> in = make_inputs(r, n, f, rng, mode);
         Tensor fused = r.run(in);
-        fu::set_fusion_enabled(false);
+        fu::ReplayScope scope;
         Tensor replay = r.run(in);
-        expect_bitwise(fused, replay, std::string(r.name) +
-                                          " F=" + std::to_string(f) +
-                                          " salt=" +
-                                          std::to_string(int(mode)));
+        expect_bitwise(fused, replay,
+                       std::string(r.name) + " " + std::to_string(n) + "x" +
+                           std::to_string(f) +
+                           " salt=" + std::to_string(int(mode)));
       }
     }
   }
 }
 
 TEST(FusionParity, BackwardFuzzGradientsBitwise) {
-  FusionGuard guard;
   for (size_t ri = 0; ri < std::size(kRegions); ++ri) {
     const Region& r = kRegions[ri];
-    for (int64_t f : kWidths) {
+    for (auto [n, f] : kShapes) {
       for (Salt mode : kSalts) {
       if (mode == Salt::kNan && !r.nan_safe_backward) continue;
-      Rng rng(0xBAC0000u + static_cast<uint64_t>(f) * 733 + ri * 17 +
-              static_cast<uint64_t>(mode));
-      std::vector<Tensor> base = make_inputs(r, 21, f, rng, mode);
-      Tensor gseed = Tensor::randn({21, f}, rng, 1.0f);
+      Rng rng(0xBAC0000u + static_cast<uint64_t>(n * 1009 + f) * 733 +
+              ri * 17 + static_cast<uint64_t>(mode));
+      std::vector<Tensor> base = make_inputs(r, n, f, rng, mode);
+      Tensor gseed = Tensor::randn({n, f}, rng, 1.0f);
 
       // Fresh requires-grad leaves per mode over the same bits.
       auto run_mode = [&](bool fused, std::vector<Tensor>& leaves) {
-        fu::set_fusion_enabled(fused);
+        fu::ReplayScope scope(!fused);
         leaves.clear();
         for (const Tensor& b : base) {
           Tensor l = b.detach();
@@ -322,8 +319,8 @@ TEST(FusionParity, BackwardFuzzGradientsBitwise) {
       Tensor y_on = run_mode(true, lv_on);
       Tensor y_off = run_mode(false, lv_off);
 
-      const std::string tag = std::string(r.name) +
-                              " F=" + std::to_string(f) +
+      const std::string tag = std::string(r.name) + " " +
+                              std::to_string(n) + "x" + std::to_string(f) +
                               " salt=" + std::to_string(int(mode));
       expect_bitwise(y_on, y_off, tag + " out");
       for (size_t i = 0; i < lv_on.size(); ++i)
@@ -334,102 +331,17 @@ TEST(FusionParity, BackwardFuzzGradientsBitwise) {
   }
 }
 
-// ---- SIMD interpreter vs its ScalarOps instantiation ---------------------
-
-/// Random [rows,cols] / [cols] arrays for every input slot of `p`.
-std::vector<Tensor> program_inputs(const EwProgram& p, int64_t rows,
-                                   int64_t cols, Rng& rng, Salt mode) {
-  std::vector<Tensor> in;
-  for (compiler::EwInputKind k : p.inputs) {
-    Tensor t = k == compiler::EwInputKind::kMat
-                   ? Tensor::randn({rows, cols}, rng, 1.5f)
-                   : Tensor::randn({cols}, rng, 0.7f);
-    salt(t, rng, mode);
-    in.push_back(t);
-  }
-  return in;
-}
-
-TEST(FusionSimd, NativeMatchesScalarInterpreterBitwise) {
-  // Forward and derived backward programs of every region, run by both
-  // instantiations of the interpreter in one process. Shapes are chosen so
-  // rows×cols is a multiple of neither 8 nor 64, and the largest crosses
-  // the parallel grain so lane chunks split blocks at odd offsets too.
-  const std::function<compiler::EwExpr(EwTracer&)> builders[] = {
-      [](EwTracer& t) { return t.sigmoid(t.add(t.in(), t.in())); },
-      [](EwTracer& t) { return t.tanh(t.add(t.in(), t.in())); },
-      [](EwTracer& t) {
-        auto z = t.in(), h = t.in(), c = t.in();
-        return t.add(t.mul(z, h), t.mul(t.one_minus(z), c));
-      },
-      [](EwTracer& t) {
-        auto o = t.in(), c = t.in();
-        return t.mul(o, t.tanh(c));
-      },
-      [](EwTracer& t) { return t.sigmoid(t.add_bias(t.in(), t.in_bias())); },
-      [](EwTracer& t) { return t.tanh(t.add_bias(t.in(), t.in_bias())); },
-      [](EwTracer& t) {  // the "mixed" region: every other op; keep last
-        auto a = t.in(), b = t.in();
-        auto d = t.div(t.sub(a, b), t.add_scalar(t.mul(b, b), 1.0f));
-        auto r = t.leaky_relu(t.relu(d), 0.2f);
-        return t.mul(r, t.exp(t.mul_scalar(a, 0.5f)));
-      },
-  };
-  const std::pair<int64_t, int64_t> shapes[] = {
-      {1, 3}, {5, 13}, {33, 7}, {19, 17}, {301, 11}};
-  int case_id = 0;
-  for (size_t bi = 0; bi < std::size(builders); ++bi) {
-    EwProgram fwd = compiler::optimize_elementwise(
-        compiler::trace_elementwise(builders[bi]));
-    compiler::EwBackward bw = compiler::differentiate_elementwise(fwd);
-    for (const EwProgram* p : {&fwd, &bw.prog}) {
-      for (auto [rows, cols] : shapes) {
-        for (Salt mode : kSalts) {
-          // The mixed region's backward meets two NaN patterns at one op
-          // (Region::nan_safe_backward), which no contract covers.
-          if (bi + 1 == std::size(builders) && p == &bw.prog &&
-              mode == Salt::kNan)
-            continue;
-          Rng rng(0x51D0000u + static_cast<uint64_t>(++case_id));
-          std::vector<Tensor> in = program_inputs(*p, rows, cols, rng, mode);
-          std::vector<const float*> ins;
-          for (const Tensor& t : in) ins.push_back(t.data());
-          std::vector<Tensor> native, scalar;
-          std::vector<float*> pn, ps;
-          for (size_t o = 0; o < p->outputs.size(); ++o) {
-            native.push_back(Tensor::empty({rows, cols}));
-            scalar.push_back(Tensor::empty({rows, cols}));
-            pn.push_back(native.back().data());
-            ps.push_back(scalar.back().data());
-          }
-          fu::detail::run_ew_program_native(*p, ins.data(), rows, cols,
-                                            pn.data());
-          fu::detail::run_ew_program_scalar(*p, ins.data(), rows, cols,
-                                            ps.data());
-          for (size_t o = 0; o < native.size(); ++o)
-            expect_bitwise(native[o], scalar[o],
-                           "case " + std::to_string(case_id) + " out " +
-                               std::to_string(o) + " " +
-                               std::to_string(rows) + "x" +
-                               std::to_string(cols));
-        }
-      }
-    }
-  }
-}
-
 // ---- empty regions -------------------------------------------------------
 
 TEST(FusionEmpty, ZeroRowRegionsMatchReplayForwardAndBackward) {
   // A [0,F] (or [N,0]) region returns an empty output and zero gradients
   // on both paths instead of throwing on the fused one.
-  FusionGuard guard;
   const std::pair<int64_t, int64_t> shapes[] = {{0, 4}, {3, 0}};
   for (auto [rows, cols] : shapes) {
     for (const Region& r : kRegions) {
       std::vector<Tensor> grads[2];
       for (int fused = 0; fused < 2; ++fused) {
-        fu::set_fusion_enabled(fused == 1);
+        fu::ReplayScope scope(fused == 0);
         const ops::OpProfile before = ops::profile_snapshot();
         Rng rng(61);
         std::vector<Tensor> leaves = make_inputs(r, rows, cols, rng,
@@ -464,8 +376,6 @@ TEST(FusionGradcheck, EveryCellRegionMatchesFiniteDifferences) {
   // fused one is the derivative. L = Σ w⊙y for a fixed random w, so the
   // backward seeded with w is ∂L/∂input, compared entrywise against
   // central differences (L accumulated in double).
-  FusionGuard guard;
-  fu::set_fusion_enabled(true);
   const int64_t rows = 3, cols = 5;
   const float eps = 1e-2f, tol = 2e-2f;
   for (const Region& r : kRegions) {
@@ -511,7 +421,6 @@ TEST(FusionParity, GcnEpilogueBitwise) {
   // Fusion ON grafts the bias add onto the aggregation kernel's
   // accumulator writeback; OFF runs kernel-then-ops::add_bias. Outputs
   // and every gradient must carry identical bits.
-  FusionGuard guard;
   const uint32_t n = 37;
   Rng rng_e(21);
   EdgeList edges;
@@ -528,7 +437,7 @@ TEST(FusionParity, GcnEpilogueBitwise) {
   const int64_t gcn_widths[] = {1, 7, 32};
   for (int64_t f : gcn_widths) {
     auto run_mode = [&](bool fused, Tensor* gw, Tensor* gb) {
-      fu::set_fusion_enabled(fused);
+      fu::ReplayScope scope(!fused);
       Rng rng_w(0x60C0 + static_cast<uint64_t>(f));
       nn::SeastarGCNConv conv(5, f, rng_w);
       StaticTemporalGraph graph(n, edges, 1);
@@ -559,12 +468,11 @@ TEST(FusionParity, InterleavedShapesMatchReplayBitwise) {
   // One FusedOp runs on two shapes, forwards interleaved, and both
   // backwards run only after the op is gone: the compiled programs do not
   // depend on the shape, and each pending backward keeps them alive.
-  FusionGuard guard;
   const std::pair<int64_t, int64_t> shapes[] = {{9, 13}, {4, 70}};
   std::vector<Tensor> grads[2];
   Tensor outs[2][2];
   for (int fused = 0; fused < 2; ++fused) {
-    fu::set_fusion_enabled(fused == 1);
+    fu::ReplayScope scope(fused == 0);
     std::vector<Tensor> leaves[2], seeds(2);
     {
       const fu::FusedOp op("test_shapes", [](EwTracer& t) {
@@ -597,8 +505,7 @@ TEST(FusionParity, InterleavedShapesMatchReplayBitwise) {
 // ---- fused launches, counted by the op profile ------------------------------
 
 TEST(FusionLaunch, OffPathLaunchesNothing) {
-  FusionGuard guard;
-  fu::set_fusion_enabled(false);
+  fu::ReplayScope replay;
   Rng rng(33);
   Tensor a = Tensor::randn({6, 4}, rng, 1.0f, /*requires_grad=*/true);
   Tensor b = Tensor::randn({6, 4}, rng, 1.0f, /*requires_grad=*/true);
@@ -613,8 +520,6 @@ TEST(FusionLaunch, TrainingEpochRunsFusedBothDirections) {
   // Without this, TrainingParity would also pass if fusion never ran. An
   // evaluate() pass runs the same forwards with no backward, so a training
   // epoch must launch strictly more fused programs than it.
-  FusionGuard guard;
-  fu::set_fusion_enabled(true);
   datasets::StaticLoadOptions o;
   o.scale = 1.0;
   o.num_timestamps = 12;
@@ -647,7 +552,6 @@ TEST(FusionScratch, BiasGradScratchComesFromArena) {
   // fused backward allocates the one kScratch buffer; every later step is
   // served from the free list: no new scratch residency, and one
   // allocation fewer than that first fused step.
-  FusionGuard guard;
   MemoryTracker& mt = MemoryTracker::instance();
   const std::size_t scratch_before = mt.current_bytes(MemCategory::kScratch);
   std::size_t scratch_warm = 0, scratch_steady = 0;
@@ -663,9 +567,10 @@ TEST(FusionScratch, BiasGradScratchComesFromArena) {
       ops::sum(fu::bias_sigmoid(x, bias)).backward();
       return mt.allocation_count() - a0;
     };
-    fu::set_fusion_enabled(false);
-    (void)step();  // creates bias.grad without touching the arena
-    fu::set_fusion_enabled(true);
+    {
+      fu::ReplayScope replay;
+      (void)step();  // creates bias.grad without touching the arena
+    }
     warm_allocs = step();
     scratch_warm = mt.current_bytes(MemCategory::kScratch);
     for (int i = 0; i < 3; ++i) steady_allocs.push_back(step());
@@ -685,7 +590,6 @@ TEST(FusionScratch, BiasGradScratchComesFromArena) {
 /// gradients. This is the PR's headline contract.
 template <typename MakeModel>
 void training_parity(const char* name, MakeModel make_model) {
-  FusionGuard guard;
   datasets::StaticLoadOptions o;
   o.scale = 1.0;
   o.num_timestamps = 16;
@@ -699,7 +603,7 @@ void training_parity(const char* name, MakeModel make_model) {
 
   auto run_mode = [&](bool fused, std::vector<double>* losses,
                       std::vector<nn::Parameter>* params) {
-    fu::set_fusion_enabled(fused);
+    fu::ReplayScope scope(!fused);
     StaticTemporalGraph graph(ds.num_nodes, ds.edges, ds.num_timestamps);
     Rng rng(977);
     auto model = make_model(ds.signal.feature_size(), rng);

@@ -107,10 +107,9 @@ void mutate(std::vector<uint8_t>& b, Rng& rng) {
     case 5: {  // insert garbage (desyncs framing)
       const std::size_t at = rng.below(b.size() + 1);
       const std::size_t len = rng.below(16) + 1;
-      std::vector<uint8_t> junk(len);
-      for (auto& c : junk) c = static_cast<uint8_t>(rng.next());
-      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), junk.begin(),
-               junk.end());
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), len, uint8_t{0});
+      for (std::size_t i = at; i < at + len; ++i)
+        b[i] = static_cast<uint8_t>(rng.next());
       break;
     }
     default: {  // drop a span (lost record / partial flush)
@@ -192,8 +191,9 @@ void drive_decoder(const std::vector<uint8_t>& bytes, Rng& rng) {
         dead = true;
         break;
       }
-      if (st == net::FrameDecoder::Status::kFrame)
+      if (st == net::FrameDecoder::Status::kFrame) {
         EXPECT_LE(f.payload.size(), net::kMaxPayload);
+      }
     }
   }
 }

@@ -2,9 +2,10 @@
 // triple loop bit for bit, for every transpose case, at odd and tall-skinny
 // sizes that hit every micro-tile, row tail and column tail, with zeros
 // salted into A and with NaN / Inf salted into separate instances. The
-// oracle lives here only. ctest reruns the binary at 1 and 8 lanes and
-// under STGRAPH_SIMD=off, so the serial schedule, an oversubscribed pool
-// and the scalar backend are held to the same oracle.
+// oracle lives here only. ctest reruns the binary at 1 and 8 lanes, and
+// `./run_all.sh portable` runs it on a -DSTGRAPH_NATIVE_ARCH=OFF build, so
+// the serial schedule, an oversubscribed pool and the scalar backend are
+// held to the same oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>

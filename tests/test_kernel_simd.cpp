@@ -1,13 +1,13 @@
 // SIMD kernel-engine parity fuzz: the specialized engine behind run_kernel
-// (vector or scalar, selected by STGRAPH_SIMD) must reproduce the retained
-// interpreted reference bit for bit — same float accumulation order, same
+// must reproduce the interpreted reference (the oracle library's
+// run_kernel_reference) bit for bit — same float accumulation order, same
 // c == 0 skip (and hence NaN/Inf propagation), same argmax winners — across
 // every coefficient product, aggregation kind, direction, view shape
 // (gapped/ungapped, eids present/absent, coef cache present/absent) and odd
 // feature sizes that exercise the sub-vector tails and both tiling paths.
-// ctest reruns the binary under STGRAPH_SIMD=off, STGRAPH_NUM_THREADS=1 and
-// STGRAPH_NUM_THREADS=8, so the scalar engine, the serial schedule and a
-// multi-lane strided schedule are held to the same oracle on any host.
+// ctest reruns the binary at 1 and 8 lanes, and `./run_all.sh portable` on
+// the scalar backend, so the serial schedule, a multi-lane strided schedule
+// and ScalarOps are held to the same oracle on any host.
 //
 // Also pins the per-snapshot GCN-norm cache contract: the eid-indexed array
 // served by the graph classes must equal the inline per-edge computation
@@ -23,13 +23,13 @@
 
 #include "compiler/autodiff.hpp"
 #include "compiler/kernel.hpp"
+#include "compiler/kernel_reference.hpp"
 #include "compiler/passes.hpp"
 #include "compiler/trace.hpp"
 #include "gpma/gpma_graph.hpp"
 #include "graph/csr.hpp"
 #include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
-#include "runtime/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

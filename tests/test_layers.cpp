@@ -1,9 +1,10 @@
 // Layer tests: numerical equivalence between STGraph's fused
 // SeastarGCNConv and the baseline edge-parallel PygGCNConv (forward AND
 // gradients), finite-difference gradient checks of SeastarGCNConv in both
-// multiplication orders and of the TGCN (through its shared Â·X), GConvGRU
-// and GConvLSTM cells, the aggregation launch counts of a TGCN step and of
-// each order, Linear, optimizers, and module plumbing.
+// multiplication orders, of GCNStack and RelationalGCNConv, and of the TGCN
+// (through its shared Â·X), GConvGRU, GConvLSTM and A3TGCN cells, the
+// aggregation launch counts of a TGCN step and of each order, Linear,
+// optimizers, and module plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,12 +20,15 @@
 #include "gpma/gpma_graph.hpp"
 #include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
+#include "nn/a3tgcn.hpp"
 #include "nn/gcn.hpp"
+#include "nn/gcn_stack.hpp"
 #include "nn/gconv_gru.hpp"
 #include "nn/gconv_lstm.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
+#include "nn/rgcn.hpp"
 #include "nn/tgcn.hpp"
 #include "runtime/parallel.hpp"
 #include "tensor/op_profile.hpp"
@@ -295,11 +299,16 @@ Tensor weighted_sum_op(const Tensor& y, const std::vector<float>& r) {
 // Central differences of `loss` over every entry of `t` (perturbed in
 // place) against the analytic gradient. The step actually taken is read
 // back from the float storage, so rounding of v ± eps does not bias it.
+// With `kinks` (a loss through ReLUs), where the one-sided slopes disagree
+// a kink lies within ±eps and the central difference averages two slopes;
+// there the analytic gradient must equal one side's slope.
 void expect_fd_gradient(Tensor t, const Tensor& analytic,
                         const std::function<double()>& loss, float eps,
-                        const std::string& what) {
+                        const std::string& what, bool kinks = false) {
   ASSERT_TRUE(analytic.defined()) << what << ": no gradient";
   ASSERT_TRUE(same_shape(t, analytic)) << what;
+  auto tol = [](double slope) { return 2e-3 + 1e-2 * std::abs(slope); };
+  const double l0 = kinks ? loss() : 0.0;
   float* p = t.data();
   for (int64_t i = 0; i < t.numel(); ++i) {
     const float v = p[i];
@@ -311,8 +320,17 @@ void expect_fd_gradient(Tensor t, const Tensor& analytic,
     const double lm = loss();
     p[i] = v;
     const double fd = (lp - lm) / (hi - lo);
-    EXPECT_NEAR(analytic.at(i), fd, 2e-3 + 1e-2 * std::abs(fd))
-        << what << " entry " << i;
+    const double a = analytic.at(i);
+    const double right = (lp - l0) / (hi - v), left = (l0 - lm) / (v - lo);
+    if (kinks && std::abs(a - fd) > tol(fd) &&
+        std::abs(right - left) > tol(fd)) {
+      EXPECT_TRUE(std::abs(a - right) <= tol(right) ||
+                  std::abs(a - left) <= tol(left))
+          << what << " entry " << i << " at a kink: " << a << " vs slopes "
+          << left << ", " << right;
+      continue;
+    }
+    EXPECT_NEAR(a, fd, tol(fd)) << what << " entry " << i;
   }
 }
 
@@ -346,13 +364,64 @@ const char* x_kind_name(XKind k) {
   return "?";
 }
 
+// Fills every rank-1 parameter (the biases) with small random values, so a
+// dropped bias gradient term would show.
+void randomize_biases(const nn::Module& module, Rng& rng) {
+  for (const auto& p : module.parameters()) {
+    Tensor t = p.tensor;
+    if (t.dim() != 1) continue;
+    for (int64_t i = 0; i < t.numel(); ++i)
+      t.data()[i] = rng.uniform(-0.3f, 0.3f);
+  }
+}
+
+// One step of a spatial layer at timestamp t of `graph`: the gradients of
+// every parameter and (when it needs one) of X against central differences
+// with step `eps`, the loss a random weighting of the output. `kinks`
+// makes the check kink-aware, for layers with a ReLU inside.
+void gradcheck_layer(STGraphBase& graph, uint32_t t, const nn::Module& module,
+                     int64_t in, int64_t out,
+                     const std::function<Tensor(core::TemporalExecutor&,
+                                                const Tensor&)>& step,
+                     Rng& rng, XKind kind, float eps, bool kinks = false) {
+  const uint32_t n = graph.num_nodes();
+  const bool x_grad = kind != XKind::kLeafNoGrad;
+  Tensor x0 = Tensor::randn({n, in}, rng, 1.0f, x_grad);
+  std::vector<float> r(static_cast<std::size_t>(n * out));
+  for (auto& v : r) v = rng.uniform(-1.0f, 1.0f);
+  auto input = [&] {
+    return kind == XKind::kIntermediate ? ops::tanh_op(x0) : x0;
+  };
+
+  core::TemporalExecutor exec(graph);
+  exec.begin_forward_step(t);
+  if (graph.is_dynamic()) {
+    ASSERT_TRUE(exec.forward_view().out_view.has_gaps);
+  }
+  weighted_sum_op(step(exec, input()), r).backward();
+  exec.verify_drained();
+
+  auto loss = [&] {
+    NoGradGuard ng;
+    exec.begin_forward_step(t);
+    return weighted_sum(step(exec, input()), r);
+  };
+  for (const auto& p : module.parameters())
+    expect_fd_gradient(p.tensor, p.tensor.grad(), loss, eps, p.name, kinks);
+  if (x_grad) {
+    expect_fd_gradient(x0, x0.grad(), loss, eps, "X", kinks);
+  } else {
+    EXPECT_FALSE(x0.grad().defined());
+  }
+  exec.verify_drained();
+}
+
 // One SeastarGCNConv at timestamp t of `graph`, checked against central
 // differences for W, b and (when it needs one) X, for every combination of
 // multiplication order, edge weights and kind of X. 3→5 aggregates first
 // and 5→3 last for every kind of X; 4→4 aggregates first only when X needs
 // no gradient.
 void gradcheck_gcn(STGraphBase& graph, uint32_t t) {
-  const uint32_t n = graph.num_nodes();
   const std::vector<float> ew = label_weights(graph.num_edges_at(t));
   for (const auto& [in, out] :
        {std::pair<int64_t, int64_t>{3, 5}, {5, 3}, {4, 4}}) {
@@ -370,39 +439,12 @@ void gradcheck_gcn(STGraphBase& graph, uint32_t t) {
         // A nonzero bias, so a dropped bias term would show.
         Tensor bias = conv.parameters()[1].tensor;
         for (int64_t i = 0; i < out; ++i) bias.data()[i] = 0.1f * (i + 1);
-        Tensor x0 = Tensor::randn({n, in}, rng, 1.0f, x_grad);
-        std::vector<float> r(static_cast<std::size_t>(n * out));
-        for (auto& v : r) v = rng.uniform(-1.0f, 1.0f);
         const float* w = weighted ? ew.data() : nullptr;
-        auto input = [&] {
-          return kind == XKind::kIntermediate ? ops::tanh_op(x0) : x0;
-        };
-
-        core::TemporalExecutor exec(graph);
-        exec.begin_forward_step(t);
-        const SnapshotView& view = exec.forward_view();
-        if (graph.is_dynamic()) {
-          ASSERT_TRUE(view.out_view.has_gaps);
-        }
-        weighted_sum_op(conv.forward(exec, input(), w), r).backward();
-        exec.verify_drained();
-
-        auto loss = [&] {
-          NoGradGuard ng;
-          exec.begin_forward_step(t);
-          return weighted_sum(conv.forward(exec, input(), w), r);
-        };
-        const auto params = conv.parameters();
-        expect_fd_gradient(params[0].tensor, params[0].tensor.grad(), loss,
-                           1e-2f, "W");
-        expect_fd_gradient(params[1].tensor, params[1].tensor.grad(), loss,
-                           1e-2f, "b");
-        if (kind == XKind::kLeafNoGrad) {
-          EXPECT_FALSE(x0.grad().defined());
-        } else {
-          expect_fd_gradient(x0, x0.grad(), loss, 1e-2f, "X");
-        }
-        exec.verify_drained();
+        gradcheck_layer(graph, t, conv, in, out,
+                        [&](core::TemporalExecutor& exec, const Tensor& x) {
+                          return conv.forward(exec, x, w);
+                        },
+                        rng, kind, 1e-2f);
       }
     }
   }
@@ -422,33 +464,36 @@ TEST(GcnGradcheck, BothOrdersOnGpmaGappedViews) {
 }
 
 // One recurrent cell under test: its parameters and one step of its state.
-// The state is {h} for TGCN and GConvGRU and {h, c} for GConvLSTM.
+// The state is {h} for TGCN and GConvGRU, {h, c} for GConvLSTM and
+// {packed window, attention output} for A3TGCN; `state_widths` holds each
+// state tensor's column count.
 struct CellUnderTest {
   std::shared_ptr<const nn::Module> module;
   std::function<std::vector<Tensor>(core::TemporalExecutor&, const Tensor& x,
                                     const std::vector<Tensor>& state,
                                     const float* edge_weights)>
       step;
-  std::size_t state_tensors = 1;
+  std::vector<int64_t> state_widths;
 };
 using MakeCell = std::function<CellUnderTest(int64_t in, int64_t out, Rng&)>;
 
 // A cell whose whole state is h (TGCN, GConvGRU).
 template <typename Cell>
-CellUnderTest h_cell(std::shared_ptr<Cell> cell) {
+CellUnderTest h_cell(std::shared_ptr<Cell> cell, int64_t out) {
   return {cell,
           [cell](core::TemporalExecutor& exec, const Tensor& x,
                  const std::vector<Tensor>& st, const float* ew) {
             return std::vector<Tensor>{cell->forward(exec, x, st[0], ew)};
-          }};
+          },
+          {out}};
 }
 
 CellUnderTest make_tgcn(int64_t in, int64_t out, Rng& rng) {
-  return h_cell(std::make_shared<nn::TGCN>(in, out, rng));
+  return h_cell(std::make_shared<nn::TGCN>(in, out, rng), out);
 }
 
 CellUnderTest make_gconv_gru_k2(int64_t in, int64_t out, Rng& rng) {
-  return h_cell(std::make_shared<nn::GConvGRU>(in, out, /*k=*/2, rng));
+  return h_cell(std::make_shared<nn::GConvGRU>(in, out, /*k=*/2, rng), out);
 }
 
 CellUnderTest make_gconv_lstm_k2(int64_t in, int64_t out, Rng& rng) {
@@ -459,7 +504,21 @@ CellUnderTest make_gconv_lstm_k2(int64_t in, int64_t out, Rng& rng) {
             auto [h, c] = cell->forward(exec, x, st[0], st[1], ew);
             return std::vector<Tensor>{h, c};
           },
-          /*state_tensors=*/2};
+          {out, out}};
+}
+
+// A3TGCN over a window of three hidden states: the window is the state the
+// next step reads, and the loss also weights the attention output.
+CellUnderTest make_a3tgcn(int64_t in, int64_t out, Rng& rng) {
+  constexpr int64_t kPeriods = 3;
+  auto cell = std::make_shared<nn::A3TGCN>(in, out, kPeriods, rng);
+  return {cell,
+          [cell](core::TemporalExecutor& exec, const Tensor& x,
+                 const std::vector<Tensor>& st, const float* ew) {
+            auto [att, window] = cell->forward(exec, x, st[0], ew);
+            return std::vector<Tensor>{window, att};
+          },
+          {out * kPeriods, out}};
 }
 
 // A recurrent cell over two timesteps: gradients of every parameter and of
@@ -477,21 +536,17 @@ void gradcheck_cell(STGraphBase& graph, const MakeCell& make_cell) {
     const CellUnderTest cell = make_cell(in, out, rng);
     const auto params = cell.module->parameters();
     ASSERT_FALSE(params.empty());
-    // Nonzero biases, so every bias gradient term matters.
-    for (const auto& p : params) {
-      Tensor t = p.tensor;
-      if (t.dim() != 1) continue;
-      for (int64_t i = 0; i < t.numel(); ++i)
-        t.data()[i] = rng.uniform(-0.3f, 0.3f);
-    }
+    randomize_biases(*cell.module, rng);
     std::vector<Tensor> xs;
     for (uint32_t s = 0; s < kSteps; ++s)
       xs.push_back(Tensor::randn({n, in}, rng, 1.0f, true));
+    const std::size_t state_tensors = cell.state_widths.size();
     std::vector<Tensor> state0;
-    std::vector<std::vector<float>> r(cell.state_tensors);
-    for (std::size_t k = 0; k < cell.state_tensors; ++k) {
-      state0.push_back(Tensor::randn({n, out}, rng, 0.5f));
-      r[k].resize(static_cast<std::size_t>(n * out));
+    std::vector<std::vector<float>> r(state_tensors);
+    for (std::size_t k = 0; k < state_tensors; ++k) {
+      const int64_t width = cell.state_widths[k];
+      state0.push_back(Tensor::randn({n, width}, rng, 0.5f));
+      r[k].resize(static_cast<std::size_t>(n * width));
       for (auto& v : r[k]) v = rng.uniform(-1.0f, 1.0f);
     }
     std::vector<std::vector<float>> ew;
@@ -509,7 +564,7 @@ void gradcheck_cell(STGraphBase& graph, const MakeCell& make_cell) {
     };
     const std::vector<Tensor> final_state = run();
     Tensor total = weighted_sum_op(final_state[0], r[0]);
-    for (std::size_t k = 1; k < cell.state_tensors; ++k)
+    for (std::size_t k = 1; k < state_tensors; ++k)
       total = ops::add(total, weighted_sum_op(final_state[k], r[k]));
     total.backward();
     exec.verify_drained();
@@ -518,7 +573,7 @@ void gradcheck_cell(STGraphBase& graph, const MakeCell& make_cell) {
       NoGradGuard ng;
       const std::vector<Tensor> st = run();
       double acc = 0.0;
-      for (std::size_t k = 0; k < cell.state_tensors; ++k)
+      for (std::size_t k = 0; k < state_tensors; ++k)
         acc += weighted_sum(st[k], r[k]);
       return acc;
     };
@@ -569,6 +624,57 @@ TEST(GConvLstmGradcheck, K2WithCellStateOnStaticGraph) {
 TEST(GConvLstmGradcheck, K2WithCellStateOnGpmaGraph) {
   GpmaGraph graph = gradcheck_gpma_graph();
   gradcheck_cell(graph, make_gconv_lstm_k2);
+}
+
+TEST(A3tgcnGradcheck, AttentionWindowOnStaticGraph) {
+  StaticTemporalGraph graph = gradcheck_static_graph();
+  gradcheck_cell(graph, make_a3tgcn);
+}
+
+TEST(A3tgcnGradcheck, AttentionWindowOnGpmaGraph) {
+  GpmaGraph graph = gradcheck_gpma_graph();
+  gradcheck_cell(graph, make_a3tgcn);
+}
+
+// GCNStack {in, 4, out}, whose two convolutions take the orders their
+// widths pick with a ReLU between them, and RelationalGCNConv with two
+// relations (every third edge label is relation 1; masks weighted by the
+// label weights), each at in ≤ out and at in > out.
+void gradcheck_stack_and_rgcn(STGraphBase& graph, uint32_t t) {
+  const uint32_t m = graph.num_edges_at(t);
+  const std::vector<float> ew = label_weights(m);
+  std::vector<uint8_t> relation_of(m);
+  for (uint32_t e = 0; e < m; ++e) relation_of[e] = e % 3 == 0 ? 1 : 0;
+  nn::RelationAssignment relations(std::move(relation_of), 2);
+  relations.materialize(ew.data());
+  for (const auto& [in, out] : {std::pair<int64_t, int64_t>{3, 5}, {5, 3}}) {
+    SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out));
+    Rng rng(in * 100 + out + 1);
+    nn::GCNStack stack({in, 4, out}, rng);
+    nn::RelationalGCNConv rgcn(in, out, 2, rng);
+    randomize_biases(stack, rng);
+    randomize_biases(rgcn, rng);
+    gradcheck_layer(graph, t, stack, in, out,
+                    [&](core::TemporalExecutor& exec, const Tensor& x) {
+                      return stack.forward(exec, x, ew.data());
+                    },
+                    rng, XKind::kLeaf, 3e-3f, /*kinks=*/true);
+    gradcheck_layer(graph, t, rgcn, in, out,
+                    [&](core::TemporalExecutor& exec, const Tensor& x) {
+                      return rgcn.forward(exec, x, relations);
+                    },
+                    rng, XKind::kLeaf, 3e-3f);
+  }
+}
+
+TEST(SpatialLayerGradcheck, GcnStackAndRgcnOnStaticGraph) {
+  StaticTemporalGraph graph = gradcheck_static_graph();
+  gradcheck_stack_and_rgcn(graph, 0);
+}
+
+TEST(SpatialLayerGradcheck, GcnStackAndRgcnOnGpmaGraph) {
+  GpmaGraph graph = gradcheck_gpma_graph();
+  gradcheck_stack_and_rgcn(graph, 1);
 }
 
 // Three sibling convolutions over one handle compute exactly what three

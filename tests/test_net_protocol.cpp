@@ -205,10 +205,7 @@ TEST(NetProtocol, TensorDimsThatOverflowTheByteCountAreRejected) {
   EXPECT_THROW(net::parse_ingest_request(p, &delta, &feat), NetError);
 
   // Same header at the front of a predict response.
-  std::vector<uint8_t> resp;
-  put_u32(resp, 0);                       // time
-  resp.resize(resp.size() + 8);           // version
-  resp.push_back(0);                      // stale flag
+  std::vector<uint8_t> resp(4 + 8 + 1, 0);  // time, version, stale flag
   put_u32(resp, 0x80000000u);
   put_u32(resp, 0x80000000u);
   EXPECT_THROW(net::parse_predict_response(resp), NetError);

@@ -318,7 +318,9 @@ TEST(RadixSortPairs, PayloadFollowsKeysStably) {
   device::radix_sort_pairs(keys, payload);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     EXPECT_LE(keys[i], keys[i + 1]);
-    if (keys[i] == keys[i + 1]) EXPECT_LT(payload[i], payload[i + 1]);
+    if (keys[i] == keys[i + 1]) {
+      EXPECT_LT(payload[i], payload[i + 1]);
+    }
   }
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(keys[i], keys_copy[payload[i]]);

@@ -77,7 +77,9 @@ TEST(ServeMt, ConcurrentPredictAndIngestStaysConsistent) {
       }
       // Versions and time move forward only, per observer.
       EXPECT_GE(res.version, last_version);
-      if (res.version == last_version) EXPECT_EQ(res.timestamp, last_time);
+      if (res.version == last_version) {
+        EXPECT_EQ(res.timestamp, last_time);
+      }
       last_version = res.version;
       last_time = res.timestamp;
       EXPECT_EQ(res.outputs.rows(), i % 2 == 0 ? 1 : ds.num_nodes);

@@ -38,7 +38,7 @@ TEST(ThreadPoolMt, DistinctThreadsBackTheLanes) {
     // Slow the lanes slightly so workers overlap rather than one thread
     // stealing all lanes (not possible here, but keeps the test honest).
     volatile double x = 0;
-    for (int i = 0; i < 10000; ++i) x += i;
+    for (int i = 0; i < 10000; ++i) x = x + i;
     std::lock_guard<std::mutex> lock(mu);
     ids.insert(std::this_thread::get_id());
   });

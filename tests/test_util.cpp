@@ -163,7 +163,7 @@ TEST(Timer, MeasuresElapsedTime) {
   // Busy-wait until the steady clock visibly advances, then check units.
   while (t.seconds() <= 0.0) {
     volatile double x = 0;
-    for (int i = 0; i < 1000; ++i) x += std::sqrt(static_cast<double>(i));
+    for (int i = 0; i < 1000; ++i) x = x + std::sqrt(static_cast<double>(i));
   }
   EXPECT_GT(t.seconds(), 0.0);
   const double s = t.seconds();
@@ -175,7 +175,7 @@ TEST(PhaseTimer, AccumulatesIntervals) {
   for (int i = 0; i < 3; ++i) {
     PhaseScope scope(pt);
     volatile double x = 0;
-    for (int j = 0; j < 10000; ++j) x += j;
+    for (int j = 0; j < 10000; ++j) x = x + j;
   }
   EXPECT_EQ(pt.intervals(), 3u);
   EXPECT_GT(pt.total_seconds(), 0.0);
