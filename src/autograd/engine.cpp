@@ -43,15 +43,19 @@ void accumulate_grad(const std::shared_ptr<TensorImpl>& impl,
   STG_CHECK(src.defined(), "accumulating undefined gradient");
   STG_CHECK(impl->shape == src.shape(), "gradient shape ",
             shape_str(src.shape()), " != tensor shape ", shape_str(impl->shape));
-  if (!impl->grad) {
-    impl->grad = std::make_shared<TensorImpl>(impl->shape);
-    impl->grad->data.fill(0.0f);
-  }
+  const bool first = !impl->grad;
+  if (first) impl->grad = std::make_shared<TensorImpl>(impl->shape);
   float* dst = impl->grad->data.data();
   const float* s = src.data();
   const std::size_t n = static_cast<std::size_t>(src.numel());
   device::parallel_for_ranges(n, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) dst[i] += s[i];
+    if (first) {
+      // The fresh buffer is unwritten. 0 + s stores exactly what a zero
+      // fill followed by += would (a -0 contribution becomes +0).
+      for (std::size_t i = b; i < e; ++i) dst[i] = 0.0f + s[i];
+    } else {
+      for (std::size_t i = b; i < e; ++i) dst[i] += s[i];
+    }
   });
 }
 
@@ -70,11 +74,17 @@ void run_backward(const Tensor& root, const Tensor& grad_output) {
   // is only visited once all gradient contributions to it have arrived.
   std::map<uint64_t, std::pair<std::shared_ptr<Node>, Tensor>> ready;
 
-  auto add_pending = [&](const std::shared_ptr<Node>& node, const Tensor& g) {
+  // The first gradient to reach a node becomes its accumulator, and later
+  // arrivals are added into it in place. A gradient is stolen as the
+  // accumulator only when the engine holds its only handle; one that
+  // anyone else can still see (the caller's seed, a tensor a VJP also
+  // returned for another input or kept for itself) is cloned first, so
+  // accumulation never mutates a tensor visible outside the engine.
+  auto add_pending = [&](const std::shared_ptr<Node>& node, Tensor g) {
     auto it = ready.find(node->seq());
     if (it == ready.end()) {
-      // Copy so later accumulation never mutates a caller-visible tensor.
-      ready.emplace(node->seq(), std::make_pair(node, g.clone()));
+      if (g.impl().use_count() != 1) g = g.clone();
+      ready.emplace(node->seq(), std::make_pair(node, std::move(g)));
     } else {
       Tensor& acc = it->second.second;
       float* a = acc.data();
@@ -90,11 +100,14 @@ void run_backward(const Tensor& root, const Tensor& grad_output) {
 
   while (!ready.empty()) {
     auto it = std::prev(ready.end());
-    std::shared_ptr<Node> node = it->second.first;
-    Tensor grad = it->second.second;
+    std::shared_ptr<Node> node = std::move(it->second.first);
+    Tensor grad = std::move(it->second.second);
     ready.erase(it);
 
     std::vector<Tensor> input_grads = node->backward(grad);
+    // Drop the engine's handle, so a VJP that passes its grad_out through
+    // (add, add_bias) hands over a uniquely held buffer.
+    grad = Tensor();
     const auto& edges = node->edges();
     STG_CHECK(input_grads.size() == edges.size(), "node '", node->name(),
               "' returned ", input_grads.size(), " gradients for ",
@@ -105,7 +118,7 @@ void run_backward(const Tensor& root, const Tensor& grad_output) {
       STG_CHECK(input_grads[i].defined(), "node '", node->name(),
                 "' produced no gradient for differentiable input ", i);
       if (e.producer) {
-        add_pending(e.producer, input_grads[i]);
+        add_pending(e.producer, std::move(input_grads[i]));
       } else if (auto leaf = e.leaf.lock()) {
         accumulate_grad(leaf, input_grads[i]);
       }

@@ -47,7 +47,8 @@ class TemporalExecutor {
 
   /// Push the pruned saved-tensor set of one layer invocation. When
   /// pruning is disabled (ablation), callers pass the conservative set via
-  /// `unpruned` and it is stored instead.
+  /// `unpruned` and it is stored instead. With pruning on `unpruned` is
+  /// dropped, so callers build it only when state_pruning() is off.
   StateStack::Ticket save_for_backward(std::vector<Tensor> pruned,
                                        std::vector<Tensor> unpruned);
 

@@ -48,9 +48,6 @@ class StateStack {
   std::size_t peak_device_bytes() const { return peak_bytes_; }
   void reset_peak() { peak_bytes_ = device_bytes(); }
 
-  /// Total pushes (tests/benches).
-  uint64_t push_count() const { return next_ticket_; }
-
  private:
   struct Entry {
     Ticket ticket;

@@ -30,7 +30,6 @@ Pma Pma::clone() const {
   out.seg_size_ = seg_size_;
   out.leaf_count_ = leaf_count_;
   out.leaf_fence_ = leaf_fence_;
-  out.rebalances_ = rebalances_;
   out.resizes_ = resizes_;
   return out;
 }
@@ -93,7 +92,6 @@ void Pma::redistribute(const std::vector<uint64_t>& keys, std::size_t begin,
     const std::size_t pos = begin + j * window / k;
     slots_[pos] = keys[j];
   }
-  ++rebalances_;
 }
 
 void Pma::rebuild_metadata() {

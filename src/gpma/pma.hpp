@@ -72,8 +72,7 @@ class Pma {
   /// within bounds (after the slack applied at construction).
   bool check_invariants(std::string* why = nullptr) const;
 
-  /// Statistics for benches.
-  uint64_t rebalance_count() const { return rebalances_; }
+  /// Capacity rebuilds so far.
   uint64_t resize_count() const { return resizes_; }
 
  private:
@@ -111,7 +110,6 @@ class Pma {
   std::size_t seg_size_ = 8;
   std::vector<uint32_t> leaf_count_;   // live keys per leaf
   std::vector<uint64_t> leaf_fence_;   // prefix max of live keys per leaf
-  uint64_t rebalances_ = 0;
   uint64_t resizes_ = 0;
 };
 

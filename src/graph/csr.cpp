@@ -38,7 +38,7 @@ Csr build_keyed(uint32_t num_nodes, const std::vector<CooEdge>& edges,
   Csr csr;
   csr.num_nodes = num_nodes;
   csr.num_edges = static_cast<uint32_t>(edges.size());
-  csr.row_offset = DeviceBuffer<uint32_t>(num_nodes + 1, 0u, MemCategory::kGraph);
+  csr.row_offset = DeviceBuffer<uint32_t>(num_nodes + 1, MemCategory::kGraph);
   csr.col_indices = DeviceBuffer<uint32_t>(edges.size(), MemCategory::kGraph);
   csr.eids = DeviceBuffer<uint32_t>(edges.size(), MemCategory::kGraph);
 
@@ -106,10 +106,11 @@ GraphSnapshot build_snapshot(uint32_t num_nodes,
   snap.out_degrees =
       DeviceBuffer<uint32_t>(csr_degrees(snap.out_csr), MemCategory::kGraph);
   // Coef cache is eid-indexed; labels are caller-controlled, so size by the
-  // largest label rather than the edge count.
+  // largest label rather than the edge count. Labels need not be dense, so
+  // the slots no edge writes are filled too.
   uint32_t max_eid = 0;
   for (const CooEdge& e : edges) max_eid = std::max(max_eid, e.eid);
-  snap.gcn_coef = DeviceBuffer<float>(edges.empty() ? 0 : max_eid + 1,
+  snap.gcn_coef = DeviceBuffer<float>(edges.empty() ? 0 : max_eid + 1, 0.0f,
                                       MemCategory::kGraph);
   const uint32_t* ind = snap.in_degrees.data();
   for (const CooEdge& e : edges)

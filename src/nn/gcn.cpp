@@ -125,17 +125,14 @@ Tensor SeastarGCNConv::forward(
 
   // Saved-state sets: pruned per backward-needs analysis vs conservative.
   // X always leads the saved set; the backward node reads saved.front().
+  // Aggregating first, the aggregation's input is X itself, already saved.
   std::vector<Tensor> pruned = {x};
+  if (!agg_first && needs_.input_features) pruned.push_back(xw);
+  // The conservative set a needs-unaware executor would keep: every
+  // forward intermediate, materialized (detach() copies storage). Built
+  // only when the executor keeps it, so no copy is made to be dropped.
   std::vector<Tensor> unpruned;
-  if (agg_first) {
-    // The aggregation's input is X itself, already saved.
-    unpruned = {x, ax, out.detach()};
-  } else {
-    if (needs_.input_features) pruned.push_back(xw);
-    // The conservative set a needs-unaware executor would keep: every
-    // forward intermediate, materialized (detach() copies storage).
-    unpruned = {x, xw, out.detach()};
-  }
+  if (!exec.state_pruning()) unpruned = {x, agg_first ? ax : xw, out.detach()};
   const core::StateStack::Ticket ticket =
       exec.save_for_backward(std::move(pruned), std::move(unpruned));
 

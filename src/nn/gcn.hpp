@@ -89,7 +89,6 @@ class SeastarGCNConv : public Module {
   }
 
   const compiler::KernelSpec& forward_kernel() const { return fwd_weighted_; }
-  const compiler::KernelSpec& backward_kernel() const { return bwd_weighted_; }
 
  private:
   int64_t in_, out_;

@@ -95,7 +95,9 @@ Tensor SeastarMaxPoolConv::forward(core::TemporalExecutor& exec,
   // Saved set per needs analysis: X (weight grad) + the argmax routing.
   Tensor argmax_tensor = encode_argmax(argmax, x.rows(), out_);
   std::vector<Tensor> pruned = {x, argmax_tensor};
-  std::vector<Tensor> unpruned = {x, argmax_tensor, xw, out.detach()};
+  // The conservative set, built only when the executor keeps it.
+  std::vector<Tensor> unpruned;
+  if (!exec.state_pruning()) unpruned = {x, argmax_tensor, xw, out.detach()};
   const core::StateStack::Ticket ticket =
       exec.save_for_backward(std::move(pruned), std::move(unpruned));
 

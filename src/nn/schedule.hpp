@@ -18,7 +18,6 @@ class StepLR {
 
   /// Advance one epoch; applies the decay when the boundary is crossed.
   void step();
-  float current_lr() const { return lr_; }
   uint32_t epoch() const { return epoch_; }
 
  private:
@@ -41,7 +40,6 @@ class EarlyStopping {
 
   bool should_stop() const { return stopped_; }
   double best() const { return best_; }
-  uint32_t epochs_since_best() const { return stale_; }
 
  private:
   uint32_t patience_;

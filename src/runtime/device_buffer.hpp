@@ -5,6 +5,11 @@
 // charged to MemoryTracker so the paper's memory experiments remain
 // meaningful. The buffer is movable but not copyable — explicit `clone()`
 // keeps accidental O(E) copies out of hot paths.
+//
+// Like cudaMalloc (and torch.empty), a new buffer is not value-initialized:
+// `DeviceBuffer(n, cat)` and a growing `resize` leave the new elements
+// unwritten, so each producer writes its output once. A buffer that must
+// start at a value says so: `DeviceBuffer(n, fill, cat)` or `fill()`.
 #pragma once
 
 #include <cstdlib>
@@ -51,6 +56,15 @@ struct DeviceAllocator {
     return static_cast<T*>(p);
   }
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  /// Default-initialize rather than value-initialize: std::vector's
+  /// resize constructs new elements through this, and for the trivial
+  /// element types used here that writes nothing. Constructions with
+  /// arguments fall back to std::allocator_traits' placement new.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
 
   template <typename U>
   bool operator==(const DeviceAllocator<U>&) const { return true; }
@@ -101,11 +115,13 @@ class DeviceBuffer {
     return out;
   }
 
-  /// Resize to n elements. Heap capacity is deliberately retained when
-  /// shrinking (like a caching allocator): per-step view rebuilds resize
-  /// the same buffers up and down a few percent, and reallocating each
-  /// time would put malloc on the hot path. MemoryTracker is charged for
-  /// the logical size, matching what the GPU original would allocate.
+  /// Resize to n elements; elements past the old size are unwritten (and
+  /// may hold stale values when regrowing inside retained capacity). Heap
+  /// capacity is deliberately retained when shrinking (like a caching
+  /// allocator): per-step view rebuilds resize the same buffers up and
+  /// down a few percent, and reallocating each time would put malloc on
+  /// the hot path. MemoryTracker is charged for the logical size, matching
+  /// what the GPU original would allocate.
   void resize(std::size_t n) {
     data_.resize(n);
     charge(n * sizeof(T));

@@ -45,7 +45,6 @@ class AdmissionController {
     if (budget_ns > 0 &&
         expected_queue_delay_ns() > static_cast<uint64_t>(budget_ns)) {
       *reason_out = ShedReason::kDeadlineExpired;
-      early_sheds_.fetch_add(1, std::memory_order_relaxed);
       return Decision::kShed;
     }
     return Decision::kAdmit;
@@ -80,9 +79,6 @@ class AdmissionController {
     return ewma_queue_delay_ns_.load(std::memory_order_relaxed);
   }
 
-  uint64_t early_sheds() const {
-    return early_sheds_.load(std::memory_order_relaxed);
-  }
   std::size_t inflight_ingests() const {
     return inflight_ingests_.load(std::memory_order_relaxed);
   }
@@ -96,7 +92,6 @@ class AdmissionController {
   const std::size_t max_inflight_ingests_;
   std::atomic<std::size_t> inflight_ingests_{0};
   std::atomic<uint64_t> ewma_queue_delay_ns_{0};
-  std::atomic<uint64_t> early_sheds_{0};
 };
 
 }  // namespace stgraph::serve

@@ -182,9 +182,6 @@ class ServerStats {
   void add_reader_busy(std::size_t reader, uint64_t busy_ns);
 
   const LatencyHistogram& latency() const { return latency_; }
-  LatencyHistogram& reader_latency(std::size_t reader) {
-    return reader_hist_[reader];
-  }
   uint64_t shed(ShedReason reason) const {
     return shed_[static_cast<std::size_t>(reason)].load(
         std::memory_order_relaxed);

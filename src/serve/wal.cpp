@@ -177,7 +177,6 @@ void Writer::append(const Record& rec) {
                 std::strerror(errno));
       done += static_cast<std::size_t>(n);
     }
-    ++records_;
     bytes_ += frame.size();
     ++unsynced_;
     if (sync_every_ != 0 && unsynced_ >= sync_every_) sync();

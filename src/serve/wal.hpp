@@ -77,7 +77,6 @@ class Writer {
   /// Force an fsync now (stop() calls this regardless of sync_every).
   void sync();
 
-  uint64_t records_appended() const { return records_; }
   uint64_t bytes_written() const { return bytes_; }
   const std::string& path() const { return path_; }
 
@@ -85,7 +84,6 @@ class Writer {
   std::string path_;
   int fd_ = -1;
   uint32_t sync_every_ = 1;
-  uint64_t records_ = 0;
   uint64_t bytes_ = 0;
   uint64_t unsynced_ = 0;
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <memory>
 
 #include "runtime/parallel.hpp"
 #include "runtime/simd.hpp"
@@ -126,13 +126,14 @@ Tensor gemm(const Tensor& a, const Tensor& b, bool ta, bool tb) {
   // input-gradient product) is packed once into row-major k×n so the tile
   // loads it as vectors. A non-transposed B and op(A) are read in place:
   // the kMR values of a transposed A at one k are already adjacent.
-  std::vector<float> packed;
+  std::unique_ptr<float[]> packed;
   if (tb) {
-    packed.resize(static_cast<std::size_t>(k * n));
+    packed = std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(k * n));
     const float* pb = b.data();
     for (int64_t kk = 0; kk < k; ++kk)
       for (int64_t j = 0; j < n; ++j) packed[kk * n + j] = pb[j * ldb + kk];
-    op.b = packed.data();
+    op.b = packed.get();
     op.ldb = n;
   }
   run<simd::NativeOps>(op);

@@ -47,7 +47,10 @@ class Tensor {
   explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {}
 
   // ---- construction -------------------------------------------------
+  /// Storage of the given shape with unspecified contents (nothing is
+  /// written, as with torch.empty); the caller writes every element.
   static Tensor empty(Shape shape, bool requires_grad = false);
+  /// The one zeroing constructor: empty() plus a single fill.
   static Tensor zeros(Shape shape, bool requires_grad = false);
   static Tensor ones(Shape shape, bool requires_grad = false);
   static Tensor full(Shape shape, float value, bool requires_grad = false);

@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "autograd/engine.hpp"
+#include "runtime/memory_tracker.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -232,6 +233,83 @@ TEST(Engine, SetRequiresGradOnNonLeafThrows) {
   Tensor x = Tensor::ones({2}, true);
   Tensor y = ops::mul_scalar(x, 2.0f);
   EXPECT_THROW(y.set_requires_grad(true), StgError);
+}
+
+TEST(Engine, FirstLeafContributionStoresPlusZeroForMinusZero) {
+  // The first contribution is written as 0 + g into an unfilled buffer,
+  // which is what a zero fill followed by += stored: -0 becomes +0.
+  Tensor x = Tensor::ones({2}, true);
+  x.backward(Tensor::from_vector({-0.0f, -1.5f}, {2}));
+  EXPECT_FALSE(std::signbit(x.grad().at(0)));
+  EXPECT_EQ(x.grad().at(1), -1.5f);
+}
+
+// A node whose VJP scales grad_out by `k` into one fresh tensor.
+Tensor scale_node(const Tensor& in, float k) {
+  Tensor out = Tensor::empty(in.shape());
+  for (int64_t i = 0; i < in.numel(); ++i) out.data()[i] = k * in.at(i);
+  auto node = std::make_shared<autograd::LambdaNode>(
+      "scale", [k](const Tensor& g) {
+        Tensor gi = Tensor::empty(g.shape());
+        for (int64_t i = 0; i < g.numel(); ++i) gi.data()[i] = k * g.at(i);
+        return std::vector<Tensor>{gi};
+      });
+  node->add_input(in);
+  node->set_output(out);
+  return out;
+}
+
+TEST(Autograd, UniquelyOwnedGradientIsNotCopied) {
+  // x → K scale nodes. Each VJP allocates its one output, which the
+  // engine must take over as the next node's pending gradient; only the
+  // caller's seed (still held here) is copied, and the leaf's .grad is
+  // the one other allocation.
+  constexpr int kNodes = 4;
+  Tensor x = Tensor::full({4, 3}, 1.0f, true);
+  Tensor y = x;
+  for (int i = 0; i < kNodes; ++i) y = scale_node(y, 2.0f);
+  const Tensor seed = Tensor::ones({4, 3});
+  const uint64_t before = MemoryTracker::instance().allocation_count();
+  y.backward(seed);
+  const uint64_t allocs =
+      MemoryTracker::instance().allocation_count() - before;
+  EXPECT_EQ(allocs, static_cast<uint64_t>(kNodes + 2));
+  for (int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(x.grad().at(i), 16.0f);
+  for (int64_t i = 0; i < seed.numel(); ++i) EXPECT_EQ(seed.at(i), 1.0f);
+}
+
+TEST(Autograd, AliasedGradientIsNeverMutated) {
+  // u = 2x and w = 3x feed two nodes. The later one (processed first)
+  // returns a tensor this test still holds, for both inputs; the earlier
+  // one returns one fresh tensor for both inputs. Both pending buffers
+  // then receive a second contribution, added in place: the held tensor
+  // must come out of backward bit-unchanged and the gradients exact.
+  Tensor x = Tensor::from_vector({1, 2, 3, 4}, {2, 2}, true);
+  Tensor u = ops::mul_scalar(x, 2.0f);
+  Tensor w = ops::mul_scalar(x, 3.0f);
+  const std::vector<float> held_vals = {0.5f, -1.0f, 2.0f, 0.25f};
+  const Tensor held = Tensor::from_vector(held_vals, {2, 2});
+  auto two_input_node = [&](const char* name, autograd::LambdaNode::Fn fn) {
+    Tensor out = Tensor::zeros({2, 2});
+    auto node = std::make_shared<autograd::LambdaNode>(name, std::move(fn));
+    node->add_input(u);
+    node->add_input(w);
+    node->set_output(out);
+    return out;
+  };
+  Tensor a = two_input_node("fresh_for_both", [](const Tensor&) {
+    Tensor t = Tensor::from_vector({1, 1, 1, 1}, {2, 2});
+    return std::vector<Tensor>{t, t};
+  });
+  Tensor b = two_input_node("held_for_both", [held](const Tensor&) {
+    return std::vector<Tensor>{held, held};
+  });
+  ops::sum(ops::add(a, b)).backward();
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(held.at(i), held_vals[i]) << "held tensor mutated at " << i;
+    const float g = held_vals[i] + 1.0f;
+    EXPECT_EQ(x.grad().at(i), 0.0f + 2.0f * g + 3.0f * g) << i;
+  }
 }
 
 }  // namespace

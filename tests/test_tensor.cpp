@@ -62,6 +62,16 @@ TEST(Tensor, DetachSharesNothing) {
   EXPECT_EQ(a.at(0), 1.0f);
 }
 
+TEST(Tensor, ZerosIsZeroOnReusedMemory) {
+  // Allocation does not clear memory; zeros() must, even when it gets the
+  // block a just-freed tensor filled.
+  for (const int64_t n : {int64_t{37}, int64_t{4096}, int64_t{300000}}) {
+    { Tensor::full({n}, -3.5f); }
+    const Tensor z = Tensor::zeros({n});
+    for (int64_t i = 0; i < n; ++i) ASSERT_EQ(z.at(i), 0.0f) << n << " " << i;
+  }
+}
+
 TEST(Tensor, UndefinedHandleRejectsAccess) {
   Tensor t;
   EXPECT_FALSE(t.defined());
