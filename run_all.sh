@@ -250,9 +250,11 @@ if [ "$1" = "tsan" ]; then
     -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-    test_gpma_views test_fusion test_gemm test_runtime || exit 1
+    test_gpma_views test_gpma_graph test_fusion test_gemm test_runtime \
+    || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-           test_gpma_views test_fusion test_gemm test_runtime; do
+           test_gpma_views test_gpma_graph test_fusion test_gemm \
+           test_runtime; do
     echo "===== $t (tsan) ====="
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1

@@ -224,18 +224,45 @@ void GpmaGraph::apply_delta(uint32_t idx, bool forward) {
   ++delta_replays_;
 }
 
-void GpmaGraph::save_cache() {
-  cache_pma_ = pma_.clone();
-  cache_in_deg_ = in_deg_.to_host();
-  cache_out_deg_ = out_deg_.to_host();
-  cache_time_ = curr_time_;
+void GpmaGraph::save_checkpoint(Checkpoint& cp) {
+  const uint32_t n = num_nodes_;
+  const std::size_t m = pma_.size();
+  cp.row_offset.resize(static_cast<std::size_t>(n) + 1);
+  cp.row_offset[n] =
+      device::exclusive_scan(out_deg_.data(), cp.row_offset.data(), n);
+  cp.dst.resize(m);
+  const uint64_t* slots = pma_.slots().data();
+  uint32_t* dst = cp.dst.data();
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < pma_.capacity(); ++i)
+    if (slots[i] != Pma::kEmptyKey) dst[j++] = edge_key_dst(slots[i]);
+  STG_CHECK(j == m && cp.row_offset[n] == m, "checkpoint at t=", curr_time_,
+            " saw ", j, " live slots and ", cp.row_offset[n],
+            " out-degrees for ", m, " edges");
+  cp.timestamp = curr_time_;
+  cp.valid = true;
 }
 
-void GpmaGraph::restore_cache() {
-  pma_ = cache_pma_->clone();
-  std::copy(cache_in_deg_.begin(), cache_in_deg_.end(), in_deg_.data());
-  std::copy(cache_out_deg_.begin(), cache_out_deg_.end(), out_deg_.data());
-  curr_time_ = cache_time_;
+void GpmaGraph::restore_checkpoint(const Checkpoint& cp) {
+  const uint32_t n = num_nodes_;
+  const uint32_t* ro = cp.row_offset.data();
+  const uint32_t* dst = cp.dst.data();
+  pma_.load_csr(n, ro, dst);
+  uint32_t* out = out_deg_.data();
+  uint32_t* in = in_deg_.data();
+  for (uint32_t v = 0; v < n; ++v) out[v] = ro[v + 1] - ro[v];
+  std::fill_n(in, n, 0u);
+  for (uint32_t j = 0; j < ro[n]; ++j) ++in[dst[j]];
+  curr_time_ = cp.timestamp;
+}
+
+void GpmaGraph::set_cache_enabled(bool enabled) {
+  sync();  // the worker saves and restores checkpoints while positioning
+  cache_enabled_ = enabled;
+  if (!enabled) {
+    turn_ = Checkpoint{};
+    origin_ = Checkpoint{};
+  }
 }
 
 void GpmaGraph::position(uint32_t target) {
@@ -243,26 +270,40 @@ void GpmaGraph::position(uint32_t target) {
             num_timestamps());
   if (target == curr_time_) return;
   ++live_epoch_;  // any movement ends published snapshots' byte-equality
-  if (target < curr_time_) {
-    // First backward roll of a sequence: cache the furthest-forward state
-    // so the next sequence's forward pass resumes from it instead of
-    // replaying every delta (Algorithm 2 lines 1-5 / line 10).
-    if (cache_enabled_ && (!cache_pma_ || cache_time_ < curr_time_))
-      save_cache();
-    while (curr_time_ > target) {
-      apply_delta(curr_time_ - 1, /*forward=*/false);
-      --curr_time_;
+  const bool forward = target > curr_time_;
+  if (cache_enabled_) {
+    // A forward->backward turn: the live PMA is at the end of the sequence
+    // whose backward pass starts now, which is where the next sequence's
+    // forward pass resumes (Algorithm 2 lines 1-5 / line 10).
+    if (!forward && moving_forward_) save_checkpoint(turn_);
+    // Start from whichever state is fewest replays away, counting a
+    // restore as one (it costs about as much as replaying one delta); ties
+    // go to the live PMA.
+    auto distance = [target](uint32_t t) {
+      return target > t ? target - t : t - target;
+    };
+    const Checkpoint* start = nullptr;
+    uint32_t best = distance(curr_time_);
+    for (const Checkpoint* cp : {&turn_, &origin_}) {
+      if (cp->valid && 1 + distance(cp->timestamp) < best) {
+        start = cp;
+        best = 1 + distance(cp->timestamp);
+      }
     }
-  } else {
-    if (cache_enabled_ && cache_pma_ && cache_time_ <= target &&
-        cache_time_ > curr_time_) {
-      restore_cache();
-    }
-    while (curr_time_ < target) {
-      apply_delta(curr_time_, /*forward=*/true);
-      ++curr_time_;
-    }
+    if (start != nullptr) restore_checkpoint(*start);
   }
+  moving_forward_ = forward;
+  while (curr_time_ < target) {
+    apply_delta(curr_time_, /*forward=*/true);
+    ++curr_time_;
+  }
+  while (curr_time_ > target) {
+    apply_delta(curr_time_ - 1, /*forward=*/false);
+    --curr_time_;
+  }
+  // Taken lazily: only a reader that rolls back to the start holds one.
+  if (cache_enabled_ && curr_time_ == 0 && !origin_.valid)
+    save_checkpoint(origin_);
 }
 
 void GpmaGraph::refresh_views(PublishedView& pub) {
@@ -573,11 +614,7 @@ std::size_t GpmaGraph::device_bytes() const {
                       pub_[1].device_bytes();
   for (const DeviceDelta& d : deltas_)
     total += d.additions.bytes() + d.deletions.bytes();
-  if (cache_pma_) {
-    total += cache_pma_->device_bytes() +
-             (cache_in_deg_.size() + cache_out_deg_.size()) * sizeof(uint32_t);
-  }
-  return total;
+  return total + turn_.device_bytes() + origin_.device_bytes();
 }
 
 }  // namespace stgraph

@@ -2,12 +2,23 @@
 // Memory Array plus per-timestamp edge deltas. Snapshots are constructed
 // on demand:
 //
-//   * Algorithm 2 (Get-Graph): roll the PMA from its cached position to the
-//     requested timestamp by replaying (or inverting) deltas, then relabel
-//     edges 0..m-1 in slot order so forward and backward views share
-//     labels. A snapshot cache avoids replaying a whole sequence's deltas
-//     when training moves from the backward pass of one sequence to the
-//     forward pass of the next.
+//   * Algorithm 2 (Get-Graph): roll the PMA to the requested timestamp by
+//     replaying (or inverting) deltas, then relabel edges 0..m-1 in slot
+//     order so forward and backward views share labels. Two compact
+//     checkpoints (the edge set at one timestamp as row offsets + dsts)
+//     stand in for the paper's snapshot cache: `turn` is saved at every
+//     forward->backward turn, so the next sequence's forward pass resumes
+//     from the previous sequence's end; `origin` is taken the first time
+//     a backward roll lands on t = 0, so the next epoch starts without
+//     inverting every delta. Positioning starts from whichever of the live
+//     PMA and the two checkpoints is fewest replays away, a restore
+//     counting as one (ties go to the live PMA), and replays forward or
+//     backward from there. A restore bulk-loads the PMA, so its slot
+//     layout may differ from the one the replay path would have left; the
+//     views do not depend on it (labels are key-order ranks, reverse lists
+//     ascend by source, the gapped out view is walked in key order). A
+//     forward-only reader (serving) never turns and never holds a
+//     checkpoint.
 //   * Algorithm 3 (Reverse-GPMA): build the compacted reverse CSR
 //     (in-neighbor view for the forward pass) straight from the gapped PMA
 //     arrays with a per-destination prefix-sum + deterministic scatter.
@@ -46,7 +57,6 @@
 
 #include <exception>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -110,9 +120,12 @@ class GpmaGraph final : public STGraphBase {
     sync();
     return pma_;
   }
-  /// Disable the Algorithm-2 snapshot cache (ablation bench).
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  uint64_t delta_replays() const { return delta_replays_; }
+  /// Disable (and drop) both Algorithm-2 checkpoints (ablation bench).
+  void set_cache_enabled(bool enabled);
+  uint64_t delta_replays() const {
+    sync();
+    return delta_replays_;
+  }
   /// Always 0: every refresh is a full rebuild. Kept because external
   /// benchmark code still reads it.
   uint64_t incremental_view_updates() const { return 0; }
@@ -162,6 +175,20 @@ class GpmaGraph final : public STGraphBase {
     }
   };
 
+  /// An Algorithm-2 checkpoint: the edge set at `timestamp` as a CSR
+  /// (rows in source order, destinations ascending — the PMA's key order).
+  /// Refreshed in place; the buffers keep their heap capacity.
+  struct Checkpoint {
+    DeviceBuffer<uint32_t> row_offset{0, MemCategory::kPma};
+    DeviceBuffer<uint32_t> dst{0, MemCategory::kPma};
+    uint32_t timestamp = 0;
+    bool valid = false;
+
+    std::size_t device_bytes() const {
+      return row_offset.bytes() + dst.bytes();
+    }
+  };
+
   enum class PfState { kIdle, kPending, kDone };
 
   /// Roll the PMA to timestamp `target` (Algorithm 2 core).
@@ -177,8 +204,10 @@ class GpmaGraph final : public STGraphBase {
   /// Recompute the whole eid-indexed GCN-norm cache from `pub`'s reverse
   /// CSR (clearing the buffer when the cache is disabled).
   void rebuild_coef_cache(PublishedView& pub);
-  void save_cache();
-  void restore_cache();
+  /// Record the live PMA's edge set and position into `cp`.
+  void save_checkpoint(Checkpoint& cp);
+  /// Bulk-load the PMA from `cp` and recompute the degrees from it.
+  void restore_checkpoint(const Checkpoint& cp);
   /// Whether `pub` may serve timestamp t (built at t, epoch still current).
   bool servable(const PublishedView& pub, uint32_t t) const;
   /// Assemble the kernel-facing view of a built buffer (pointer packing).
@@ -208,11 +237,12 @@ class GpmaGraph final : public STGraphBase {
   // timestamp and are treated as misses.
   uint64_t live_epoch_ = 0;
 
-  // Algorithm-2 cache: deep PMA copy + degrees at cache_time_.
+  // Algorithm-2 checkpoints (see the header comment). moving_forward_ is
+  // the direction of the last repositioning: a backward one after it is
+  // a turn.
   bool cache_enabled_ = true;
-  std::optional<Pma> cache_pma_;
-  std::vector<uint32_t> cache_in_deg_, cache_out_deg_;
-  uint32_t cache_time_ = 0;
+  Checkpoint turn_, origin_;
+  bool moving_forward_ = true;
 
   PhaseTimer update_timer_;
   PhaseTimer position_timer_;

@@ -23,23 +23,22 @@ Pma::Pma()
   rebuild_metadata();
 }
 
-Pma Pma::clone() const {
-  Pma out;
-  out.slots_ = slots_.clone();
-  out.size_ = size_;
-  out.seg_size_ = seg_size_;
-  out.leaf_count_ = leaf_count_;
-  out.leaf_fence_ = leaf_fence_;
-  out.resizes_ = resizes_;
-  return out;
-}
-
 std::size_t Pma::segment_size_for(std::size_t capacity) {
   // Θ(log capacity), rounded up to a power of two that divides capacity.
   const auto log2c = static_cast<std::size_t>(std::bit_width(capacity) - 1);
   std::size_t s = std::bit_ceil(std::max<std::size_t>(8, log2c));
   while (capacity % s != 0) s /= 2;
   return s;
+}
+
+std::size_t Pma::fitting_capacity(std::size_t size, std::size_t capacity) {
+  while (capacity > kMinCapacity &&
+         static_cast<double>(size) < kRhoRoot * static_cast<double>(capacity))
+    capacity /= 2;
+  // Keep room to insert again without an immediate grow.
+  while (static_cast<double>(size) > kTauRoot * static_cast<double>(capacity))
+    capacity *= 2;
+  return capacity;
 }
 
 std::size_t Pma::tree_height() const {
@@ -164,11 +163,7 @@ std::size_t Pma::insert_batch(std::vector<uint64_t> keys) {
     std::vector<uint64_t> merged(all.size() + keys.size());
     std::merge(all.begin(), all.end(), keys.begin(), keys.end(),
                merged.begin());
-    std::size_t cap = capacity();
-    while (static_cast<double>(merged.size()) >
-           kTauRoot * static_cast<double>(cap)) {
-      cap *= 2;
-    }
+    const std::size_t cap = fitting_capacity(merged.size(), capacity());
     rebuild_with_capacity(std::move(merged), cap);
     return inserted;
   }
@@ -241,16 +236,8 @@ std::size_t Pma::erase_batch(std::vector<uint64_t> keys) {
   // Phase 2: fix density violations bottom-up; shrink at root underflow.
   if (static_cast<double>(size_) <
       lower_density(tree_height()) * static_cast<double>(capacity())) {
-    std::size_t cap = capacity();
-    while (cap > kMinCapacity &&
-           static_cast<double>(size_) < kRhoRoot * static_cast<double>(cap)) {
-      cap /= 2;
-    }
-    // Keep room to insert again without an immediate grow.
-    while (static_cast<double>(size_) > kTauRoot * static_cast<double>(cap)) {
-      cap *= 2;
-    }
-    rebuild_with_capacity(extract_sorted(), cap);
+    rebuild_with_capacity(extract_sorted(),
+                          fitting_capacity(size_, capacity()));
     return removed;
   }
   for (std::size_t leaf = 0; leaf < num_leaves(); ++leaf) {
@@ -280,6 +267,26 @@ std::size_t Pma::erase_batch(std::vector<uint64_t> keys) {
     }
   }
   return removed;
+}
+
+void Pma::load_csr(uint32_t num_rows, const uint32_t* row_offset,
+                   const uint32_t* dst) {
+  const std::size_t k = row_offset[num_rows];
+  const std::size_t cap = fitting_capacity(k, capacity());
+  if (cap != capacity()) {
+    slots_.resize(cap);
+    seg_size_ = segment_size_for(cap);
+    ++resizes_;
+  }
+  slots_.fill(kEmptyKey);
+  // The same even spread as redistribute(), reading row by row.
+  uint32_t src = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    while (row_offset[src + 1] <= j) ++src;
+    slots_[j * cap / k] = make_edge_key(src, dst[j]);
+  }
+  size_ = k;
+  rebuild_metadata();
 }
 
 bool Pma::contains(uint64_t key) const {

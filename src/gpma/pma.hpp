@@ -32,8 +32,6 @@ class Pma {
   Pma& operator=(Pma&&) = default;
   Pma(const Pma&) = delete;
   Pma& operator=(const Pma&) = delete;
-  /// Deep copy, including slack structure (used by the Algorithm-2 cache).
-  Pma clone() const;
 
   /// Number of live keys.
   std::size_t size() const { return size_; }
@@ -49,6 +47,15 @@ class Pma {
   /// Delete a batch of keys (absent keys ignored). Returns the number of
   /// keys actually removed.
   std::size_t erase_batch(std::vector<uint64_t> keys);
+
+  /// Bulk load: replace the contents with the edge keys of a CSR over
+  /// `num_rows` sources whose rows list destinations in ascending order
+  /// (so the keys arrive sorted and unique), spread evenly. When the keys
+  /// fit the root density bounds at the current capacity the slot array
+  /// is rewritten in place, with no allocation; otherwise the capacity is
+  /// resized as a mass insert or delete would.
+  void load_csr(uint32_t num_rows, const uint32_t* row_offset,
+                const uint32_t* dst);
 
   bool contains(uint64_t key) const;
 
@@ -104,6 +111,10 @@ class Pma {
                              std::size_t new_capacity);
 
   static std::size_t segment_size_for(std::size_t capacity);
+  /// Capacity that holds `size` keys within the root density bounds,
+  /// starting from `capacity` (halved while too sparse, doubled while too
+  /// dense).
+  static std::size_t fitting_capacity(std::size_t size, std::size_t capacity);
 
   DeviceBuffer<uint64_t> slots_;
   std::size_t size_ = 0;

@@ -114,7 +114,8 @@ Tensor add(const Tensor& a, const Tensor& b) {
 Tensor sub(const Tensor& a, const Tensor& b) {
   Tensor out = binary_map(a, b, [](float x, float y) { return x - y; });
   attach(out, "sub", {a, b}, [](const Tensor& g) {
-    return std::vector<Tensor>{g, mul_scalar(g.detach(), -1.0f)};
+    NoGradGuard ng;
+    return std::vector<Tensor>{g, mul_scalar(g, -1.0f)};
   });
   return out;
 }

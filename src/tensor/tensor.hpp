@@ -89,7 +89,8 @@ class Tensor {
   /// Run reverse-mode AD from this scalar (or with an explicit seed).
   void backward() const;
   void backward(const Tensor& grad_output) const;
-  /// A view sharing storage but detached from the autograd graph.
+  /// A copy of the data with no autograd history (it shares no storage:
+  /// the same as clone()).
   Tensor detach() const;
   /// Deep copy (no autograd history).
   Tensor clone() const;

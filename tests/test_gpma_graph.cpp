@@ -1,5 +1,5 @@
 // GPMAGraph tests: Algorithm 3 (reverse CSR from gapped arrays) against
-// the dense reference, Algorithm 2 positioning/caching, and cross-format
+// the dense reference, Algorithm 2 positioning/checkpoints, and cross-format
 // equivalence with NaiveGraph at every timestamp.
 #include <gtest/gtest.h>
 
@@ -141,6 +141,22 @@ TEST(GpmaGraph, DegreeSortedProcessingOrders) {
   }
 }
 
+// The trainer's access pattern over the first `T` timestamps in sequences
+// of `seq`, with its pipeline hints: forward get + prefetch(t + 1) inside
+// the sequence, then backward get + prefetch(t - 1) down to its start.
+void run_training_pass(GpmaGraph& g, uint32_t T, uint32_t seq) {
+  for (uint32_t s = 0; s + seq <= T; s += seq) {
+    for (uint32_t t = s; t < s + seq; ++t) {
+      g.get_graph(t);
+      if (t + 1 < s + seq) g.prefetch(t + 1);
+    }
+    for (uint32_t t = s + seq; t-- > s;) {
+      g.get_backward_graph(t);
+      if (t > s) g.prefetch(t - 1);
+    }
+  }
+}
+
 TEST(GpmaGraph, CacheAvoidsFullReplayAcrossSequences) {
   DtdgEvents ev = window_edge_stream(40, random_stream(40, 2000, 83), 2.0);
   ASSERT_GE(ev.num_timestamps(), 20u);
@@ -148,17 +164,52 @@ TEST(GpmaGraph, CacheAvoidsFullReplayAcrossSequences) {
   auto run_training_pattern = [&](bool cache_enabled) {
     GpmaGraph g(ev);
     g.set_cache_enabled(cache_enabled);
-    const uint32_t seq = 5;
-    for (uint32_t s = 0; s + seq <= 20; s += seq) {
-      for (uint32_t t = s; t < s + seq; ++t) g.get_graph(t);           // fwd
-      for (uint32_t t = s + seq; t-- > s;) g.get_backward_graph(t);    // bwd
-    }
+    run_training_pass(g, 20, 5);
     return g.delta_replays();
   };
 
   const uint64_t with_cache = run_training_pattern(true);
   const uint64_t without_cache = run_training_pattern(false);
   EXPECT_LT(with_cache, without_cache);
+}
+
+TEST(GpmaGraph, CheckpointsHoldAcrossEpochs) {
+  DtdgEvents ev = window_edge_stream(40, random_stream(40, 2000, 83), 2.0);
+  ASSERT_GE(ev.num_timestamps(), 20u);
+  const uint32_t T = 20, seq = 5;
+  GpmaGraph g(ev);
+  std::vector<uint64_t> replays;
+  for (int pass = 0; pass < 3; ++pass) {
+    const uint64_t before = g.delta_replays();
+    run_training_pass(g, T, seq);
+    replays.push_back(g.delta_replays() - before);
+  }
+  // Every sequence replays seq - 1 deltas each way; each later one also
+  // rolls one delta past the previous sequence's turn checkpoint. A later
+  // pass starts from the origin checkpoint instead of inverting every
+  // delta, and its one-step rolls onto t = 0 still replay (a restore
+  // counts as one replay; ties go to the live PMA), so it costs the same.
+  const uint64_t want = 2 * (seq - 1) + (T / seq - 1) * (1 + 2 * (seq - 1));
+  EXPECT_EQ(replays[0], want);
+  EXPECT_EQ(replays[1], replays[0]);
+  EXPECT_EQ(replays[2], replays[0]);
+}
+
+TEST(GpmaGraph, ForwardOnlyReaderHoldsNoCheckpoint) {
+  // The serving pattern: append the next delta, read the new head.
+  DtdgEvents ev = window_edge_stream(40, random_stream(40, 900, 131), 8.0);
+  ASSERT_GE(ev.deltas.size(), 3u);
+  auto serve = [&](bool cache_enabled) {
+    GpmaGraph g(DtdgEvents{ev.num_nodes, ev.base_edges, {}});
+    g.set_cache_enabled(cache_enabled);
+    g.get_graph(0);
+    for (const EdgeDelta& d : ev.deltas) {
+      g.append_delta(d);
+      g.get_graph(g.num_timestamps() - 1);
+    }
+    return g.device_bytes();
+  };
+  EXPECT_EQ(serve(true), serve(false));
 }
 
 TEST(GpmaGraph, DeviceBytesBelowNaive) {

@@ -1,12 +1,13 @@
 // Packed Memory Array tests: structural invariants under randomized batch
 // workloads (TEST_P property sweeps), ordering, lower_bound semantics,
-// growth/shrink behaviour.
+// growth/shrink behaviour, the CSR bulk load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "gpma/pma.hpp"
+#include "runtime/memory_tracker.hpp"
 #include "util/rng.hpp"
 
 namespace stgraph {
@@ -94,14 +95,71 @@ TEST(Pma, LowerBoundSlotSemantics) {
   EXPECT_EQ(pma.lower_bound_slot(31), pma.capacity());
 }
 
-TEST(Pma, CloneIsDeepAndIndependent) {
+// CSR over `rows` sources with `per_row` destinations each, every
+// destination `stride` apart from `first`, and its sorted edge keys.
+struct TestCsr {
+  std::vector<uint32_t> row_offset, dst;
+  std::vector<uint64_t> keys;
+};
+TestCsr make_csr(uint32_t rows, uint32_t per_row, uint32_t first,
+                 uint32_t stride) {
+  TestCsr c;
+  c.row_offset.push_back(0);
+  for (uint32_t s = 0; s < rows; ++s) {
+    for (uint32_t i = 0; i < per_row; ++i) {
+      c.dst.push_back(first + i * stride);
+      c.keys.push_back(make_edge_key(s, first + i * stride));
+    }
+    c.row_offset.push_back(static_cast<uint32_t>(c.dst.size()));
+  }
+  return c;
+}
+
+TEST(Pma, BulkLoadRewritesInPlaceWhenKeysFit) {
   Pma pma;
-  pma.insert_batch({1, 2, 3});
-  Pma copy = pma.clone();
-  pma.erase_batch({2});
-  EXPECT_TRUE(copy.contains(2));
-  EXPECT_FALSE(pma.contains(2));
-  expect_valid(copy);
+  pma.insert_batch(make_csr(40, 10, 0, 3).keys);
+  const std::size_t cap = pma.capacity();
+  ASSERT_EQ(pma.size(), 400u);
+
+  // A different edge set of the same size fits the current capacity: the
+  // slot array is rewritten without any allocation.
+  const TestCsr next = make_csr(40, 10, 1, 3);
+  const uint64_t allocs = MemoryTracker::instance().allocation_count();
+  pma.load_csr(40, next.row_offset.data(), next.dst.data());
+  EXPECT_EQ(MemoryTracker::instance().allocation_count(), allocs);
+  EXPECT_EQ(pma.capacity(), cap);
+  expect_valid(pma);
+  EXPECT_EQ(pma.extract_sorted(), next.keys);
+  EXPECT_TRUE(pma.contains(make_edge_key(3, 4)));
+  EXPECT_FALSE(pma.contains(make_edge_key(3, 3)));
+
+  // Batches keep working on the loaded layout.
+  EXPECT_EQ(pma.insert_batch({make_edge_key(3, 3)}), 1u);
+  EXPECT_EQ(pma.erase_batch({make_edge_key(3, 4)}), 1u);
+  expect_valid(pma);
+}
+
+TEST(Pma, BulkLoadResizesWhenKeysDoNotFit) {
+  Pma pma;
+  pma.insert_batch(make_csr(4, 10, 0, 1).keys);
+  const TestCsr big = make_csr(100, 20, 0, 2);
+  pma.load_csr(100, big.row_offset.data(), big.dst.data());
+  expect_valid(pma);
+  EXPECT_EQ(pma.extract_sorted(), big.keys);
+  EXPECT_LE(static_cast<double>(pma.size()), 0.7 * pma.capacity());
+
+  const std::size_t big_cap = pma.capacity();
+  const TestCsr small = make_csr(5, 2, 7, 1);
+  pma.load_csr(5, small.row_offset.data(), small.dst.data());
+  expect_valid(pma);
+  EXPECT_EQ(pma.extract_sorted(), small.keys);
+  EXPECT_LT(pma.capacity(), big_cap);
+
+  const TestCsr empty = make_csr(3, 0, 0, 1);
+  pma.load_csr(3, empty.row_offset.data(), empty.dst.data());
+  expect_valid(pma);
+  EXPECT_EQ(pma.size(), 0u);
+  EXPECT_EQ(pma.lower_bound_slot(0), pma.capacity());
 }
 
 struct WorkloadParams {
