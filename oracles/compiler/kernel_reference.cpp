@@ -1,7 +1,6 @@
 #include "compiler/kernel_reference.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "runtime/parallel.hpp"
 #include "util/check.hpp"
@@ -38,116 +37,9 @@ inline float eval_coefs(const std::vector<Coef>& coefs, uint32_t producer,
   return c;
 }
 
-// Max-aggregation forward: element-wise max over neighbor candidates
-// (plus the optional self candidate), recording the winning producer per
-// (row, feature) cell into argmax_out.
-inline void process_row_max(const KernelSpec& spec, const KernelArgs& a,
-                            uint32_t row, uint32_t f0, uint32_t f1) {
-  const Program& p = spec.program;
-  float* orow = a.out + static_cast<std::size_t>(row) * a.num_feats;
-  uint32_t* arow = a.argmax_out + static_cast<std::size_t>(row) * a.num_feats;
-  for (uint32_t f = f0; f < f1; ++f) {
-    orow[f] = -std::numeric_limits<float>::infinity();
-    arow[f] = kSpace;
-  }
-  const MessageTerm& term = p.terms[0];
-  const uint32_t start = a.view.row_offset[row];
-  const uint32_t end = a.view.row_offset[row + 1];
-  for (uint32_t j = start; j < end; ++j) {
-    const uint32_t col = a.view.col_indices[j];
-    if (a.view.has_gaps && col == kSpace) continue;
-    const uint32_t eid = a.view.eids ? a.view.eids[j] : j;
-    const float c =
-        eval_coefs(term.coefs, col, row, eid, a.in_degrees, a.edge_weights);
-    const float* src =
-        a.inputs[term.input] + static_cast<std::size_t>(col) * a.num_feats;
-    for (uint32_t f = f0; f < f1; ++f) {
-      const float val = c * src[f];
-      if (val > orow[f]) {
-        orow[f] = val;
-        arow[f] = col;
-      }
-    }
-  }
-  if (p.include_self) {
-    const float c = eval_coefs(p.self_coefs, row, row, 0, a.in_degrees,
-                               a.edge_weights);
-    const float* src =
-        a.self_features + static_cast<std::size_t>(row) * a.num_feats;
-    for (uint32_t f = f0; f < f1; ++f) {
-      const float val = c * src[f];
-      if (val > orow[f]) {
-        orow[f] = val;
-        arow[f] = row;
-      }
-    }
-  }
-  for (uint32_t f = f0; f < f1; ++f) {
-    if (arow[f] == kSpace) {
-      orow[f] = 0.0f;  // no candidates: empty max defined as 0
-    } else {
-      orow[f] *= p.out_scale;
-    }
-  }
-}
-
-// Max-aggregation backward over the transposed view (rows are producers):
-// gradient flows only along recorded argmax edges.
-inline void process_row_max_bwd(const KernelSpec& spec, const KernelArgs& a,
-                                uint32_t row, uint32_t f0, uint32_t f1) {
-  const Program& p = spec.program;
-  float* orow = a.out + static_cast<std::size_t>(row) * a.num_feats;
-  for (uint32_t f = f0; f < f1; ++f) orow[f] = 0.0f;
-  const MessageTerm& term = p.terms[0];
-  const uint32_t start = a.view.row_offset[row];
-  const uint32_t end = a.view.row_offset[row + 1];
-  for (uint32_t j = start; j < end; ++j) {
-    const uint32_t col = a.view.col_indices[j];  // consumer vertex
-    if (a.view.has_gaps && col == kSpace) continue;
-    const uint32_t eid = a.view.eids ? a.view.eids[j] : j;
-    const uint32_t* amax =
-        a.argmax_in + static_cast<std::size_t>(col) * a.num_feats;
-    const float* grad =
-        a.inputs[term.input] + static_cast<std::size_t>(col) * a.num_feats;
-    float c = 0.0f;
-    bool have_c = false;
-    for (uint32_t f = f0; f < f1; ++f) {
-      if (amax[f] != row) continue;
-      if (!have_c) {
-        c = eval_coefs(term.coefs, row, col, eid, a.in_degrees,
-                       a.edge_weights) *
-            p.out_scale;
-        have_c = true;
-      }
-      orow[f] += c * grad[f];
-    }
-  }
-  if (p.include_self) {
-    // The consumer `row` itself may have picked its self candidate.
-    const uint32_t* amax =
-        a.argmax_in + static_cast<std::size_t>(row) * a.num_feats;
-    const float* grad =
-        a.self_features + static_cast<std::size_t>(row) * a.num_feats;
-    const float c = eval_coefs(p.self_coefs, row, row, 0, a.in_degrees,
-                               a.edge_weights) *
-                    p.out_scale;
-    for (uint32_t f = f0; f < f1; ++f) {
-      if (amax[f] == row) orow[f] += c * grad[f];
-    }
-  }
-}
-
 // Process one row's aggregation over feature columns [f0, f1).
 inline void process_row(const KernelSpec& spec, const KernelArgs& a,
                         uint32_t row, uint32_t f0, uint32_t f1) {
-  if (spec.program.max_backward) {
-    process_row_max_bwd(spec, a, row, f0, f1);
-    return;
-  }
-  if (spec.program.agg == AggKind::kMax) {
-    process_row_max(spec, a, row, f0, f1);
-    return;
-  }
   const Program& p = spec.program;
   float* orow = a.out + static_cast<std::size_t>(row) * a.num_feats;
   for (uint32_t f = f0; f < f1; ++f) orow[f] = 0.0f;
@@ -157,7 +49,7 @@ inline void process_row(const KernelSpec& spec, const KernelArgs& a,
   for (uint32_t j = start; j < end; ++j) {
     const uint32_t col = a.view.col_indices[j];
     if (a.view.has_gaps && col == kSpace) continue;  // skip SPACE slots
-    const uint32_t eid = a.view.eids ? a.view.eids[j] : j;
+    const uint32_t eid = a.view.eids[j];
     const uint32_t producer = a.producer_is_col ? col : row;
     const uint32_t consumer = a.producer_is_col ? row : col;
     for (const MessageTerm& t : p.terms) {

@@ -15,10 +15,12 @@
 #                           (test_scaling: background view preparation +
 #                           strided aggregation parity; test_gpma_views:
 #                           prefetch hints against the view reference),
-#                           the row-block-parallel GEMM (test_gemm), and
-#                           the launch primitives (test_runtime: multi-lane
+#                           the row-block-parallel GEMM (test_gemm), the
+#                           launch primitives (test_runtime: multi-lane
 #                           parallel_reduce_sum, the split scan, strided
-#                           coverage, nested launches)
+#                           coverage, nested launches), and every kernel
+#                           engine cell on a strided 8-lane schedule
+#                           (test_kernel_simd at STGRAPH_NUM_THREADS=8)
 #   ./run_all.sh lint       clang-tidy over src/ + a clang syntax-only pass
 #                           of EVERY .cpp under src/ and tools/ with
 #                           -Wthread-safety -Werror (the annotations in
@@ -251,7 +253,7 @@ if [ "$1" = "tsan" ]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
     test_gpma_views test_gpma_graph test_fusion test_gemm test_runtime \
-    || exit 1
+    test_kernel_simd || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
            test_gpma_views test_gpma_graph test_fusion test_gemm \
            test_runtime; do
@@ -259,6 +261,12 @@ if [ "$1" = "tsan" ]; then
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1
   done
+  # Eight lanes whatever the host's core count, so the parity fuzz splits
+  # rows and feature tiles across lanes on any machine.
+  echo "===== test_kernel_simd (tsan, 8 lanes) ====="
+  STGRAPH_NUM_THREADS=8 \
+    TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
+    ./build-tsan/tests/test_kernel_simd || exit 1
   exit 0
 fi
 

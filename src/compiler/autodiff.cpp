@@ -6,27 +6,6 @@
 namespace stgraph::compiler {
 
 Program differentiate(const Program& p, int input) {
-  if (p.agg == AggKind::kMax) {
-    // d max / d x flows only along the argmax edge of each (vertex,
-    // feature) pair; the backward program is the same (single) term over
-    // the transposed graph with argmax routing enabled.
-    STG_CHECK(p.terms.size() == 1 && p.terms[0].input == input,
-              "max aggregation supports exactly one message term");
-    Program b;
-    b.agg = AggKind::kMax;
-    b.max_backward = true;
-    MessageTerm bt;
-    bt.coefs = p.terms[0].coefs;
-    bt.input = 0;  // gather grad_out
-    b.terms.push_back(std::move(bt));
-    if (p.include_self && p.self_input == input) {
-      b.include_self = true;
-      b.self_coefs = p.self_coefs;
-      b.self_input = 0;
-    }
-    b.out_scale = p.out_scale;
-    return fold_constants(std::move(b));
-  }
   STG_CHECK(p.agg == AggKind::kSum,
             "differentiate expects an optimized (mean-lowered) program");
   Program b;
@@ -243,15 +222,13 @@ EwBackward differentiate_elementwise(const EwProgram& fwd) {
   return bw;
 }
 
-BackwardNeeds backward_needs(const Program& p) {
+BackwardNeeds backward_needs(const Program& /*p*/) {
   BackwardNeeds n;
   // Coefficients never reference feature values in this IR family, so the
-  // backward kernel is independent of the forward inputs and outputs. Max
-  // aggregation additionally needs the recorded argmax routing.
+  // backward kernel is independent of the forward inputs and outputs.
   n.input_features = false;
   n.output_values = false;
   n.graph = true;
-  n.argmax = p.agg == AggKind::kMax;
   return n;
 }
 

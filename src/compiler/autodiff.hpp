@@ -27,9 +27,6 @@ struct BackwardNeeds {
   bool input_features = false;  // x from the forward pass
   bool output_values = false;   // out from the forward pass
   bool graph = true;            // the snapshot (always, via the Graph Stack)
-  /// Max aggregation only: the argmax indices recorded during forward.
-  /// The executor's State Stack is what carries them to the backward pass.
-  bool argmax = false;
 };
 
 /// Derive the backward program of `p` with respect to feature input

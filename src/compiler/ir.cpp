@@ -38,11 +38,8 @@ void print_coefs(std::ostringstream& oss, const std::vector<Coef>& coefs) {
 
 std::string Program::to_string() const {
   std::ostringstream oss;
-  const char* agg_name = agg == AggKind::kSum    ? "sum"
-                         : agg == AggKind::kMean ? "mean"
-                                                 : "max";
   oss << "out[v] = " << (out_scale != 1.0f ? std::to_string(out_scale) + " * " : "")
-      << (max_backward ? "max_bwd" : agg_name) << "_{u in N(v)} [";
+      << (agg == AggKind::kSum ? "sum" : "mean") << "_{u in N(v)} [";
   for (size_t i = 0; i < terms.size(); ++i) {
     if (i) oss << " + ";
     print_coefs(oss, terms[i].coefs);
@@ -66,8 +63,7 @@ bool operator==(const MessageTerm& a, const MessageTerm& b) {
 bool operator==(const Program& a, const Program& b) {
   return a.agg == b.agg && a.terms == b.terms &&
          a.include_self == b.include_self && a.self_coefs == b.self_coefs &&
-         a.self_input == b.self_input && a.out_scale == b.out_scale &&
-         a.max_backward == b.max_backward;
+         a.self_input == b.self_input && a.out_scale == b.out_scale;
 }
 
 // ---- elementwise-program IR ----------------------------------------------

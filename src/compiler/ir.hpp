@@ -43,7 +43,7 @@ struct MessageTerm {
   int input = 0;  // which feature input the producer value is read from
 };
 
-enum class AggKind : uint8_t { kSum, kMean, kMax };
+enum class AggKind : uint8_t { kSum, kMean };
 
 /// A full vertex program (single fused aggregation stage).
 struct Program {
@@ -53,10 +53,6 @@ struct Program {
   std::vector<Coef> self_coefs;  // multiply x_{self_input}[v]
   int self_input = 0;
   float out_scale = 1.0f;  // post-aggregation scaling, fused into the kernel
-  /// True for the derivative of a max aggregation: gather the output
-  /// gradient, routed only along the argmax edges recorded in the forward
-  /// pass (the kernel consumes KernelArgs::argmax_in).
-  bool max_backward = false;
   /// Number of distinct feature inputs referenced.
   int num_inputs() const;
   std::string to_string() const;

@@ -73,15 +73,8 @@ TermPlan make_plan(const std::vector<Coef>& coefs, int input) {
 KernelSpec compile(Program p) {
   KernelSpec spec;
   spec.program = optimize(std::move(p));
-  if (spec.program.agg == AggKind::kMax) {
-    STG_CHECK(spec.program.terms.size() == 1,
-              "max aggregation supports exactly one message term");
-    STG_CHECK(spec.program.out_scale > 0.0f,
-              "max aggregation requires a positive output scale");
-  } else {
-    STG_CHECK(spec.program.agg == AggKind::kSum,
-              "mean lowering should leave only sum aggregation");
-  }
+  STG_CHECK(spec.program.agg == AggKind::kSum,
+            "mean lowering should leave only sum aggregation");
   for (MessageTerm& t : spec.program.terms) canonicalize(t.coefs);
   canonicalize(spec.program.self_coefs);
   auto scan = [&](const std::vector<Coef>& coefs) {
@@ -116,14 +109,9 @@ void validate_args(const KernelSpec& spec, const KernelArgs& args) {
             "program uses degrees but no degree array was bound");
   STG_CHECK(!spec.program.include_self || args.self_features != nullptr,
             "program has a self term but self_features is unbound");
-  STG_CHECK(spec.program.agg != AggKind::kMax || spec.program.max_backward ||
-                args.argmax_out != nullptr,
-            "max-aggregation forward needs an argmax_out buffer");
-  STG_CHECK(!spec.program.max_backward || args.argmax_in != nullptr,
-            "max-aggregation backward needs the recorded argmax_in");
-  STG_CHECK(args.epilogue_bias == nullptr ||
-                (spec.program.agg == AggKind::kSum && !spec.program.max_backward),
-            "epilogue_bias is only defined for sum aggregation");
+  STG_CHECK(args.view.eids != nullptr || args.view.row_offset == nullptr ||
+                args.view.row_offset[args.view.num_nodes] == 0,
+            "kernel view has slots but no eid array");
 }
 
 }  // namespace stgraph::compiler

@@ -81,11 +81,6 @@ struct KernelArgs {
   /// null, in which case kGcnNorm factors are computed inline per edge.
   const float* gcn_coef = nullptr;
   float* out = nullptr;                  // [num_nodes, num_feats], overwritten
-  /// Max aggregation forward: records the winning producer id per
-  /// (vertex, feature) cell (kSpace when no candidate existed).
-  uint32_t* argmax_out = nullptr;
-  /// Max-backward: the argmax recorded by the matching forward launch.
-  const uint32_t* argmax_in = nullptr;
   uint32_t num_feats = 0;
   /// true  → forward  (rows are consumers; producer is the column)
   /// false → backward (rows are producers; consumer is the column)
@@ -93,14 +88,16 @@ struct KernelArgs {
   /// Fused elementwise epilogue (the fusing tape compiler grafts a layer's
   /// bias add onto the aggregation's accumulator writeback): when non-null,
   /// a [num_feats] row added to every output row as it is stored, saving
-  /// one full read-modify-write pass over the output. Sum aggregation only;
-  /// bit-identical to running the kernel and then ops::add_bias (the add
-  /// sees the same two floats either way).
+  /// one full read-modify-write pass over the output. Bit-identical to
+  /// running the kernel and then ops::add_bias (the add sees the same two
+  /// floats either way).
   const float* epilogue_bias = nullptr;
 };
 
-/// Throws StgError unless `args` binds every buffer `spec` reads or writes
-/// (an epilogue bias only on a sum aggregation). run_kernel and the
+/// Throws StgError unless `args` binds every buffer `spec` reads or writes,
+/// including the view's eid array whenever it has slots
+/// (row_offset[num_nodes] > 0): edge weights and the coefficient cache are
+/// indexed by edge label, never by slot position. run_kernel and the
 /// reference kernel (oracles/compiler/kernel_reference.hpp) both call it.
 void validate_args(const KernelSpec& spec, const KernelArgs& args);
 

@@ -4,9 +4,11 @@
 // coef-kind switch on every edge and walks features scalar-by-scalar, this
 // engine:
 //
-//   * instantiates one row function per (mode, has-edge-weight, has-gaps,
-//     has-eids, include-self) combination, so every per-edge branch of the
-//     reference loop is resolved at compile time,
+//   * instantiates one row function per (direction, has-edge-weight,
+//     has-gaps, include-self) combination — a 2×2×2×2 grid of sum
+//     cells — so every per-edge branch of the reference loop is resolved
+//     at compile time (every view carries its eid array; validate_args
+//     rejects one with slots but no eids),
 //   * hoists consumer-only coefficient factors (inverse-degree products on
 //     the row vertex) out of the edge loop — in the forward direction the
 //     per-edge work for a GCN-normalized sum collapses to one cached
@@ -37,7 +39,8 @@
 namespace stgraph::compiler {
 namespace {
 
-enum class Mode { kSumFwd, kSumBwd, kMaxFwd, kMaxBwd };
+/// Launch direction: forward rows are consumers, backward rows producers.
+enum class Mode { kFwd, kBwd };
 
 /// Widest feature span one row call covers in a single edge scan with
 /// stack-resident accumulators. The untiled path caps F below
@@ -87,15 +90,12 @@ struct Launch {
   const float* const* inputs = nullptr;
   const float* self_features = nullptr;
   float* out = nullptr;
-  uint32_t* argmax_out = nullptr;
-  const uint32_t* argmax_in = nullptr;
   const TermPlan* plans = nullptr;
   uint32_t num_terms = 0;
   TermPlan self_plan;
   float scale = 1.0f;
   uint32_t F = 0;
-  /// Fused bias epilogue ([F] row added at accumulator writeback); sum
-  /// modes only — validate_args rejects it for max programs.
+  /// Fused bias epilogue ([F] row added at accumulator writeback).
   const float* epilogue = nullptr;
   /// One past the last valid slot index (row_offset[num_nodes]): the edge
   /// prefetch looks across row boundaries up to here, since rows tile the
@@ -108,7 +108,7 @@ struct Launch {
 /// line into L1 just before use. Looks across row boundaries (rows tile
 /// the slot array, and consecutive rows run on the same lane in natural
 /// order), so short rows still get covered.
-template <bool Gaps, bool Eids>
+template <bool Gaps>
 inline void prefetch_edge(const Launch& L, const float* input, uint32_t j,
                           uint32_t f0) {
   const auto touch = [&](uint32_t ahead, int locality) {
@@ -119,9 +119,7 @@ inline void prefetch_edge(const Launch& L, const float* input, uint32_t j,
     const float* p = input + static_cast<std::size_t>(pcol) * L.F + f0;
     prefetch_read(p, locality);
     if (L.F > 16) prefetch_read(p + 16, locality);  // second line of the row
-    if constexpr (Eids) {
-      if (L.cache) prefetch_read(L.cache + L.eids[j + ahead], locality);
-    }
+    if (L.cache) prefetch_read(L.cache + L.eids[j + ahead], locality);
   };
   if (j + kPrefetchDist < L.slots_end) touch(kPrefetchDist, /*L2=*/2);
   if (j + kPrefetchNear < L.slots_end) touch(kPrefetchNear, /*L1=*/3);
@@ -145,28 +143,28 @@ inline float apply_consumer(const TermPlan& tp, float c, const Launch& L,
 
 /// Per-row hoisted prefix of each term's coefficient product: the constant
 /// fold always, plus the consumer factors when the row is the consumer
-/// (forward sum, max forward). In the backward direction the consumer is
-/// the column, so those factors stay per-edge.
+/// (forward). In the backward direction the consumer is the column, so
+/// those factors stay per-edge.
 template <Mode M>
 inline void term_bases(const Launch& L, uint32_t row,
                        float* base /* kMaxSpecializedTerms */) {
   for (uint32_t t = 0; t < L.num_terms; ++t) {
     float c = L.plans[t].c0;
-    if constexpr (M == Mode::kSumFwd || M == Mode::kMaxFwd)
+    if constexpr (M == Mode::kFwd)
       c = apply_consumer(L.plans[t], c, L, row);
     base[t] = c;
   }
 }
 
 /// Complete a hoisted base into the per-edge coefficient (canonical factor
-/// order; out_scale is applied by the caller where the mode requires it).
-/// The gcn argument order differs from the reference's (producer, consumer)
-/// only by commutation, which is bitwise-exact for float multiplies.
+/// order; the caller applies out_scale). The gcn argument order differs
+/// from the reference's (producer, consumer) only by commutation, which is
+/// bitwise-exact for float multiplies.
 template <Mode M, bool EW>
 inline float edge_coef(const Launch& L, const TermPlan& tp, float base,
                        uint32_t row, uint32_t col, uint32_t eid) {
   float c = base;
-  if constexpr (M == Mode::kSumBwd || M == Mode::kMaxBwd)
+  if constexpr (M == Mode::kBwd)
     c = apply_consumer(tp, c, L, col);
   if (tp.gcn) {
     const float g =
@@ -179,8 +177,8 @@ inline float edge_coef(const Launch& L, const TermPlan& tp, float base,
   return c;
 }
 
-/// Self-term coefficient (producer == consumer == row in every mode; the
-/// reference evaluates it with eid 0, preserved here). Always computed
+/// Self-term coefficient (producer == consumer == row in both directions;
+/// the reference evaluates it with eid 0, preserved here). Always computed
 /// inline — cache entry 0 belongs to a real edge, not the self loop.
 template <bool EW>
 inline float self_coef(const Launch& L, uint32_t row) {
@@ -198,7 +196,7 @@ inline float self_coef(const Launch& L, uint32_t row) {
 
 // ---- register-tiled vector blocks (NV accumulator vectors per scan) ------
 
-template <class Ops, int NV, Mode M, bool EW, bool Gaps, bool Eids, bool Self>
+template <class Ops, int NV, Mode M, bool EW, bool Gaps, bool Self>
 inline void sum_block(const Launch& L, uint32_t row, uint32_t f0,
                       const float* base) {
   using vf = typename Ops::vf;
@@ -211,8 +209,8 @@ inline void sum_block(const Launch& L, uint32_t row, uint32_t f0,
     if constexpr (Gaps) {
       if (col == kSpace) continue;
     }
-    prefetch_edge<Gaps, Eids>(L, L.inputs[L.plans[0].input], j, f0);
-    const uint32_t eid = Eids ? L.eids[j] : j;
+    prefetch_edge<Gaps>(L, L.inputs[L.plans[0].input], j, f0);
+    const uint32_t eid = L.eids[j];
     for (uint32_t t = 0; t < L.num_terms; ++t) {
       const float c =
           edge_coef<M, EW>(L, L.plans[t], base[t], row, col, eid) * L.scale;
@@ -242,254 +240,58 @@ inline void sum_block(const Launch& L, uint32_t row, uint32_t f0,
   for (int i = 0; i < NV; ++i) Ops::store(orow + i * W, acc[i]);
 }
 
-template <class Ops, int NV, bool EW, bool Gaps, bool Eids, bool Self>
-inline void maxf_block(const Launch& L, uint32_t row, uint32_t f0,
-                       float base) {
-  using vf = typename Ops::vf;
-  using vu = typename Ops::vu;
-  constexpr uint32_t W = Ops::kWidth;
-  vf best[NV];
-  vu bidx[NV];
-  for (int i = 0; i < NV; ++i) {
-    best[i] = Ops::neg_inf();
-    bidx[i] = Ops::set1u(kSpace);
-  }
-  const uint32_t end = L.row_offset[row + 1];
-  for (uint32_t j = L.row_offset[row]; j < end; ++j) {
-    const uint32_t col = L.col[j];
-    if constexpr (Gaps) {
-      if (col == kSpace) continue;
-    }
-    const uint32_t eid = Eids ? L.eids[j] : j;
-    const float c =
-        edge_coef<Mode::kMaxFwd, EW>(L, L.plans[0], base, row, col, eid);
-    const vf vc = Ops::set1(c);
-    const vu vcol = Ops::set1u(col);
-    const float* src = L.inputs[L.plans[0].input] +
-                       static_cast<std::size_t>(col) * L.F + f0;
-    for (int i = 0; i < NV; ++i) {
-      const vf val = Ops::mul(vc, Ops::load(src + i * W));
-      const vu m = Ops::cmp_gt(val, best[i]);
-      best[i] = Ops::blend(best[i], val, m);
-      bidx[i] = Ops::blendu(bidx[i], vcol, m);
-    }
-  }
-  if constexpr (Self) {
-    const float c = self_coef<EW>(L, row);
-    const vf vc = Ops::set1(c);
-    const vu vrow = Ops::set1u(row);
-    const float* src =
-        L.self_features + static_cast<std::size_t>(row) * L.F + f0;
-    for (int i = 0; i < NV; ++i) {
-      const vf val = Ops::mul(vc, Ops::load(src + i * W));
-      const vu m = Ops::cmp_gt(val, best[i]);
-      best[i] = Ops::blend(best[i], val, m);
-      bidx[i] = Ops::blendu(bidx[i], vrow, m);
-    }
-  }
-  float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
-  uint32_t* arow = L.argmax_out + static_cast<std::size_t>(row) * L.F + f0;
-  const vf vscale = Ops::set1(L.scale);
-  const vu vspace = Ops::set1u(kSpace);
-  for (int i = 0; i < NV; ++i) {
-    const vu empty = Ops::cmp_eq_u(bidx[i], vspace);
-    // empty max is defined as 0, otherwise scale the winner.
-    Ops::store(orow + i * W,
-               Ops::blend(Ops::mul(best[i], vscale), Ops::zero(), empty));
-    Ops::storeu(arow + i * W, bidx[i]);
-  }
-}
-
-template <class Ops, int NV, bool EW, bool Gaps, bool Eids, bool Self>
-inline void maxb_block(const Launch& L, uint32_t row, uint32_t f0) {
-  using vf = typename Ops::vf;
-  using vu = typename Ops::vu;
-  constexpr uint32_t W = Ops::kWidth;
-  vf acc[NV];
-  for (int i = 0; i < NV; ++i) acc[i] = Ops::zero();
-  const vu vrow = Ops::set1u(row);
-  const uint32_t end = L.row_offset[row + 1];
-  for (uint32_t j = L.row_offset[row]; j < end; ++j) {
-    const uint32_t col = L.col[j];  // consumer vertex
-    if constexpr (Gaps) {
-      if (col == kSpace) continue;
-    }
-    const uint32_t eid = Eids ? L.eids[j] : j;
-    const float c = edge_coef<Mode::kMaxBwd, EW>(L, L.plans[0],
-                                                 L.plans[0].c0, row, col,
-                                                 eid) *
-                    L.scale;
-    const vf vc = Ops::set1(c);
-    const uint32_t* amax =
-        L.argmax_in + static_cast<std::size_t>(col) * L.F + f0;
-    const float* grad = L.inputs[L.plans[0].input] +
-                        static_cast<std::size_t>(col) * L.F + f0;
-    for (int i = 0; i < NV; ++i) {
-      const vu m = Ops::cmp_eq_u(Ops::loadu(amax + i * W), vrow);
-      // Masked accumulate: losing lanes add +0.0, which cannot perturb an
-      // accumulator that started at +0.0 (adds never produce -0.0 here).
-      acc[i] = Ops::add(acc[i],
-                        Ops::mask_keep(Ops::mul(vc, Ops::load(grad + i * W)),
-                                       m));
-    }
-  }
-  if constexpr (Self) {
-    // The consumer `row` itself may have picked its self candidate.
-    const float c = self_coef<EW>(L, row) * L.scale;
-    const vf vc = Ops::set1(c);
-    const uint32_t* amax =
-        L.argmax_in + static_cast<std::size_t>(row) * L.F + f0;
-    const float* grad =
-        L.self_features + static_cast<std::size_t>(row) * L.F + f0;
-    for (int i = 0; i < NV; ++i) {
-      const vu m = Ops::cmp_eq_u(Ops::loadu(amax + i * W), vrow);
-      acc[i] = Ops::add(acc[i],
-                        Ops::mask_keep(Ops::mul(vc, Ops::load(grad + i * W)),
-                                       m));
-    }
-  }
-  float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
-  for (int i = 0; i < NV; ++i) Ops::store(orow + i * W, acc[i]);
-}
-
 // ---- scalar range path (sub-vector tails and the width-1 engine) ---------
 
 /// Process feature columns [f0, f1) with plain-float stack accumulators in
 /// one edge scan. len is bounded by kMaxRange; this is the whole row body
 /// for the scalar-specialized engine and the remainder handler for the
 /// vector engines.
-template <Mode M, bool EW, bool Gaps, bool Eids, bool Self>
+template <Mode M, bool EW, bool Gaps, bool Self>
 void range_row(const Launch& L, uint32_t row, uint32_t f0, uint32_t f1,
                const float* base) {
   const uint32_t len = f1 - f0;
   const uint32_t end = L.row_offset[row + 1];
-  if constexpr (M == Mode::kMaxFwd) {
-    float best[kMaxRange];
-    uint32_t bidx[kMaxRange];
-    for (uint32_t f = 0; f < len; ++f) {
-      best[f] = -__builtin_inff();
-      bidx[f] = kSpace;
+  float acc[kMaxRange];
+  for (uint32_t f = 0; f < len; ++f) acc[f] = 0.0f;
+  for (uint32_t j = L.row_offset[row]; j < end; ++j) {
+    const uint32_t col = L.col[j];
+    if constexpr (Gaps) {
+      if (col == kSpace) continue;
     }
-    for (uint32_t j = L.row_offset[row]; j < end; ++j) {
-      const uint32_t col = L.col[j];
-      if constexpr (Gaps) {
-        if (col == kSpace) continue;
-      }
-      const uint32_t eid = Eids ? L.eids[j] : j;
+    const uint32_t eid = L.eids[j];
+    for (uint32_t t = 0; t < L.num_terms; ++t) {
       const float c =
-          edge_coef<M, EW>(L, L.plans[0], base[0], row, col, eid);
-      const float* src = L.inputs[L.plans[0].input] +
+          edge_coef<M, EW>(L, L.plans[t], base[t], row, col, eid) *
+          L.scale;
+      if (c == 0.0f) continue;
+      const float* src = L.inputs[L.plans[t].input] +
                          static_cast<std::size_t>(col) * L.F + f0;
-      for (uint32_t f = 0; f < len; ++f) {
-        const float val = c * src[f];
-        if (val > best[f]) {
-          best[f] = val;
-          bidx[f] = col;
-        }
-      }
-    }
-    if constexpr (Self) {
-      const float c = self_coef<EW>(L, row);
-      const float* src =
-          L.self_features + static_cast<std::size_t>(row) * L.F + f0;
-      for (uint32_t f = 0; f < len; ++f) {
-        const float val = c * src[f];
-        if (val > best[f]) {
-          best[f] = val;
-          bidx[f] = row;
-        }
-      }
-    }
-    float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
-    uint32_t* arow = L.argmax_out + static_cast<std::size_t>(row) * L.F + f0;
-    for (uint32_t f = 0; f < len; ++f) {
-      orow[f] = bidx[f] == kSpace ? 0.0f : best[f] * L.scale;
-      arow[f] = bidx[f];
-    }
-  } else if constexpr (M == Mode::kMaxBwd) {
-    float acc[kMaxRange];
-    for (uint32_t f = 0; f < len; ++f) acc[f] = 0.0f;
-    for (uint32_t j = L.row_offset[row]; j < end; ++j) {
-      const uint32_t col = L.col[j];
-      if constexpr (Gaps) {
-        if (col == kSpace) continue;
-      }
-      const uint32_t eid = Eids ? L.eids[j] : j;
-      const float c = edge_coef<M, EW>(L, L.plans[0], L.plans[0].c0, row,
-                                       col, eid) *
-                      L.scale;
-      const uint32_t* amax =
-          L.argmax_in + static_cast<std::size_t>(col) * L.F + f0;
-      const float* grad = L.inputs[L.plans[0].input] +
-                          static_cast<std::size_t>(col) * L.F + f0;
-      for (uint32_t f = 0; f < len; ++f)
-        if (amax[f] == row) acc[f] += c * grad[f];
-    }
-    if constexpr (Self) {
-      const float c = self_coef<EW>(L, row) * L.scale;
-      const uint32_t* amax =
-          L.argmax_in + static_cast<std::size_t>(row) * L.F + f0;
-      const float* grad =
-          L.self_features + static_cast<std::size_t>(row) * L.F + f0;
-      for (uint32_t f = 0; f < len; ++f)
-        if (amax[f] == row) acc[f] += c * grad[f];
-    }
-    float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
-    for (uint32_t f = 0; f < len; ++f) orow[f] = acc[f];
-  } else {
-    float acc[kMaxRange];
-    for (uint32_t f = 0; f < len; ++f) acc[f] = 0.0f;
-    for (uint32_t j = L.row_offset[row]; j < end; ++j) {
-      const uint32_t col = L.col[j];
-      if constexpr (Gaps) {
-        if (col == kSpace) continue;
-      }
-      const uint32_t eid = Eids ? L.eids[j] : j;
-      for (uint32_t t = 0; t < L.num_terms; ++t) {
-        const float c =
-            edge_coef<M, EW>(L, L.plans[t], base[t], row, col, eid) *
-            L.scale;
-        if (c == 0.0f) continue;
-        const float* src = L.inputs[L.plans[t].input] +
-                           static_cast<std::size_t>(col) * L.F + f0;
-        for (uint32_t f = 0; f < len; ++f) acc[f] += c * src[f];
-      }
-    }
-    if constexpr (Self) {
-      const float c = self_coef<EW>(L, row) * L.scale;
-      const float* src =
-          L.self_features + static_cast<std::size_t>(row) * L.F + f0;
       for (uint32_t f = 0; f < len; ++f) acc[f] += c * src[f];
     }
-    if (L.epilogue != nullptr) {
-      for (uint32_t f = 0; f < len; ++f) acc[f] += L.epilogue[f0 + f];
-    }
-    float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
-    for (uint32_t f = 0; f < len; ++f) orow[f] = acc[f];
   }
+  if constexpr (Self) {
+    const float c = self_coef<EW>(L, row) * L.scale;
+    const float* src =
+        L.self_features + static_cast<std::size_t>(row) * L.F + f0;
+    for (uint32_t f = 0; f < len; ++f) acc[f] += c * src[f];
+  }
+  if (L.epilogue != nullptr) {
+    for (uint32_t f = 0; f < len; ++f) acc[f] += L.epilogue[f0 + f];
+  }
+  float* orow = L.out + static_cast<std::size_t>(row) * L.F + f0;
+  for (uint32_t f = 0; f < len; ++f) orow[f] = acc[f];
 }
 
 // ---- row driver: register blocks + tail, one entry per grid cell ---------
 
-template <class Ops, int NV, Mode M, bool EW, bool Gaps, bool Eids, bool Self>
-inline void block_nv(const Launch& L, uint32_t row, uint32_t f0,
-                     const float* base) {
-  if constexpr (M == Mode::kMaxFwd)
-    maxf_block<Ops, NV, EW, Gaps, Eids, Self>(L, row, f0, base[0]);
-  else if constexpr (M == Mode::kMaxBwd)
-    maxb_block<Ops, NV, EW, Gaps, Eids, Self>(L, row, f0);
-  else
-    sum_block<Ops, NV, M, EW, Gaps, Eids, Self>(L, row, f0, base);
-}
-
-template <class Ops, Mode M, bool EW, bool Gaps, bool Eids, bool Self>
+template <class Ops, Mode M, bool EW, bool Gaps, bool Self>
 void row_entry(const Launch& L, uint32_t row, uint32_t f0, uint32_t f1) {
   float base[kMaxSpecializedTerms];
   term_bases<M>(L, row, base);
   if constexpr (Ops::kWidth == 1) {
     // Width-1 engine: one stack-buffered scan beats rescanning the edge
     // list per 8-float register block.
-    range_row<M, EW, Gaps, Eids, Self>(L, row, f0, f1, base);
+    range_row<M, EW, Gaps, Self>(L, row, f0, f1, base);
     return;
   } else {
     constexpr uint32_t W = Ops::kWidth;
@@ -498,19 +300,19 @@ void row_entry(const Launch& L, uint32_t row, uint32_t f0, uint32_t f1) {
     while (nvec > 0) {
       const uint32_t nv = std::min(nvec, kMaxAccVecs);
       switch (nv) {
-        case 1: block_nv<Ops, 1, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 2: block_nv<Ops, 2, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 3: block_nv<Ops, 3, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 4: block_nv<Ops, 4, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 5: block_nv<Ops, 5, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 6: block_nv<Ops, 6, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        case 7: block_nv<Ops, 7, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
-        default: block_nv<Ops, 8, M, EW, Gaps, Eids, Self>(L, row, f, base); break;
+        case 1: sum_block<Ops, 1, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 2: sum_block<Ops, 2, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 3: sum_block<Ops, 3, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 4: sum_block<Ops, 4, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 5: sum_block<Ops, 5, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 6: sum_block<Ops, 6, M, EW, Gaps, Self>(L, row, f, base); break;
+        case 7: sum_block<Ops, 7, M, EW, Gaps, Self>(L, row, f, base); break;
+        default: sum_block<Ops, 8, M, EW, Gaps, Self>(L, row, f, base); break;
       }
       f += nv * W;
       nvec -= nv;
     }
-    if (f < f1) range_row<M, EW, Gaps, Eids, Self>(L, row, f, f1, base);
+    if (f < f1) range_row<M, EW, Gaps, Self>(L, row, f, f1, base);
   }
 }
 
@@ -518,17 +320,16 @@ template <class Ops>
 using RowFn = void (*)(const Launch&, uint32_t, uint32_t, uint32_t);
 
 template <class Ops, Mode M, std::size_t... I>
-constexpr std::array<RowFn<Ops>, 16> make_table(std::index_sequence<I...>) {
-  return {{&row_entry<Ops, M, ((I >> 3) & 1) != 0, ((I >> 2) & 1) != 0,
-                      ((I >> 1) & 1) != 0, (I & 1) != 0>...}};
+constexpr std::array<RowFn<Ops>, 8> make_table(std::index_sequence<I...>) {
+  return {{&row_entry<Ops, M, ((I >> 2) & 1) != 0, ((I >> 1) & 1) != 0,
+                      (I & 1) != 0>...}};
 }
 
 template <class Ops, Mode M>
-RowFn<Ops> pick_row(bool ew, bool gaps, bool eids, bool self) {
-  static constexpr std::array<RowFn<Ops>, 16> table =
-      make_table<Ops, M>(std::make_index_sequence<16>{});
-  return table[(ew ? 8u : 0u) | (gaps ? 4u : 0u) | (eids ? 2u : 0u) |
-               (self ? 1u : 0u)];
+RowFn<Ops> pick_row(bool ew, bool gaps, bool self) {
+  static constexpr std::array<RowFn<Ops>, 8> table =
+      make_table<Ops, M>(std::make_index_sequence<8>{});
+  return table[(ew ? 4u : 0u) | (gaps ? 2u : 0u) | (self ? 1u : 0u)];
 }
 
 // ---- launch: specialization pick + feature-adaptive work shaping ---------
@@ -541,14 +342,10 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
   L.eids = a.view.eids;
   L.deg = a.in_degrees;
   L.ew = a.edge_weights;
-  // The cache is eid-indexed; without an eid array positions stand in for
-  // labels and the cache cannot be trusted, so fall back to inline gcn.
-  L.cache = a.view.eids ? a.gcn_coef : nullptr;
+  L.cache = a.gcn_coef;
   L.inputs = a.inputs;
   L.self_features = a.self_features;
   L.out = a.out;
-  L.argmax_out = a.argmax_out;
-  L.argmax_in = a.argmax_in;
   L.plans = spec.plans.data();
   L.num_terms = static_cast<uint32_t>(spec.plans.size());
   L.self_plan = spec.self_plan;
@@ -560,17 +357,10 @@ void run_engine(const KernelSpec& spec, const KernelArgs& a) {
 
   const bool ew = spec.uses_edge_weight;
   const bool gaps = a.view.has_gaps;
-  const bool eids = a.view.eids != nullptr;
   const bool self = spec.program.include_self;
-  RowFn<Ops> fn;
-  if (spec.program.max_backward)
-    fn = pick_row<Ops, Mode::kMaxBwd>(ew, gaps, eids, self);
-  else if (spec.program.agg == AggKind::kMax)
-    fn = pick_row<Ops, Mode::kMaxFwd>(ew, gaps, eids, self);
-  else if (a.producer_is_col)
-    fn = pick_row<Ops, Mode::kSumFwd>(ew, gaps, eids, self);
-  else
-    fn = pick_row<Ops, Mode::kSumBwd>(ew, gaps, eids, self);
+  const RowFn<Ops> fn =
+      a.producer_is_col ? pick_row<Ops, Mode::kFwd>(ew, gaps, self)
+                        : pick_row<Ops, Mode::kBwd>(ew, gaps, self);
 
   const uint32_t n = a.view.num_nodes;
   const uint32_t F = a.num_feats;

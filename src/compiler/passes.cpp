@@ -55,9 +55,6 @@ Program lower_mean(Program p) {
 }
 
 Program dedup_terms(Program p) {
-  // Additive-term merging is only sound for sum aggregation; max treats
-  // terms as independent candidates.
-  if (p.agg == AggKind::kMax) return p;
   std::vector<MessageTerm> merged;
   std::vector<float> consts;
   for (const MessageTerm& t : p.terms) {
@@ -88,9 +85,6 @@ Program dedup_terms(Program p) {
 }
 
 Program eliminate_dead_terms(Program p) {
-  // A zero-coefficient candidate still participates in a max (it
-  // contributes 0), so the pass only applies to sum aggregation.
-  if (p.agg == AggKind::kMax) return p;
   auto dead = [](const MessageTerm& t) {
     return leading_const(t.coefs) == 0.0f;
   };

@@ -98,10 +98,6 @@ class VertexContext {
 
   AggExpr agg_sum(const MsgExpr& msg) const { return AggExpr(AggKind::kSum, msg); }
   AggExpr agg_mean(const MsgExpr& msg) const { return AggExpr(AggKind::kMean, msg); }
-  /// Element-wise max over neighbor messages (GraphSAGE-maxpool style).
-  /// Restricted to a single message term; the forward kernel records
-  /// argmax indices that the backward pass routes gradients along.
-  AggExpr agg_max(const MsgExpr& msg) const { return AggExpr(AggKind::kMax, msg); }
 };
 
 /// Trace a vertex-centric function into Program IR.

@@ -49,9 +49,4 @@ void Module::register_module(const std::string& name, Module* child) {
   children_.emplace_back(name, child);
 }
 
-void Module::set_training(bool training) {
-  training_ = training;
-  for (auto& [name, child] : children_) child->set_training(training);
-}
-
 }  // namespace stgraph::nn

@@ -1,5 +1,7 @@
-// Module base class — parameter registration and train/eval mode, the
-// same contract PyG-T layers rely on from torch.nn.Module.
+// Module base class — parameter registration and submodule traversal, the
+// parameter half of the contract PyG-T layers rely on from torch.nn.Module.
+// No layer behaves differently in training and inference, so there is no
+// train/eval mode.
 #pragma once
 
 #include <memory>
@@ -25,16 +27,9 @@ class Module {
   /// with dotted names ("conv_z.linear.weight").
   std::vector<Parameter> parameters() const;
 
-  void train() { set_training(true); }
-  void eval() { set_training(false); }
-  bool is_training() const { return training_; }
-
   /// Pre-order traversal of this module and every registered descendant,
   /// with dotted paths ("" for this module itself, "tgcn.conv_z" for a
-  /// grandchild). Lets callers audit per-module state from the outside —
-  /// the eval()-propagation regression test walks this to assert a parent
-  /// eval() flipped every leaf, and serving uses it to verify a frozen
-  /// model really is out of training mode.
+  /// grandchild). Lets callers audit per-module state from the outside.
   std::vector<std::pair<std::string, const Module*>> named_modules() const;
 
   void zero_grad();
@@ -47,15 +42,9 @@ class Module {
   /// Register a child module for recursive parameter collection.
   void register_module(const std::string& name, Module* child);
 
-  /// Overriders must forward to Module::set_training — that call is what
-  /// recurses into registered children, and a parent's eval()/train() is
-  /// required to flip every descendant (dropout layers read the flag).
-  virtual void set_training(bool training);
-
  private:
   std::vector<Parameter> own_params_;
   std::vector<std::pair<std::string, Module*>> children_;
-  bool training_ = true;
 };
 
 }  // namespace stgraph::nn

@@ -16,7 +16,8 @@ class Optimizer {
   virtual void step() = 0;
   void zero_grad();
 
-  /// Current learning rate (mutable for schedulers).
+  /// Current learning rate (the trainer restores it on resume and halves
+  /// it after repeated non-finite steps).
   float learning_rate() const { return lr_; }
   void set_learning_rate(float lr) { lr_ = lr; }
 

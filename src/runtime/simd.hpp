@@ -44,13 +44,9 @@ struct ScalarOps {
   using vf = float;
   using vu = uint32_t;
   static vf zero() { return 0.0f; }
-  static vf neg_inf() { return -__builtin_inff(); }
   static vf set1(float x) { return x; }
-  static vu set1u(uint32_t x) { return x; }
   static vf load(const float* p) { return *p; }
   static void store(float* p, vf v) { *p = v; }
-  static vu loadu(const uint32_t* p) { return *p; }
-  static void storeu(uint32_t* p, vu v) { *p = v; }
   static vf add(vf a, vf b) { return a + b; }
   static vf sub(vf a, vf b) { return a - b; }
   static vf mul(vf a, vf b) { return a * b; }
@@ -85,19 +81,8 @@ struct ScalarOps {
   /// Ordered a >= b and a < b masks (false on NaN).
   static vu cmp_ge(vf a, vf b) { return a >= b ? 0xFFFFFFFFu : 0u; }
   static vu cmp_lt(vf a, vf b) { return a < b ? 0xFFFFFFFFu : 0u; }
-  static vu cmp_eq_u(vu a, vu b) { return a == b ? 0xFFFFFFFFu : 0u; }
   /// mask ? b : a, per lane.
   static vf blend(vf a, vf b, vu mask) { return mask ? b : a; }
-  static vu blendu(vu a, vu b, vu mask) { return mask ? b : a; }
-  /// Zero out lanes where mask is false.
-  static vf mask_keep(vf v, vu mask) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    bits &= mask;
-    vf out;
-    std::memcpy(&out, &bits, sizeof(out));
-    return out;
-  }
 };
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -108,19 +93,9 @@ struct AvxOps {
   using vf = __m256;
   using vu = __m256i;
   static vf zero() { return _mm256_setzero_ps(); }
-  static vf neg_inf() { return _mm256_set1_ps(-__builtin_inff()); }
   static vf set1(float x) { return _mm256_set1_ps(x); }
-  static vu set1u(uint32_t x) {
-    return _mm256_set1_epi32(static_cast<int>(x));
-  }
   static vf load(const float* p) { return _mm256_loadu_ps(p); }
   static void store(float* p, vf v) { _mm256_storeu_ps(p, v); }
-  static vu loadu(const uint32_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void storeu(uint32_t* p, vu v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
   static vf add(vf a, vf b) { return _mm256_add_ps(a, b); }
   static vf sub(vf a, vf b) { return _mm256_sub_ps(a, b); }
   static vf mul(vf a, vf b) { return _mm256_mul_ps(a, b); }
@@ -154,17 +129,8 @@ struct AvxOps {
   static vu cmp_lt(vf a, vf b) {
     return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_LT_OQ));
   }
-  static vu cmp_eq_u(vu a, vu b) { return _mm256_cmpeq_epi32(a, b); }
   static vf blend(vf a, vf b, vu mask) {
     return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
-  }
-  static vu blendu(vu a, vu b, vu mask) {
-    return _mm256_castps_si256(_mm256_blendv_ps(
-        _mm256_castsi256_ps(a), _mm256_castsi256_ps(b),
-        _mm256_castsi256_ps(mask)));
-  }
-  static vf mask_keep(vf v, vu mask) {
-    return _mm256_and_ps(v, _mm256_castsi256_ps(mask));
   }
 };
 using NativeOps = AvxOps;
@@ -178,13 +144,9 @@ struct NeonOps {
   using vf = float32x4_t;
   using vu = uint32x4_t;
   static vf zero() { return vdupq_n_f32(0.0f); }
-  static vf neg_inf() { return vdupq_n_f32(-__builtin_inff()); }
   static vf set1(float x) { return vdupq_n_f32(x); }
-  static vu set1u(uint32_t x) { return vdupq_n_u32(x); }
   static vf load(const float* p) { return vld1q_f32(p); }
   static void store(float* p, vf v) { vst1q_f32(p, v); }
-  static vu loadu(const uint32_t* p) { return vld1q_u32(p); }
-  static void storeu(uint32_t* p, vu v) { vst1q_u32(p, v); }
   static vf add(vf a, vf b) { return vaddq_f32(a, b); }
   static vf sub(vf a, vf b) { return vsubq_f32(a, b); }
   static vf mul(vf a, vf b) { return vmulq_f32(a, b); }
@@ -208,13 +170,7 @@ struct NeonOps {
   static vu cmp_gt(vf a, vf b) { return vcgtq_f32(a, b); }
   static vu cmp_ge(vf a, vf b) { return vcgeq_f32(a, b); }
   static vu cmp_lt(vf a, vf b) { return vcltq_f32(a, b); }
-  static vu cmp_eq_u(vu a, vu b) { return vceqq_u32(a, b); }
   static vf blend(vf a, vf b, vu mask) { return vbslq_f32(mask, b, a); }
-  static vu blendu(vu a, vu b, vu mask) { return vbslq_u32(mask, b, a); }
-  static vf mask_keep(vf v, vu mask) {
-    return vreinterpretq_f32_u32(
-        vandq_u32(vreinterpretq_u32_f32(v), mask));
-  }
 };
 using NativeOps = NeonOps;
 inline constexpr const char* kArchName = "neon";

@@ -35,7 +35,6 @@ int64_t ModelSnapshot::parameter_count() const {
 void ModelSnapshot::install(nn::Module& model) const {
   auto live = model.parameters();
   io::restore_parameters(live, params_, "model snapshot");
-  model.eval();
 }
 
 }  // namespace stgraph::serve

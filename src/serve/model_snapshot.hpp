@@ -40,8 +40,7 @@ class ModelSnapshot {
   int64_t parameter_count() const;
 
   /// Copy the frozen parameters into a live model (strict positional
-  /// name + shape match via io::restore_parameters) and switch it to
-  /// eval() so every descendant module leaves training mode.
+  /// name + shape match via io::restore_parameters).
   void install(nn::Module& model) const;
 
  private:

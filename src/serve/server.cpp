@@ -102,7 +102,6 @@ void Server::start(Tensor features) {
                     snapshot_->hidden().defined())
                        ? snapshot_->hidden().clone()
                        : model_.initial_state(features_.rows()));
-  model_.eval();
   executor_.set_inference_mode(true);
 
   // Build the live edge membership set from the snapshot we start at; it is

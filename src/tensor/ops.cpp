@@ -13,7 +13,6 @@
 #include "tensor/gemm.hpp"
 #include "tensor/op_profile.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace stgraph::ops {
 namespace {
@@ -555,17 +554,6 @@ Tensor bce_with_logits_loss(const Tensor& logits, const Tensor& targets) {
     return std::vector<Tensor>{gz};
   });
   return out;
-}
-
-Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {
-  STG_CHECK(p >= 0.0f && p < 1.0f, "dropout probability must be in [0, 1)");
-  if (!training || p == 0.0f) return x;
-  Tensor mask = Tensor::empty(x.shape());
-  float* pm = mask.data();
-  const float keep = 1.0f - p;
-  for (int64_t i = 0; i < x.numel(); ++i)
-    pm[i] = rng.bernoulli(keep) ? 1.0f / keep : 0.0f;  // inverted dropout
-  return mul(x, mask);
 }
 
 }  // namespace stgraph::ops

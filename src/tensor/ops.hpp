@@ -6,10 +6,6 @@
 
 #include "tensor/tensor.hpp"
 
-namespace stgraph {
-class Rng;
-}
-
 namespace stgraph::ops {
 
 // ---- elementwise ------------------------------------------------------
@@ -68,10 +64,6 @@ Tensor mse_loss(const Tensor& pred, const Tensor& target);
 /// mean BCE with logits, numerically stable:
 /// max(z,0) - z*y + log(1 + exp(-|z|)).
 Tensor bce_with_logits_loss(const Tensor& logits, const Tensor& targets);
-
-// ---- regularization -----------------------------------------------------
-/// Inverted dropout; identity when !training.
-Tensor dropout(const Tensor& x, float p, Rng& rng, bool training);
 
 namespace detail {
 /// dst[c] = Σ_r src[r·cols + c]: the bias-gradient reduce of add_bias's

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "compiler/autodiff.hpp"
+#include "compiler/kernel.hpp"
 #include "core/executor.hpp"
 #include "gpma/gpma_graph.hpp"
 #include "serve/wal.hpp"
@@ -412,10 +413,15 @@ Report check_program(const compiler::Program& p) {
   r.note_check();
   if (!std::isfinite(p.out_scale))
     fail("out_scale is non-finite (", p.out_scale, ")");
+  // The forward program must lower onto the engine grid: compile() is the
+  // one authority on term and factor bounds, so ask it rather than copy
+  // its rules here.
   r.note_check();
-  if (p.agg == compiler::AggKind::kMax && p.terms.size() != 1)
-    fail("max aggregation requires exactly one message term, got ",
-         p.terms.size());
+  try {
+    (void)compiler::compile(p);
+  } catch (const std::exception& e) {
+    fail("compile() rejects the program: ", e.what());
+  }
 
   // Every feature input must have a derivable backward rule — the traced
   // forward program is only executable end to end if autodiff accepts it.

@@ -21,8 +21,9 @@
 //                             slot array exactly (the invariant the
 //                             view rebuild must preserve).
 //   * check_program         — IR sanity: in-range inputs, finite
-//                             constants, and a derivable backward rule for
-//                             every input (the autodiff contract).
+//                             constants, a program compile() accepts, and
+//                             a derivable backward rule for every input
+//                             (the autodiff contract).
 //   * check_protocol_trace  — Algorithm-1 stack discipline replayed from
 //                             an executor event trace: pushes and pops
 //                             LIFO-balanced, drained at sequence end.
@@ -97,8 +98,8 @@ Report check_pma(const Pma& pma);
 Report check_pma_view_agreement(const Pma& pma, const SnapshotView& v);
 
 /// IR sanity: inputs in range, coefficient kinds valid, constants finite,
-/// max-aggregation shape restrictions, and a backward rule derivable for
-/// every feature input.
+/// compiler::compile() accepts the program (the engine grid's term and
+/// factor bounds), and a backward rule derivable for every feature input.
 Report check_program(const compiler::Program& p);
 
 /// Replay an executor event trace (TemporalExecutor::set_trace) and check

@@ -1,20 +1,19 @@
 // Functional edge-weight tests: per-edge data indexed by the shared edge
 // labels must resolve to the same weight in the forward (reverse-CSR) and
 // backward (gapped PMA) views, across timestamps and relabelings — the
-// reason the paper's abstraction requires label sharing at all. Also
-// covers GCNStack.
+// reason the paper's abstraction requires label sharing at all.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <set>
 
+#include "compiler/kernel.hpp"
 #include "core/executor.hpp"
 #include "gpma/gpma_graph.hpp"
 #include "graph/naive_graph.hpp"
 #include "graph/static_graph.hpp"
-#include "nn/gcn_stack.hpp"
-#include "nn/optim.hpp"
+#include "nn/gcn.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -144,73 +143,6 @@ TEST(EdgeWeights, NaiveAndGpmaWeightedOutputsAgree) {
     for (int64_t i = 0; i < ya.numel(); ++i)
       ASSERT_NEAR(ya.at(i), yb.at(i), 1e-4f) << "t=" << t;
   }
-}
-
-TEST(GcnStack, DepthAndShapes) {
-  Rng rng(13);
-  nn::GCNStack stack({4, 8, 8, 2}, rng, /*dropout=*/0.0f);
-  EXPECT_EQ(stack.depth(), 3u);
-  StaticTemporalGraph graph(10, {{0, 1}, {1, 2}, {2, 3}}, 1);
-  core::TemporalExecutor exec(graph);
-  exec.begin_forward_step(0);
-  NoGradGuard ng;
-  Tensor y = stack.forward(exec, Tensor::randn({10, 4}, rng));
-  EXPECT_EQ(y.shape(), (Shape{10, 2}));
-  EXPECT_THROW(nn::GCNStack({4}, rng), StgError);
-}
-
-TEST(GcnStack, TrainsEndToEnd) {
-  Rng rng(17);
-  const uint32_t n = 12;
-  EdgeList edges;
-  std::set<std::pair<uint32_t, uint32_t>> dedup;
-  for (int i = 0; i < 50; ++i) {
-    uint32_t s = rng.next_below(n), d = rng.next_below(n);
-    if (s == d || !dedup.insert({s, d}).second) continue;
-    edges.emplace_back(s, d);
-  }
-  StaticTemporalGraph graph(n, edges, 1);
-  core::TemporalExecutor exec(graph);
-  nn::GCNStack stack({3, 6, 1}, rng, /*dropout=*/0.1f);
-  Tensor x = Tensor::randn({n, 3}, rng);
-  Tensor target = Tensor::randn({n, 1}, rng, 0.3f);
-  nn::Adam opt(stack.parameters(), 0.02f);
-  double first = 0, last = 0;
-  for (int step = 0; step < 40; ++step) {
-    exec.begin_forward_step(0);
-    Tensor loss = ops::mse_loss(stack.forward(exec, x), target);
-    opt.zero_grad();
-    loss.backward();
-    opt.step();
-    exec.verify_drained();
-    if (step == 0) first = loss.item();
-    last = loss.item();
-  }
-  EXPECT_LT(last, first * 0.7);
-}
-
-TEST(GcnStack, DropoutOnlyInTrainingMode) {
-  Rng rng(19);
-  nn::GCNStack stack({3, 16, 3}, rng, /*dropout=*/0.6f);
-  StaticTemporalGraph graph(8, {{0, 1}, {1, 2}, {3, 4}}, 1);
-  core::TemporalExecutor exec(graph);
-  NoGradGuard ng;
-  Tensor x = Tensor::randn({8, 3}, rng);
-  stack.eval();
-  exec.begin_forward_step(0);
-  Tensor a = stack.forward(exec, x);
-  exec.begin_forward_step(0);
-  Tensor b = stack.forward(exec, x);
-  EXPECT_EQ(a.to_vector(), b.to_vector());  // eval is deterministic
-  stack.train();
-  exec.begin_forward_step(0);
-  Tensor c = stack.forward(exec, x);
-  exec.begin_forward_step(0);
-  Tensor d = stack.forward(exec, x);
-  bool differs = false;
-  for (int64_t i = 0; i < c.numel(); ++i)
-    differs = differs || c.at(i) != d.at(i);
-  EXPECT_TRUE(differs);  // dropout masks differ between calls
 }
 
 }  // namespace

@@ -207,7 +207,6 @@ TEST(Executor, InferenceForwardRetainsNoGradientOrStackMemory) {
   exec.set_inference_mode(true);
   Rng rng(1);
   nn::TGCNEncoder model(3, 4, rng);
-  model.eval();
   const Tensor x = Tensor::ones({4, 3});
   auto run_once = [&] {
     NoGradGuard ng;

@@ -1,10 +1,10 @@
 // SIMD kernel-engine parity fuzz: the specialized engine behind run_kernel
 // must reproduce the interpreted reference (the oracle library's
 // run_kernel_reference) bit for bit — same float accumulation order, same
-// c == 0 skip (and hence NaN/Inf propagation), same argmax winners — across
-// every coefficient product, aggregation kind, direction, view shape
-// (gapped/ungapped, eids present/absent, coef cache present/absent) and odd
-// feature sizes that exercise the sub-vector tails and both tiling paths.
+// c == 0 skip (and hence NaN/Inf propagation) — across every coefficient
+// product, aggregation kind, direction, view shape (gapped/ungapped, coef
+// cache present/absent) and odd feature sizes that exercise the sub-vector
+// tails and both tiling paths.
 // ctest reruns the binary at 1 and 8 lanes, and `./run_all.sh portable` on
 // the scalar backend, so the serial schedule, a multi-lane strided schedule
 // and ScalarOps are held to the same oracle on any host.
@@ -21,10 +21,8 @@
 #include <set>
 #include <vector>
 
-#include "compiler/autodiff.hpp"
 #include "compiler/kernel.hpp"
 #include "compiler/kernel_reference.hpp"
-#include "compiler/passes.hpp"
 #include "compiler/trace.hpp"
 #include "gpma/gpma_graph.hpp"
 #include "graph/csr.hpp"
@@ -51,9 +49,7 @@ Program make_program(const CoefSet& cs, AggKind agg, bool self, bool scale) {
     if (cs.invp1) msg = v.inv_degree_p1() * msg;
     if (cs.inv) msg = v.inv_degree() * msg;
     if (cs.cst) msg = v.constant(1.375f) * msg;
-    AggExpr e = agg == AggKind::kSum    ? v.agg_sum(msg)
-                : agg == AggKind::kMean ? v.agg_mean(msg)
-                                        : v.agg_max(msg);
+    AggExpr e = agg == AggKind::kSum ? v.agg_sum(msg) : v.agg_mean(msg);
     if (self) e.with_self_loop(cs.gcn ? v.gcn_norm() : v.constant(0.75f));
     if (scale) e.scaled(0.5f);
     return e;
@@ -147,36 +143,20 @@ struct GappedCopy {
   }
 };
 
-enum class ViewShape { kCompact, kGapped, kNoEids };
-
 // Run the same launch through the engine (run_kernel) and the interpreted
-// reference and assert bitwise-identical outputs (and argmax for max).
+// reference and assert bitwise-identical outputs.
 void check_parity(const KernelSpec& spec, KernelArgs args, uint32_t n,
                   int64_t F, const char* what) {
   std::vector<float> out_eng(static_cast<std::size_t>(n) * F, -2.0f);
   std::vector<float> out_ref(static_cast<std::size_t>(n) * F, -2.0f);
-  std::vector<uint32_t> am_eng, am_ref;
-  const bool max_fwd =
-      spec.program.agg == AggKind::kMax && !spec.program.max_backward;
-  if (max_fwd) {
-    am_eng.assign(static_cast<std::size_t>(n) * F, 0xCCCCCCCCu);
-    am_ref.assign(static_cast<std::size_t>(n) * F, 0xCCCCCCCCu);
-  }
 
   args.out = out_eng.data();
-  if (max_fwd) args.argmax_out = am_eng.data();
   run_kernel(spec, args);
 
   args.out = out_ref.data();
-  if (max_fwd) args.argmax_out = am_ref.data();
   run_kernel_reference(spec, args);
 
   expect_bits_equal(out_eng, out_ref, what);
-  if (max_fwd) {
-    for (std::size_t i = 0; i < am_eng.size(); ++i)
-      ASSERT_EQ(am_eng[i], am_ref[i])
-          << what << " argmax diverges at " << i;
-  }
 }
 
 constexpr int64_t kFeatureSizes[] = {1, 3, 8, 31, 32, 33, 127};
@@ -220,106 +200,18 @@ TEST(KernelSimdFuzz, SumAndMeanParity) {
               fwd ? fg.view.in_view : fg.view.out_view;
           const GappedCopy& gapped = fwd ? gap_fwd : gap_bwd;
 
-          for (ViewShape shape :
-               {ViewShape::kCompact, ViewShape::kGapped, ViewShape::kNoEids}) {
+          for (bool gaps : {false, true}) {
             KernelArgs a = base;
-            switch (shape) {
-              case ViewShape::kCompact:
-                a.view = compact;
-                a.gcn_coef = fg.view.gcn_coef;  // cache vs inline reference
-                break;
-              case ViewShape::kGapped:
-                a.view = gapped.view_of(compact);
-                a.gcn_coef = fg.view.gcn_coef;
-                break;
-              case ViewShape::kNoEids:
-                // Positions stand in for labels; the engine must ignore the
-                // eid-indexed cache even though one is bound.
-                a.view = compact;
-                a.view.eids = nullptr;
-                a.gcn_coef = fg.view.gcn_coef;
-                if (cs.ew) continue;  // weights would need eids
-                break;
-            }
+            a.view = gaps ? gapped.view_of(compact) : compact;
+            a.gcn_coef = fg.view.gcn_coef;  // cache vs inline reference
             SCOPED_TRACE(::testing::Message()
                          << "F=" << F << " n=" << n << " agg=" << int(agg)
-                         << " fwd=" << fwd << " shape=" << int(shape)
+                         << " fwd=" << fwd << " gaps=" << gaps
                          << " cfg=" << cfg);
             check_parity(spec, a, n, F, "sum/mean");
             if (HasFatalFailure()) return;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(KernelSimdFuzz, MaxForwardAndBackwardParity) {
-  const CoefSet kSets[] = {
-      {true, false, false, false, false},
-      {false, false, false, true, false},
-      {false, false, false, false, true},
-      {false, false, false, true, true},
-      {false, true, false, false, false},
-  };
-  int cfg = 0;
-  for (int64_t F : kFeatureSizes) {
-    const uint32_t n = (F % 2) ? 151 : 9;
-    FuzzGraph fg(n, static_cast<std::size_t>(n) * 8, 3000 + F);
-    Rng rng(4000 + F);
-    const GappedCopy gap_bwd(fg.view.out_view, rng);
-    const std::vector<float> x = fg.features(F, rng, /*specials=*/true);
-    const std::vector<float> g = fg.features(F, rng, /*specials=*/false);
-
-    for (const CoefSet& cs : kSets) {
-      const bool self = (++cfg % 2) == 0;
-      Program fwd_prog = optimize(make_program(cs, AggKind::kMax, self, true));
-      KernelSpec fwd = compile(fwd_prog);
-      KernelSpec bwd = compile(differentiate(fwd_prog, 0));
-      ASSERT_TRUE(bwd.program.max_backward);
-
-      // Forward parity (out + argmax, cached and inline gcn).
-      std::vector<uint32_t> argmax(static_cast<std::size_t>(n) * F,
-                                   0xCCCCCCCCu);
-      {
-        const float* inputs[1] = {x.data()};
-        KernelArgs a;
-        a.view = fg.view.in_view;
-        a.in_degrees = fg.view.in_degrees;
-        a.inputs = inputs;
-        a.self_features = x.data();
-        a.edge_weights = cs.ew ? fg.ew.data() : nullptr;
-        a.gcn_coef = fg.view.gcn_coef;
-        a.num_feats = static_cast<uint32_t>(F);
-        a.producer_is_col = true;
-        SCOPED_TRACE(::testing::Message() << "max fwd F=" << F << " cfg=" << cfg);
-        check_parity(fwd, a, n, F, "max fwd");
-        if (HasFatalFailure()) return;
-        // Keep the reference argmax for the backward launch below.
-        std::vector<float> out(static_cast<std::size_t>(n) * F);
-        a.out = out.data();
-        a.argmax_out = argmax.data();
-        run_kernel_reference(fwd, a);
-      }
-
-      // Backward parity over compact and gapped producer views.
-      for (bool gapped : {false, true}) {
-        const float* inputs[1] = {g.data()};
-        KernelArgs a;
-        a.view = gapped ? gap_bwd.view_of(fg.view.out_view) : fg.view.out_view;
-        a.in_degrees = fg.view.in_degrees;
-        a.inputs = inputs;
-        a.self_features = g.data();
-        a.edge_weights = cs.ew ? fg.ew.data() : nullptr;
-        a.gcn_coef = fg.view.gcn_coef;
-        a.argmax_in = argmax.data();
-        a.num_feats = static_cast<uint32_t>(F);
-        a.producer_is_col = false;
-        SCOPED_TRACE(::testing::Message()
-                     << "max bwd F=" << F << " cfg=" << cfg
-                     << " gapped=" << gapped);
-        check_parity(bwd, a, n, F, "max bwd");
-        if (HasFatalFailure()) return;
       }
     }
   }
@@ -381,6 +273,61 @@ TEST(KernelCompile, RejectsProgramsBeyondTheEngineGrid) {
   self.include_self = true;
   self.self_coefs.assign(256, Coef{CoefKind::kInvDegree, 1.0f});
   EXPECT_THROW(compile(self), StgError);
+}
+
+// Edge weights and the coefficient cache are indexed by edge label, so a
+// view with slots must carry its eid array; positions never stand in.
+TEST(KernelArgsValidation, RejectsSlotsWithoutEids) {
+  FuzzGraph fg(20, 100, 5);
+  Rng rng(6);
+  const std::vector<float> x = fg.features(4, rng, false);
+  const float* inputs[1] = {x.data()};
+  std::vector<float> out(static_cast<std::size_t>(fg.n) * 4);
+  KernelSpec spec = compile(trace([](VertexContext& v) -> AggExpr {
+    return v.agg_sum(v.gcn_norm() * v.src_feature(0));
+  }));
+  KernelArgs a;
+  a.view = fg.view.in_view;
+  a.in_degrees = fg.view.in_degrees;
+  a.inputs = inputs;
+  a.gcn_coef = fg.view.gcn_coef;
+  a.out = out.data();
+  a.num_feats = 4;
+  ASSERT_GT(a.view.row_offset[a.view.num_nodes], 0u);
+  EXPECT_NO_THROW(run_kernel(spec, a));
+  a.view.eids = nullptr;
+  EXPECT_THROW(run_kernel(spec, a), StgError);
+}
+
+// A graph without edges has no slots, so it needs no eid array: the launch
+// runs and writes the self term alone.
+TEST(KernelArgsValidation, EmptyGraphRunsWithoutEids) {
+  const uint32_t n = 5;
+  const int64_t F = 3;
+  const std::vector<uint32_t> row_offset(n + 1, 0);
+  const std::vector<uint32_t> deg(n, 0);
+  Rng rng(7);
+  std::vector<float> x(static_cast<std::size_t>(n) * F);
+  for (auto& v : x) v = rng.normal();
+  const float* inputs[1] = {x.data()};
+  KernelSpec spec = compile(trace([](VertexContext& v) -> AggExpr {
+    return v.agg_sum(v.gcn_norm() * v.src_feature(0))
+        .with_self_loop(v.constant(0.75f));
+  }));
+  KernelArgs a;
+  a.view.num_nodes = n;
+  a.view.row_offset = row_offset.data();
+  a.in_degrees = deg.data();
+  a.inputs = inputs;
+  a.self_features = x.data();
+  a.num_feats = static_cast<uint32_t>(F);
+  ASSERT_EQ(a.view.eids, nullptr);
+  check_parity(spec, a, n, F, "empty graph");
+  std::vector<float> out(x.size(), -2.0f);
+  a.out = out.data();
+  run_kernel(spec, a);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_EQ(out[i], 0.75f * x[i]) << i;
 }
 
 TEST(KernelSimdFuzz, CachedCoefBitIdenticalToInline) {

@@ -1,8 +1,8 @@
 // Layer tests: numerical equivalence between STGraph's fused
 // SeastarGCNConv and the baseline edge-parallel PygGCNConv (forward AND
 // gradients), finite-difference gradient checks of SeastarGCNConv in both
-// multiplication orders, of GCNStack and RelationalGCNConv, and of the TGCN
-// (through its shared Â·X), GConvGRU, GConvLSTM and A3TGCN cells, the
+// multiplication orders and of the TGCN (through its shared Â·X),
+// GConvGRU, GConvLSTM and A3TGCN cells, the
 // aggregation launch counts of a TGCN step and of each order, Linear,
 // optimizers, and module plumbing.
 #include <gtest/gtest.h>
@@ -22,13 +22,11 @@
 #include "graph/static_graph.hpp"
 #include "nn/a3tgcn.hpp"
 #include "nn/gcn.hpp"
-#include "nn/gcn_stack.hpp"
 #include "nn/gconv_gru.hpp"
 #include "nn/gconv_lstm.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
-#include "nn/rgcn.hpp"
 #include "nn/tgcn.hpp"
 #include "runtime/parallel.hpp"
 #include "tensor/op_profile.hpp"
@@ -299,16 +297,12 @@ Tensor weighted_sum_op(const Tensor& y, const std::vector<float>& r) {
 // Central differences of `loss` over every entry of `t` (perturbed in
 // place) against the analytic gradient. The step actually taken is read
 // back from the float storage, so rounding of v ± eps does not bias it.
-// With `kinks` (a loss through ReLUs), where the one-sided slopes disagree
-// a kink lies within ±eps and the central difference averages two slopes;
-// there the analytic gradient must equal one side's slope.
 void expect_fd_gradient(Tensor t, const Tensor& analytic,
                         const std::function<double()>& loss, float eps,
-                        const std::string& what, bool kinks = false) {
+                        const std::string& what) {
   ASSERT_TRUE(analytic.defined()) << what << ": no gradient";
   ASSERT_TRUE(same_shape(t, analytic)) << what;
   auto tol = [](double slope) { return 2e-3 + 1e-2 * std::abs(slope); };
-  const double l0 = kinks ? loss() : 0.0;
   float* p = t.data();
   for (int64_t i = 0; i < t.numel(); ++i) {
     const float v = p[i];
@@ -320,17 +314,7 @@ void expect_fd_gradient(Tensor t, const Tensor& analytic,
     const double lm = loss();
     p[i] = v;
     const double fd = (lp - lm) / (hi - lo);
-    const double a = analytic.at(i);
-    const double right = (lp - l0) / (hi - v), left = (l0 - lm) / (v - lo);
-    if (kinks && std::abs(a - fd) > tol(fd) &&
-        std::abs(right - left) > tol(fd)) {
-      EXPECT_TRUE(std::abs(a - right) <= tol(right) ||
-                  std::abs(a - left) <= tol(left))
-          << what << " entry " << i << " at a kink: " << a << " vs slopes "
-          << left << ", " << right;
-      continue;
-    }
-    EXPECT_NEAR(a, fd, tol(fd)) << what << " entry " << i;
+    EXPECT_NEAR(analytic.at(i), fd, tol(fd)) << what << " entry " << i;
   }
 }
 
@@ -377,13 +361,12 @@ void randomize_biases(const nn::Module& module, Rng& rng) {
 
 // One step of a spatial layer at timestamp t of `graph`: the gradients of
 // every parameter and (when it needs one) of X against central differences
-// with step `eps`, the loss a random weighting of the output. `kinks`
-// makes the check kink-aware, for layers with a ReLU inside.
+// with step `eps`, the loss a random weighting of the output.
 void gradcheck_layer(STGraphBase& graph, uint32_t t, const nn::Module& module,
                      int64_t in, int64_t out,
                      const std::function<Tensor(core::TemporalExecutor&,
                                                 const Tensor&)>& step,
-                     Rng& rng, XKind kind, float eps, bool kinks = false) {
+                     Rng& rng, XKind kind, float eps) {
   const uint32_t n = graph.num_nodes();
   const bool x_grad = kind != XKind::kLeafNoGrad;
   Tensor x0 = Tensor::randn({n, in}, rng, 1.0f, x_grad);
@@ -407,9 +390,9 @@ void gradcheck_layer(STGraphBase& graph, uint32_t t, const nn::Module& module,
     return weighted_sum(step(exec, input()), r);
   };
   for (const auto& p : module.parameters())
-    expect_fd_gradient(p.tensor, p.tensor.grad(), loss, eps, p.name, kinks);
+    expect_fd_gradient(p.tensor, p.tensor.grad(), loss, eps, p.name);
   if (x_grad) {
-    expect_fd_gradient(x0, x0.grad(), loss, eps, "X", kinks);
+    expect_fd_gradient(x0, x0.grad(), loss, eps, "X");
   } else {
     EXPECT_FALSE(x0.grad().defined());
   }
@@ -634,47 +617,6 @@ TEST(A3tgcnGradcheck, AttentionWindowOnStaticGraph) {
 TEST(A3tgcnGradcheck, AttentionWindowOnGpmaGraph) {
   GpmaGraph graph = gradcheck_gpma_graph();
   gradcheck_cell(graph, make_a3tgcn);
-}
-
-// GCNStack {in, 4, out}, whose two convolutions take the orders their
-// widths pick with a ReLU between them, and RelationalGCNConv with two
-// relations (every third edge label is relation 1; masks weighted by the
-// label weights), each at in ≤ out and at in > out.
-void gradcheck_stack_and_rgcn(STGraphBase& graph, uint32_t t) {
-  const uint32_t m = graph.num_edges_at(t);
-  const std::vector<float> ew = label_weights(m);
-  std::vector<uint8_t> relation_of(m);
-  for (uint32_t e = 0; e < m; ++e) relation_of[e] = e % 3 == 0 ? 1 : 0;
-  nn::RelationAssignment relations(std::move(relation_of), 2);
-  relations.materialize(ew.data());
-  for (const auto& [in, out] : {std::pair<int64_t, int64_t>{3, 5}, {5, 3}}) {
-    SCOPED_TRACE(std::to_string(in) + "->" + std::to_string(out));
-    Rng rng(in * 100 + out + 1);
-    nn::GCNStack stack({in, 4, out}, rng);
-    nn::RelationalGCNConv rgcn(in, out, 2, rng);
-    randomize_biases(stack, rng);
-    randomize_biases(rgcn, rng);
-    gradcheck_layer(graph, t, stack, in, out,
-                    [&](core::TemporalExecutor& exec, const Tensor& x) {
-                      return stack.forward(exec, x, ew.data());
-                    },
-                    rng, XKind::kLeaf, 3e-3f, /*kinks=*/true);
-    gradcheck_layer(graph, t, rgcn, in, out,
-                    [&](core::TemporalExecutor& exec, const Tensor& x) {
-                      return rgcn.forward(exec, x, relations);
-                    },
-                    rng, XKind::kLeaf, 3e-3f);
-  }
-}
-
-TEST(SpatialLayerGradcheck, GcnStackAndRgcnOnStaticGraph) {
-  StaticTemporalGraph graph = gradcheck_static_graph();
-  gradcheck_stack_and_rgcn(graph, 0);
-}
-
-TEST(SpatialLayerGradcheck, GcnStackAndRgcnOnGpmaGraph) {
-  GpmaGraph graph = gradcheck_gpma_graph();
-  gradcheck_stack_and_rgcn(graph, 1);
 }
 
 // Three sibling convolutions over one handle compute exactly what three

@@ -8,10 +8,8 @@
 #include "core/trainer.hpp"
 #include "datasets/synthetic.hpp"
 #include "graph/static_graph.hpp"
-#include "nn/a3tgcn.hpp"
-#include "nn/gcn_stack.hpp"
 #include "nn/gconv_gru.hpp"
-#include "nn/gconv_lstm.hpp"
+#include "nn/models.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -127,43 +125,6 @@ TEST(GConvGru, ParameterCountMatchesFormula) {
   // hop, no bias). Three gates.
   const int64_t per_gate = (4 * 8 + 8 + 4 * 8) + (8 * 8 + 8 * 8);
   EXPECT_EQ(gru.parameter_count(), 3 * per_gate);
-}
-
-// Regression test: a parent eval()/train() must flip EVERY registered
-// descendant (dropout and any mode-dependent layer reads the flag), and
-// named_modules() must expose the full tree so the propagation is
-// auditable from outside — serve::ModelSnapshot::install relies on this
-// when freezing a model.
-void expect_tree_mode(const nn::Module& root, bool training,
-                      const std::string& label, std::size_t min_modules) {
-  const auto mods = root.named_modules();
-  ASSERT_GE(mods.size(), min_modules) << label;
-  for (const auto& [path, m] : mods)
-    EXPECT_EQ(m->is_training(), training)
-        << label << ": module '" << path << "' did not follow the parent";
-}
-
-TEST(Module, EvalPropagatesIntoEveryRegisteredDescendant) {
-  Rng rng(13);
-  nn::GCNStack stack({4, 8, 8, 2}, rng, /*dropout=*/0.5f);
-  nn::TGCNRegressor tgcn_reg(4, 8, rng);
-  nn::TGCNEncoder tgcn_enc(4, 8, rng);
-  nn::A3TGCN a3(4, 8, /*periods=*/3, rng);
-  nn::GConvGRURegressor gru(4, 8, /*k=*/2, rng);
-  nn::GConvLSTMRegressor lstm(4, 8, /*k=*/2, rng);
-
-  const std::vector<std::pair<nn::Module*, const char*>> models = {
-      {&stack, "GCNStack"},    {&tgcn_reg, "TGCNRegressor"},
-      {&tgcn_enc, "TGCNEncoder"}, {&a3, "A3TGCN"},
-      {&gru, "GConvGRURegressor"}, {&lstm, "GConvLSTMRegressor"}};
-  for (const auto& [model, label] : models) {
-    // Constructed in training mode, whole tree included.
-    expect_tree_mode(*model, true, label, 2);
-    model->eval();
-    expect_tree_mode(*model, false, label, 2);
-    model->train();
-    expect_tree_mode(*model, true, label, 2);
-  }
 }
 
 TEST(Module, NamedModulesReportsDottedPaths) {

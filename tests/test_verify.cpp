@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "compiler/kernel.hpp"
 #include "compiler/trace.hpp"
 #include "core/executor.hpp"
 #include "core/trainer.hpp"
@@ -21,6 +22,7 @@
 #include "graph/naive_graph.hpp"
 #include "graph/static_graph.hpp"
 #include "nn/models.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
 #include "verify/validate.hpp"
@@ -311,10 +313,21 @@ TEST(VerifyCorruption, BadProgramFires) {
       {CoefKind::kConst, std::numeric_limits<float>::quiet_NaN()});
   EXPECT_FALSE(verify::check_program(bad_const).ok());
 
-  Program bad_max = p;
-  bad_max.agg = AggKind::kMax;
-  bad_max.terms.push_back(bad_max.terms[0]);
-  EXPECT_FALSE(verify::check_program(bad_max).ok());
+  // Programs compile() rejects: more message terms than the engine grid
+  // holds (on distinct inputs, so dedup_terms cannot merge them), and more
+  // than 255 factors of one kind in a coefficient product.
+  Program too_many_terms;
+  for (int i = 0; i <= static_cast<int>(kMaxSpecializedTerms); ++i)
+    too_many_terms.terms.push_back(
+        MessageTerm{{Coef{CoefKind::kGcnNorm, 1.0f}}, i});
+  EXPECT_THROW(compile(too_many_terms), StgError);
+  EXPECT_FALSE(verify::check_program(too_many_terms).ok());
+
+  Program too_many_factors = p;
+  too_many_factors.terms[0].coefs.assign(256,
+                                         Coef{CoefKind::kEdgeWeight, 1.0f});
+  EXPECT_THROW(compile(too_many_factors), StgError);
+  EXPECT_FALSE(verify::check_program(too_many_factors).ok());
 }
 
 TEST(VerifyCorruption, UnbalancedTraceFires) {
