@@ -94,6 +94,11 @@
 #                           engine, fused interpreter, GEMM, column sums,
 #                           ewmath) runs its ScalarOps instantiation and is
 #                           held to the same oracles as the native build
+#   ./run_all.sh avx2       the full ctest suite on a separate
+#                           -march=x86-64-v3 build (build-avx2/): AVX2+FMA
+#                           without AVX-512, so every SIMD primitive runs
+#                           its AvxOps instantiation (the native backend of
+#                           AVX2-only hosts) against the same oracles
 #   ./run_all.sh bench      graph-update benches only: bench_fig9 (GNN/
 #                           update time split with the per-phase counters,
 #                           emitted as BENCH_fig9.json) +
@@ -227,6 +232,18 @@ if [ "$1" = "portable" ]; then
     -DSTGRAPH_BUILD_BENCH=OFF -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-portable -j "$(nproc)" || exit 1
   ctest --test-dir build-portable --output-on-failure -j "$(nproc)" \
+    || exit 1
+  exit 0
+fi
+
+if [ "$1" = "avx2" ]; then
+  # The AVX2 backend's gate on hosts whose native build is AVX-512: with
+  # -march=x86-64-v3, simd::NativeOps is AvxOps and HalfOps is ScalarOps.
+  cmake -B build-avx2 -S . -DSTGRAPH_NATIVE_ARCH=OFF \
+    -DCMAKE_CXX_FLAGS=-march=x86-64-v3 \
+    -DSTGRAPH_BUILD_BENCH=OFF -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
+  cmake --build build-avx2 -j "$(nproc)" || exit 1
+  ctest --test-dir build-avx2 --output-on-failure -j "$(nproc)" \
     || exit 1
   exit 0
 fi

@@ -17,9 +17,10 @@
 //     (KernelArgs::gcn_coef) when the graph provides one, replacing a
 //     per-edge rsqrt with a load,
 //   * keeps the output row in vector registers across the edge loop
-//     (register tiling): up to 8 accumulator vectors per scan, so a 32-wide
-//     feature tile on AVX2 reads and writes memory once per row instead of
-//     once per edge.
+//     (register tiling): the native vectors of a row call plus one
+//     simd::HalfOps vector, so a 32-wide feature tile (two zmm on AVX-512)
+//     or an 8-wide row (one ymm under AVX-512) reads and writes memory once
+//     per row instead of once per edge.
 //
 // Bit-parity contract with the reference: compile() canonicalizes coef
 // order, so the hoisted prefix is a literal prefix of the reference's
@@ -49,8 +50,12 @@ enum class Mode { kFwd, kBwd };
 inline constexpr uint32_t kMaxRange = 64;
 static_assert(kFeatureTileThreshold <= kMaxRange);
 
-/// Max accumulator vectors live at once (8 ymm on AVX2 = one 32-float tile).
-inline constexpr uint32_t kMaxAccVecs = 8;
+/// Max accumulator vectors live at once: a whole kMaxRange row call (4 zmm
+/// on AVX-512, 8 ymm on AVX2), capped at 8 so NEON's 4-lane vectors take
+/// two scans. sum_block is instantiated at these widths only.
+template <class Ops>
+inline constexpr uint32_t kMaxAccVecs =
+    std::min<uint32_t>(8, kMaxRange / Ops::kWidth);
 
 /// Edge-loop lookahead for gather prefetch. The producer-feature rows land
 /// at random addresses (the graph decides), so the hardware prefetcher
@@ -240,6 +245,16 @@ inline void sum_block(const Launch& L, uint32_t row, uint32_t f0,
   for (int i = 0; i < NV; ++i) Ops::store(orow + i * W, acc[i]);
 }
 
+/// sum_block at the run-time width nv, one of 1..sizeof...(I).
+template <class Ops, Mode M, bool EW, bool Gaps, bool Self, int... I>
+inline void sum_block_n(const Launch& L, uint32_t row, uint32_t f0,
+                        const float* base, uint32_t nv,
+                        std::integer_sequence<int, I...>) {
+  ((nv == I + 1u ? sum_block<Ops, I + 1, M, EW, Gaps, Self>(L, row, f0, base)
+                 : void()),
+   ...);
+}
+
 // ---- scalar range path (sub-vector tails and the width-1 engine) ---------
 
 /// Process feature columns [f0, f1) with plain-float stack accumulators in
@@ -296,19 +311,22 @@ void row_entry(const Launch& L, uint32_t row, uint32_t f0, uint32_t f1) {
   } else {
     constexpr uint32_t W = Ops::kWidth;
     uint32_t f = f0;
-    uint32_t nvec = (f1 - f0) / W;
-    while (nvec > 0) {
-      const uint32_t nv = std::min(nvec, kMaxAccVecs);
-      switch (nv) {
-        case 1: sum_block<Ops, 1, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 2: sum_block<Ops, 2, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 3: sum_block<Ops, 3, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 4: sum_block<Ops, 4, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 5: sum_block<Ops, 5, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 6: sum_block<Ops, 6, M, EW, Gaps, Self>(L, row, f, base); break;
-        case 7: sum_block<Ops, 7, M, EW, Gaps, Self>(L, row, f, base); break;
-        default: sum_block<Ops, 8, M, EW, Gaps, Self>(L, row, f, base); break;
+    // The HalfOps vector the native vectors leave over, then the native
+    // blocks, then the scalar tail. Columns are independent, so the order
+    // changes no bit.
+    using Half = simd::HalfOps;
+    if constexpr (Half::kWidth > 1) {
+      if ((f1 - f0) % W >= Half::kWidth) {
+        sum_block<Half, 1, M, EW, Gaps, Self>(L, row, f, base);
+        f += Half::kWidth;
       }
+    }
+    uint32_t nvec = (f1 - f) / W;
+    while (nvec > 0) {
+      const uint32_t nv = std::min(nvec, kMaxAccVecs<Ops>);
+      sum_block_n<Ops, M, EW, Gaps, Self>(
+          L, row, f, base, nv,
+          std::make_integer_sequence<int, kMaxAccVecs<Ops>>{});
       f += nv * W;
       nvec -= nv;
     }

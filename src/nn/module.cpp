@@ -14,18 +14,6 @@ std::vector<Parameter> Module::parameters() const {
   return out;
 }
 
-std::vector<std::pair<std::string, const Module*>> Module::named_modules()
-    const {
-  std::vector<std::pair<std::string, const Module*>> out;
-  out.emplace_back("", this);
-  for (const auto& [name, child] : children_) {
-    for (const auto& [path, mod] : child->named_modules()) {
-      out.emplace_back(path.empty() ? name : name + "." + path, mod);
-    }
-  }
-  return out;
-}
-
 void Module::zero_grad() {
   for (Parameter& p : const_cast<Module*>(this)->own_params_) p.tensor.zero_grad();
   for (auto& [name, child] : children_) child->zero_grad();

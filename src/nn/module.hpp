@@ -27,11 +27,6 @@ class Module {
   /// with dotted names ("conv_z.linear.weight").
   std::vector<Parameter> parameters() const;
 
-  /// Pre-order traversal of this module and every registered descendant,
-  /// with dotted paths ("" for this module itself, "tgcn.conv_z" for a
-  /// grandchild). Lets callers audit per-module state from the outside.
-  std::vector<std::pair<std::string, const Module*>> named_modules() const;
-
   void zero_grad();
   /// Total parameter count (for model summaries).
   int64_t parameter_count() const;

@@ -1,10 +1,21 @@
 // Portable SIMD layer for the specialized kernel engine — the CPU analogue
 // of the CUDA vector width the paper's generated kernels get for free from
-// warp lanes. One instruction-set backend is selected at compile time
-// (AVX2+FMA on x86-64, NEON on arm64, a width-1 scalar fallback elsewhere),
-// and each primitive has one instantiation, against NativeOps. A
+// warp lanes. One instruction-set backend is selected at compile time from
+// the compiler's target macros:
+//
+//   backend     lanes  selected when                       HalfOps
+//   Avx512Ops   16     __AVX512F__ and __AVX512DQ__         AvxOps
+//   AvxOps       8     __AVX2__ and __FMA__ (no AVX-512)    ScalarOps
+//   NeonOps      4     __ARM_NEON and __ARM_FEATURE_FMA     ScalarOps
+//   ScalarOps    1     anything else                        ScalarOps
+//
+// Each primitive has one instantiation, against NativeOps. HalfOps is the
+// half-width step a primitive may run after its NativeOps vectors and
+// before its scalar tail, so an 8-wide row stays vectorized under a 16-lane
+// NativeOps; where it is ScalarOps there is no such step. A
 // -DSTGRAPH_NATIVE_ARCH=OFF build has no vector ISA, so NativeOps is
-// ScalarOps there: that build is the scalar backend.
+// ScalarOps there: that build is the scalar backend. `vu` is always a
+// full-lane int vector (all ones or all zeros per lane for a mask).
 //
 // Parity contract: `madd` is REQUIRED to be an unfused multiply-then-add
 // (never an FMA) so that every lane of the aggregation engine performs
@@ -38,7 +49,8 @@ namespace stgraph::simd {
 /// Width-1 backend: the specialization grid compiled against plain floats.
 /// It is NativeOps when no vector ISA is available. On every build it is
 /// also the one-lane step inside the templates: ewmath's scalar sigmoid/tanh
-/// entry points and the fused interpreter's block tails.
+/// entry points, the fused interpreter's block tails and the GEMM's tail
+/// columns.
 struct ScalarOps {
   static constexpr uint32_t kWidth = 1;
   using vf = float;
@@ -60,7 +72,6 @@ struct ScalarOps {
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return std::fmaf(a, b, acc); }
-  static vf max(vf a, vf b) { return a > b ? a : b; }
   /// Round half to even (the default rounding mode).
   static vf round(vf a) { return std::nearbyint(a); }
   /// Float → int32 (two's complement in a vu lane) of an integral value
@@ -87,7 +98,8 @@ struct ScalarOps {
 
 #if defined(__AVX2__) && defined(__FMA__)
 
-/// 8-lane f32 backend (AVX2). Masks are carried as __m256i full-lane masks.
+/// 8-lane f32 backend (AVX2): NativeOps on AVX2-only hosts, HalfOps under
+/// AVX-512. Masks are carried as __m256i full-lane masks.
 struct AvxOps {
   static constexpr uint32_t kWidth = 8;
   using vf = __m256;
@@ -111,7 +123,6 @@ struct AvxOps {
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return _mm256_fmadd_ps(a, b, acc); }
-  static vf max(vf a, vf b) { return _mm256_max_ps(a, b); }
   static vf round(vf a) {
     return _mm256_round_ps(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   }
@@ -133,7 +144,71 @@ struct AvxOps {
     return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
   }
 };
+#endif  // __AVX2__ && __FMA__
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX2__) && \
+    defined(__FMA__)
+
+/// 16-lane f32 backend (AVX-512F/DQ). Compares produce __mmask16 and are
+/// widened to full-lane __m512i masks (vpmovm2d) so `vu` means what it means
+/// on every backend; blend narrows them back. The round, convert and shift
+/// use their zero-masking forms with an all-ones mask: the same result,
+/// without the undefined pass-through operand GCC 12 warns about when the
+/// unmasked forms are inlined.
+struct Avx512Ops {
+  static constexpr uint32_t kWidth = 16;
+  static constexpr __mmask16 kAll = 0xFFFF;
+  using vf = __m512;
+  using vu = __m512i;
+  static vf zero() { return _mm512_setzero_ps(); }
+  static vf set1(float x) { return _mm512_set1_ps(x); }
+  static vf load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(float* p, vf v) { _mm512_storeu_ps(p, v); }
+  static vf add(vf a, vf b) { return _mm512_add_ps(a, b); }
+  static vf sub(vf a, vf b) { return _mm512_sub_ps(a, b); }
+  static vf mul(vf a, vf b) { return _mm512_mul_ps(a, b); }
+  static vf div(vf a, vf b) { return _mm512_div_ps(a, b); }
+  static vf neg(vf a) { return _mm512_xor_ps(a, _mm512_set1_ps(-0.0f)); }
+  static vf abs(vf a) { return _mm512_andnot_ps(_mm512_set1_ps(-0.0f), a); }
+  static vf copysign(vf mag, vf sgn) {
+    const vf sign = _mm512_set1_ps(-0.0f);
+    return _mm512_or_ps(_mm512_andnot_ps(sign, mag),
+                        _mm512_and_ps(sign, sgn));
+  }
+  /// acc + a*b, deliberately unfused (see header comment).
+  static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b with a single rounding (see header comment).
+  static vf fma(vf a, vf b, vf acc) { return _mm512_fmadd_ps(a, b, acc); }
+  static vf round(vf a) {
+    return _mm512_maskz_roundscale_ps(
+        kAll, a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static vu cvt_i32(vf a) { return _mm512_maskz_cvtps_epi32(kAll, a); }
+  static vf pow2i(vu n) {
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        kAll, _mm512_add_epi32(n, _mm512_set1_epi32(127)), 23));
+  }
+  static vu cmp_gt(vf a, vf b) {
+    return _mm512_movm_epi32(_mm512_cmp_ps_mask(a, b, _CMP_GT_OQ));
+  }
+  static vu cmp_ge(vf a, vf b) {
+    return _mm512_movm_epi32(_mm512_cmp_ps_mask(a, b, _CMP_GE_OQ));
+  }
+  static vu cmp_lt(vf a, vf b) {
+    return _mm512_movm_epi32(_mm512_cmp_ps_mask(a, b, _CMP_LT_OQ));
+  }
+  static vf blend(vf a, vf b, vu mask) {
+    return _mm512_mask_blend_ps(_mm512_movepi32_mask(mask), a, b);
+  }
+};
+using NativeOps = Avx512Ops;
+using HalfOps = AvxOps;
+inline constexpr const char* kArchName = "avx512";
+
+#elif defined(__AVX2__) && defined(__FMA__)
+
 using NativeOps = AvxOps;
+using HalfOps = ScalarOps;
 inline constexpr const char* kArchName = "avx2";
 
 #elif defined(__ARM_NEON) && defined(__ARM_FEATURE_FMA)
@@ -160,7 +235,6 @@ struct NeonOps {
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
   /// acc + a*b with a single rounding (see header comment).
   static vf fma(vf a, vf b, vf acc) { return vfmaq_f32(acc, a, b); }
-  static vf max(vf a, vf b) { return vmaxq_f32(a, b); }
   static vf round(vf a) { return vrndnq_f32(a); }
   static vu cvt_i32(vf a) { return vreinterpretq_u32_s32(vcvtnq_s32_f32(a)); }
   static vf pow2i(vu n) {
@@ -173,16 +247,19 @@ struct NeonOps {
   static vf blend(vf a, vf b, vu mask) { return vbslq_f32(mask, b, a); }
 };
 using NativeOps = NeonOps;
+using HalfOps = ScalarOps;
 inline constexpr const char* kArchName = "neon";
 
 #else
 
 using NativeOps = ScalarOps;
+using HalfOps = ScalarOps;
 inline constexpr const char* kArchName = "scalar";
 
 #endif
 
-/// Compile-time ISA of the native backend ("avx2", "neon" or "scalar").
+/// Compile-time ISA of the native backend ("avx512", "avx2", "neon" or
+/// "scalar").
 inline const char* arch_name() { return kArchName; }
 
 }  // namespace stgraph::simd

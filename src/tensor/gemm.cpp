@@ -1,7 +1,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "runtime/parallel.hpp"
@@ -12,9 +11,13 @@
 namespace stgraph::ops::detail {
 namespace {
 
-/// Rows per register tile: kMR rows × 2 vectors is eight independent
-/// accumulators, enough to cover the FMA latency.
-constexpr int kMR = 4;
+/// Rows per register tile. A tile holds MR × NV accumulators, NV op(B)
+/// vectors and one broadcast of op(A). Covering the FMA latency takes at
+/// least eight independent accumulators in every tile, so the register file
+/// sets MR: the 32 zmm registers of AVX-512 take 8 rows (8 accumulators at
+/// NV = 1, 16 at NV = 2); the 16-register ISAs take 4 rows (8 at NV = 2).
+template <class Ops>
+constexpr int kMR = Ops::kWidth >= 16 ? 8 : 4;
 
 /// Operands as the micro-kernel reads them. Element (i, kk) of op(A) is
 /// a[i*ars + kk*aks]; op(B) is row-major k×n with row stride ldb.
@@ -59,45 +62,48 @@ void tile(const Operands& op, int64_t i0, int64_t j0) {
     for (int v = 0; v < NV; ++v) Ops::store(c + r * op.n + v * W, acc[r][v]);
 }
 
-/// Rows [i0, i0+MR) of C: 2-vector tiles, one 1-vector tile, then the
-/// n % W tail columns as the same fma chain in scalar std::fmaf.
+/// Rows [i0, i0+MR) of C: 2-vector tiles, one 1-vector tile, one
+/// simd::HalfOps tile, then the tail columns one at a time as ScalarOps
+/// tiles. Every tile runs the same fma chain, so the split changes no bit.
 template <class Ops, int MR>
 void row_block(const Operands& op, int64_t i0) {
-  constexpr int64_t W = Ops::kWidth;
+  using Half = simd::HalfOps;
+  constexpr int64_t W = Ops::kWidth, HW = Half::kWidth;
   int64_t j = 0;
   for (; j + 2 * W <= op.n; j += 2 * W) tile<Ops, MR, 2>(op, i0, j);
   if (j + W <= op.n) {
     tile<Ops, MR, 1>(op, i0, j);
     j += W;
   }
-  for (; j < op.n; ++j) {
-    for (int r = 0; r < MR; ++r) {
-      const float* a = op.a + (i0 + r) * op.ars;
-      float s = 0.0f;
-      for (int64_t kk = 0; kk < op.k; ++kk)
-        s = std::fmaf(a[kk * op.aks], op.b[kk * op.ldb + j], s);
-      op.c[(i0 + r) * op.n + j] = s;
-    }
+  if (j + HW <= op.n) {
+    tile<Half, MR, 1>(op, i0, j);
+    j += HW;
   }
+  for (; j < op.n; ++j) tile<simd::ScalarOps, MR, 1>(op, i0, j);
 }
 
-/// Splits C into kMR-row blocks across the pool; k is never split.
+/// Splits C into kMR-row blocks across the pool; k is never split. The
+/// last m % kMR rows run in 4-row blocks while they can, then one by one.
 template <class Ops>
 void run(const Operands& op) {
-  const int64_t blocks = (op.m + kMR - 1) / kMR;
+  constexpr int MR = kMR<Ops>;
+  const int64_t blocks = (op.m + MR - 1) / MR;
   device::parallel_for_ranges(
       static_cast<std::size_t>(blocks),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t blk = lo; blk < hi; ++blk) {
-          const int64_t i0 = static_cast<int64_t>(blk) * kMR;
-          if (op.m - i0 >= kMR) {
-            row_block<Ops, kMR>(op, i0);
-          } else {  // the last m % kMR rows, one at a time
-            for (int64_t i = i0; i < op.m; ++i) row_block<Ops, 1>(op, i);
+          int64_t i = static_cast<int64_t>(blk) * MR;
+          if (op.m - i >= MR) {
+            row_block<Ops, MR>(op, i);
+            continue;
           }
+          if constexpr (MR > 4) {
+            for (; op.m - i >= 4; i += 4) row_block<Ops, 4>(op, i);
+          }
+          for (; i < op.m; ++i) row_block<Ops, 1>(op, i);
         }
       },
-      /*grain=*/16 / kMR);
+      /*grain=*/16 / MR);
 }
 
 }  // namespace

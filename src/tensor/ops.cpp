@@ -75,7 +75,8 @@ void column_sums(const float* src, int64_t rows_in, int64_t cols_in,
   const std::size_t rows = static_cast<std::size_t>(rows_in);
   const std::size_t cols = static_cast<std::size_t>(cols_in);
   // Up to kTile vectors of columns accumulate in registers while the rows
-  // stream past in order; the scalar tail columns do the same one by one.
+  // stream past in order; one simd::HalfOps vector and then the scalar
+  // tail columns do the same.
   constexpr std::size_t W = O::kWidth, kTile = 8;
   std::size_t c = 0;
   for (; c + W <= cols; c += kTile * W) {
@@ -91,6 +92,16 @@ void column_sums(const float* src, int64_t rows_in, int64_t cols_in,
     if (nv < kTile) {
       c += nv * W;
       break;
+    }
+  }
+  using H = simd::HalfOps;
+  if constexpr (H::kWidth > 1) {
+    if (c + H::kWidth <= cols) {
+      typename H::vf acc = H::zero();
+      for (std::size_t r = 0; r < rows; ++r)
+        acc = H::add(acc, H::load(src + r * cols + c));
+      H::store(dst + c, acc);
+      c += H::kWidth;
     }
   }
   for (; c < cols; ++c) {

@@ -124,6 +124,28 @@ TEST(Gradient, AddBias) {
   check_gradient(b, fn);
 }
 
+// The bias gradient is each column's sum over the rows, added in row
+// order. Widths cover full vectors, the half-width step and scalar tails
+// of every backend, so every split of the columns gives those bits.
+TEST(Gradient, AddBiasGradIsRowOrderedColumnSum) {
+  Rng rng(6);
+  for (int64_t cols : {1, 7, 8, 9, 16, 24, 25, 40, 129}) {
+    const int64_t rows = 37;
+    Tensor x = Tensor::randn({rows, cols}, rng);
+    Tensor b = Tensor::randn({cols}, rng, 1.0f, true);
+    Tensor w = Tensor::randn({rows, cols}, rng);  // the upstream gradient
+    ops::sum(ops::mul(ops::add_bias(x, b), w)).backward();
+    const std::vector<float> g = b.grad().to_vector();
+    const float* pw = w.data();
+    for (int64_t c = 0; c < cols; ++c) {
+      float want = 0.0f;
+      for (int64_t r = 0; r < rows; ++r) want += pw[r * cols + c];
+      EXPECT_EQ(g[static_cast<std::size_t>(c)], want)
+          << "cols=" << cols << " c=" << c;
+    }
+  }
+}
+
 class MatmulGradient
     : public ::testing::TestWithParam<std::pair<bool, bool>> {};
 

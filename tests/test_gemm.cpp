@@ -20,7 +20,7 @@
 namespace stgraph {
 namespace {
 
-const int64_t kSizes[] = {0, 1, 3, 7, 8, 9, 17, 33, 65, 1068};
+const int64_t kSizes[] = {0, 1, 3, 7, 8, 9, 16, 17, 24, 33, 65, 1068};
 
 /// C = op(A)·op(B) as one fma chain per element, k ascending from +0.
 std::vector<float> oracle(const Tensor& a, const Tensor& b, bool ta, bool tb) {

@@ -28,6 +28,7 @@
 #include "graph/csr.hpp"
 #include "graph/dtdg.hpp"
 #include "graph/static_graph.hpp"
+#include "runtime/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -159,7 +160,29 @@ void check_parity(const KernelSpec& spec, KernelArgs args, uint32_t n,
   expect_bits_equal(out_eng, out_ref, what);
 }
 
-constexpr int64_t kFeatureSizes[] = {1, 3, 8, 31, 32, 33, 127};
+// The native backend is the widest ISA the compiler targets, and HalfOps
+// is the half-width step below it (none, i.e. ScalarOps, under AVX2).
+TEST(SimdBackend, NativeIsTheWidestTargetIsa) {
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+  EXPECT_EQ(simd::NativeOps::kWidth, 16u);
+  EXPECT_STREQ(simd::arch_name(), "avx512");
+  EXPECT_EQ(simd::HalfOps::kWidth, 8u);
+#elif defined(__AVX2__) && defined(__FMA__)
+  EXPECT_EQ(simd::NativeOps::kWidth, 8u);
+  EXPECT_STREQ(simd::arch_name(), "avx2");
+  EXPECT_EQ(simd::HalfOps::kWidth, 1u);
+#elif defined(__ARM_NEON) && defined(__ARM_FEATURE_FMA)
+  EXPECT_EQ(simd::NativeOps::kWidth, 4u);
+  EXPECT_STREQ(simd::arch_name(), "neon");
+  EXPECT_EQ(simd::HalfOps::kWidth, 1u);
+#else
+  EXPECT_EQ(simd::NativeOps::kWidth, 1u);
+  EXPECT_STREQ(simd::arch_name(), "scalar");
+  EXPECT_EQ(simd::HalfOps::kWidth, 1u);
+#endif
+}
+
+constexpr int64_t kFeatureSizes[] = {1, 3, 8, 16, 24, 31, 32, 33, 40, 127};
 
 TEST(KernelSimdFuzz, SumAndMeanParity) {
   const CoefSet kSets[] = {

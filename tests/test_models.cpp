@@ -127,18 +127,5 @@ TEST(GConvGru, ParameterCountMatchesFormula) {
   EXPECT_EQ(gru.parameter_count(), 3 * per_gate);
 }
 
-TEST(Module, NamedModulesReportsDottedPaths) {
-  Rng rng(13);
-  nn::TGCNRegressor model(4, 8, rng);
-  const auto mods = model.named_modules();
-  ASSERT_FALSE(mods.empty());
-  EXPECT_EQ(mods.front().first, "");  // pre-order: the root itself first
-  EXPECT_EQ(mods.front().second, &model);
-  bool saw_nested = false;
-  for (const auto& [path, m] : mods)
-    saw_nested |= path.find('.') != std::string::npos;
-  EXPECT_TRUE(saw_nested) << "TGCNRegressor has grandchildren (tgcn.conv_*)";
-}
-
 }  // namespace
 }  // namespace stgraph
